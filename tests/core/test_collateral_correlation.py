@@ -1,7 +1,9 @@
 """Tests for collateral damage (Figs. 14-15) and the §3.2.1 R^2."""
 
+import numpy as np
 import pytest
 
+from repro import ScenarioConfig, simulate
 from repro.core import (
     clean_dataset,
     collateral_figure,
@@ -12,7 +14,11 @@ from repro.core import (
     silence_score,
     sites_vs_resilience,
 )
+from repro.core.correlation import _linregress
 from repro.rootdns import LETTERS_SPEC
+from repro.scenario import QUIET_WINDOW_START
+
+SITE_COUNTS = {L: s.n_sites for L, s in LETTERS_SPEC.items()}
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +81,7 @@ class TestNlCollateral:
 class TestCorrelation:
     @pytest.fixture(scope="class")
     def fit(self, cleaned):
-        site_counts = {L: s.n_sites for L, s in LETTERS_SPEC.items()}
-        return sites_vs_resilience(cleaned, site_counts)
+        return sites_vs_resilience(cleaned, SITE_COUNTS)
 
     def test_positive_relationship(self, fit):
         # More sites -> better worst responsiveness (section 3.2.1).
@@ -96,8 +101,6 @@ class TestCorrelation:
         assert 0.0 <= table.rows[-1][2] <= 1.0
 
     def test_too_few_letters_degrades(self, cleaned):
-        import numpy as np
-
         fit = sites_vs_resilience(cleaned, {"B": 1, "H": 2})
         assert np.isnan(fit.slope)
         assert np.isnan(fit.r_squared)
@@ -111,3 +114,104 @@ class TestCorrelation:
         by_letter = dict(zip(fit.letters, fit.worst))
         assert by_letter["B"] == min(by_letter.values())
         assert by_letter["L"] > 0.9
+
+    def test_identical_site_counts_degrade(self, cleaned):
+        # One shared x value fits no line; degrade like too few
+        # letters instead of raising.
+        fit = sites_vs_resilience(cleaned, {"G": 6, "M": 6, "K": 6})
+        assert np.isnan(fit.slope)
+        assert np.isnan(fit.intercept)
+        assert np.isnan(fit.r_squared)
+        assert fit.degraded
+        assert fit.quality[0].metric == "correlation"
+        assert fit.letters == ("G", "K", "M")
+        assert fit.site_counts == (6, 6, 6)
+        assert all(np.isfinite(w) for w in fit.worst)
+
+    def test_flat_worst_flags_undefined_r_squared(self):
+        # A quiet window: every letter keeps worst responsiveness 1.0,
+        # so the line is flat and R^2 is 0/0.
+        result = simulate(
+            ScenarioConfig(
+                seed=0,
+                n_stubs=60,
+                n_vps=12,
+                events=(),
+                window_start=QUIET_WINDOW_START,
+                letters=("C", "D", "E", "L"),
+                include_nl=False,
+            )
+        )
+        fit = sites_vs_resilience(result.atlas, SITE_COUNTS)
+        assert fit.worst == (1.0, 1.0, 1.0, 1.0)
+        assert fit.slope == 0.0
+        assert fit.intercept == 1.0
+        assert np.isnan(fit.r_squared)
+        assert fit.degraded
+        assert fit.quality[0].metric == "correlation"
+        assert "R^2 is undefined" in fit.quality[0].detail
+        assert "R^2 is undefined" in correlation_table(fit).render()
+
+
+class TestLinregressPort:
+    """`_linregress` is bit-identical to `scipy.stats.linregress`."""
+
+    @pytest.mark.parametrize(
+        "counts,worst,expected",
+        [
+            pytest.param(
+                (2, 5, 13),
+                (0.25, 0.5, 0.8),
+                (0.6769094004718121, 0.039683957586202134,
+                 0.9991863968423689),
+                id="three-points",
+            ),
+            pytest.param(
+                # Table 2 site counts of letters B..M.
+                (1, 8, 65, 74, 52, 6, 2, 48, 69, 32, 113, 6),
+                (0.05, 0.62, 0.97, 0.95, 0.90, 0.45,
+                 0.10, 0.92, 0.85, 0.60, 0.99, 0.96),
+                (0.4236466937212929, 0.15874517298024482,
+                 0.859581074548467),
+                id="paper-letters",
+            ),
+            pytest.param(
+                (3, 10, 40, 100),
+                (0.9, 0.7, 0.6, 0.2),
+                (-0.4141110924991593, 1.125836323700506,
+                 -0.9417728852775754),
+                id="negative-slope",
+            ),
+        ],
+    )
+    def test_pinned_to_scipy(self, counts, worst, expected):
+        # slope, intercept, rvalue as SciPy 1.17 computes them.
+        x = np.log10(np.array(counts))
+        assert _linregress(x, np.array(worst)) == expected
+
+    def test_matches_scipy_on_drawn_inputs(self):
+        stats = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(2015)
+        checked = 0
+        for draw in range(450):
+            n = int(rng.integers(3, 14))
+            counts = rng.integers(1, 120, n)
+            if np.all(counts == counts[0]):
+                continue
+            x = np.log10(counts)
+            # Uniform y; y on a coarse grid (ties); y exactly on a line,
+            # where rounding can push |r| past 1 and SciPy clips it.
+            if draw % 3 == 0:
+                y = rng.random(n)
+            elif draw % 3 == 1:
+                y = rng.integers(0, 4, n) / 4
+                if np.all(y == y[0]):
+                    continue
+            else:
+                y = rng.random() * x + rng.random()
+            ref = stats.linregress(x, y)
+            assert _linregress(x, y) == (
+                ref.slope, ref.intercept, ref.rvalue
+            )
+            checked += 1
+        assert checked > 300
