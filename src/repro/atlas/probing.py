@@ -17,21 +17,42 @@ of the letter's state: a non-matching reply with a very short RTT.
 A-Root's 30-minute probing cadence leaves 2 of each 3 bins unprobed.
 
 Performance architecture: the engine *records* each bin's conditions
-(:meth:`LetterProber.record_bin`, cheap array stores) and the actual
-sampling happens in one batched pass at :meth:`LetterProber.finish`.
-Everything that depends only on the routing epoch -- VP catchments,
-probe-cadence gathers, balanced server assignment, baseline RTT
-gathers -- is precomputed once per ``(table.version, cadence phase)``
-and reused across all bins of that epoch; per-site server-behaviour
-multipliers are precomputed tables indexed by ``(site, server)``.
-Bins are still sampled in ascending order with the exact draw sizes
-and call sequence of the original per-bin code, so seeded results are
-bit-identical to the pre-batched implementation.
+(:meth:`LetterProber.record_bin`/:meth:`LetterProber.record_bins`,
+cheap array stores) and all sampling happens in one pass at
+:meth:`LetterProber.flush`.  Recorded bins are grouped by ``(routing
+version, cadence phase)``: every bin of a group probes the same
+hijacked, unrouted and routed VPs, with the same catchment sites,
+hash-balanced servers and baseline RTTs.  Each group then goes through
+three steps:
+
+* **prepare** -- from the recorded condition matrices, everything the
+  draws are compared or combined with: the shed-to-one server choice,
+  the per-server loss and delay multipliers, and each routed VP's
+  bin-failure probability.  Quiet bins (no loss, nothing overloaded)
+  keep the scalar baseline probability and the unmultiplied delay.
+* **draw** -- one loop over every group's bins in ascending bin order
+  that only draws into per-group blocks: standard normals for hijacked
+  answers and for RTT jitter, uniforms compared with the failure
+  probabilities, and error-vs-timeout uniforms for the failed VPs.
+* **finish** -- block arithmetic: jitter, RTTs, timeouts, outcome
+  codes and dtype casts, then one store per output matrix.  It walks
+  each group's blocks in row chunks of ``_FINISH_CELLS`` cells:
+  temporaries the size of a whole block are fresh allocations whose
+  page faults cost more than the arithmetic on them, while chunk-sized
+  ones stay in cache and are recycled by the allocator.
+
+Seeded results are bit-identical to sampling bin by bin with
+``rng.normal(0.0, sigma, n)`` and ``rng.random(n)``.
+``standard_normal(out=)`` and ``random(out=)`` consume the PCG64 stream
+exactly as those calls do, and the loop keeps their order and sizes.
+``normal`` returns ``0.0 + sigma * z``, which differs from ``sigma * z``
+only in the sign of a zero, and ``exp`` and ``1.0 +`` erase that.  Every
+other step applies the same elementwise ufunc to the same operands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -67,6 +88,9 @@ HIJACK_RTT_MS = 3.0
 #: Lognormal RTT jitter sigma.
 RTT_JITTER_SIGMA = 0.12
 
+#: Cells per row chunk of the finish step (see the module docstring).
+_FINISH_CELLS = 1 << 15
+
 
 @dataclass(frozen=True, slots=True)
 class SiteBinConditions:
@@ -84,26 +108,34 @@ class SiteBinConditions:
 
 
 @dataclass(slots=True)
-class _EpochGathers:
-    """Catchment-dependent gathers shared by all bins of one
-    ``(routing version, probe-cadence phase)`` combination."""
+class _Group:
+    """The recorded bins of one ``(routing version, cadence phase)``.
 
+    Row ``k`` of every block belongs to bin ``bins[k]``.  The gathers
+    are fixed by the group; :meth:`LetterProber._prepare` fills the
+    condition-dependent fields and the draw loop fills the blocks.
+    """
+
+    bins: np.ndarray           # ascending recorded bins
     hijacked_idx: np.ndarray   # VPs probed this phase and hijacked
     unrouted_idx: np.ndarray   # probed, healthy, no route -> timeout
     routed_idx: np.ndarray     # probed, healthy, routed
     sites: np.ndarray          # site per routed VP
     balanced: np.ndarray       # hash-balanced server per routed VP
     base_rtt: np.ndarray       # baseline RTT per routed VP
-    any_probed: bool
-    #: ``sites``/``balanced`` pre-cast to the output dtype: the final
-    #: store of a bin with no failure and no timeout writes exactly
-    #: these values, so the per-bin casts are hoisted here.
-    sites_i16: np.ndarray
-    balanced_i16: np.ndarray
-    #: ``_cond_delay[:, sites]`` gathered once; row ``b`` equals the
-    #: per-bin fancy gather ``_cond_delay[b][sites]`` element for
-    #: element, replacing it with a contiguous row view.
-    delay_sub: np.ndarray
+    #: Rows of non-quiet bins and, on those rows only, the answering
+    #: server and its delay multiplier per routed VP (quiet rows answer
+    #: at the balanced server with the unmultiplied delay).
+    noisy: np.ndarray = field(default_factory=lambda: np.empty(0, int))
+    chosen: np.ndarray | None = None
+    delay_mult: np.ndarray | None = None
+    #: Per row: the bin-failure probability, a scalar on quiet rows.
+    fail_prob: list = field(default_factory=list)
+    hijack: np.ndarray | None = None   # standard normals
+    jitter: np.ndarray | None = None   # standard normals
+    failed: np.ndarray | None = None   # uniform < fail_prob
+    #: Per row: the failed VPs' error-vs-timeout uniforms, or None.
+    errors: list[np.ndarray | None] = field(default_factory=list)
 
 
 class LetterProber:
@@ -199,7 +231,6 @@ class LetterProber:
         self._flushed = False
 
         self._catchment_cache: dict[int, np.ndarray] = {}
-        self._gather_cache: dict[tuple[int, int], _EpochGathers] = {}
 
     def _vp_site_indices(self, table: RoutingTable) -> np.ndarray:
         """Site index per VP (-1 when the VP's AS has no route).
@@ -271,334 +302,224 @@ class LetterProber:
         ]
         self._recorded[start:stop] = True
 
-    def _epoch_gathers(self, version: int, phase: int) -> _EpochGathers:
-        """Catchment/cadence gathers for one (routing epoch, phase)."""
-        key = (version, phase)
-        cached = self._gather_cache.get(key)
-        if cached is not None:
-            return cached
+    def _group(
+        self, version: int, phase: int, bins: list[int]
+    ) -> _Group | None:
+        """The gathers of one group; ``None`` when it probes no VP."""
         probed = (
             (phase + self.probe_phase) % self.bins_per_probe == 0
         )
+        if not probed.any():
+            return None
         vp_site = self._vp_site_indices(self._tables[version])
-        hijacked = probed & self.vps.hijacked
         active = probed & ~self.vps.hijacked
-        routed = active & (vp_site >= 0)
-        routed_idx = np.flatnonzero(routed)
+        routed_idx = np.flatnonzero(active & (vp_site >= 0))
         sites = vp_site[routed_idx]
-        balanced = self.vp_hashes[routed_idx] % self.n_servers[sites] + 1
-        gathers = _EpochGathers(
-            hijacked_idx=np.flatnonzero(hijacked),
+        return _Group(
+            bins=np.asarray(bins),
+            hijacked_idx=np.flatnonzero(probed & self.vps.hijacked),
             unrouted_idx=np.flatnonzero(active & (vp_site < 0)),
             routed_idx=routed_idx,
             sites=sites,
-            balanced=balanced,
+            balanced=self.vp_hashes[routed_idx] % self.n_servers[sites] + 1,
             base_rtt=self.base_rtt[routed_idx, sites],
-            any_probed=bool(probed.any()),
-            sites_i16=sites.astype(np.int16),
-            balanced_i16=balanced.astype(np.int16),
-            delay_sub=self._cond_delay[:, sites],
         )
-        self._gather_cache[key] = gathers
-        return gathers
 
-    def _sample_recorded_bin(
-        self,
-        b: int,
-        quiet: bool,
-        baseline_bin_fail: np.floating,
-        g: _EpochGathers,
-        d: list,
-    ) -> None:
-        """Sample one recorded bin (batched path).
+    def _check_shed(self, groups: list[_Group]) -> None:
+        """Raise for the first bin that sheds to a nonexistent server.
 
-        Matches the original immediate-mode sampling draw for draw:
-        the RNG call sequence and sizes are identical, so outputs are
-        bit-identical.  *quiet* marks bins with zero loss and no
-        overloaded site everywhere; for those the shed/multiplier/
-        clip/power pipeline provably reduces to the precomputed
-        *baseline_bin_fail* constant (``loss * 1.0 == loss``,
-        ``delay * 1.0 == delay``, ``clip(0 + p, 0, 1) == p``), so it
-        is skipped without changing a single drawn bit.
-
-        Output stores whose values are gather constants (hijacked /
-        unrouted markers, clean-bin site and server columns) or pure
-        draw results are *deferred* into per-gather lists and written
-        in one fancy-indexed store each by :meth:`_scatter_deferred`;
-        all deferred regions are row/column-disjoint from the
-        immediate stores, so the final matrices are identical.
+        Only an overloaded shed-to-one site answering some routed VP
+        consults its shed server, and the first such bin in ascending
+        order names the error, as sampling bin by bin would.
         """
-        if not g.any_probed:
+        shed = self._shed_of_bin
+        bad = (
+            self._cond_over
+            & self._shed_flags
+            & ((shed < 1) | (shed > self.n_servers))
+        )
+        if not bad.any():
             return
-        rng = self.rng
-
-        # Hijacked VPs: local bogus answer, fast, always "up".  A
-        # zero-size draw consumes no RNG state, so the empty case is
-        # skipped outright.
-        if g.hijacked_idx.size:
-            d[0].append(b)
-            d[1].append(
-                HIJACK_RTT_MS
-                * (
-                    1.0
-                    + rng.normal(
-                        0.0, 0.1, g.hijacked_idx.size
-                    ).clip(-0.3, 0.3)
-                )
+        first: tuple[int, int] | None = None
+        for g in groups:
+            cells = bad[np.ix_(g.bins, g.sites)]
+            rows = np.flatnonzero(cells.any(axis=1))
+            if rows.size:
+                b = int(g.bins[rows[0]])
+                site = int(g.sites[cells[rows[0]]].min())
+                if first is None or b < first[0]:
+                    first = (b, site)
+        if first is not None:
+            b, i = first
+            raise ValueError(
+                f"shed server {int(shed[b, i])} out of range"
+                f" 1..{int(self.n_servers[i])}"
             )
 
-        # Unrouted VPs: no path to any site -> timeout.
-        if g.unrouted_idx.size:
-            d[2].append(b)
-
-        if g.routed_idx.size == 0:
+    def _prepare(
+        self, g: _Group, quiet: np.ndarray, baseline_bin_fail: np.floating
+    ) -> None:
+        """Server choice, multipliers and failure probabilities of *g*,
+        plus the empty blocks the draw loop fills."""
+        n_bins, n_routed = g.bins.size, g.routed_idx.size
+        if g.hijacked_idx.size:
+            g.hijack = np.empty((n_bins, g.hijacked_idx.size))
+        if n_routed == 0:
+            return
+        g.jitter = np.empty((n_bins, n_routed))
+        g.failed = np.empty((n_bins, n_routed), dtype=bool)
+        g.errors = [None] * n_bins
+        g.fail_prob = [baseline_bin_fail] * n_bins
+        g.noisy = np.flatnonzero(~quiet[g.bins])
+        if g.noisy.size == 0:
             return
         sites = g.sites
-        if quiet:
-            chosen = g.balanced
-            delay = g.delay_sub[b]
-            bin_fail_prob: np.ndarray | np.floating = baseline_bin_fail
-        else:
-            over = self._cond_over[b]
-            shed_mask = over[sites] & self._shed_flags[sites]
-            if shed_mask.any():
-                shed = self._shed_of_bin[b]
-                shed_sites = np.unique(sites[shed_mask])
-                bad = (shed[shed_sites] < 1) | (
-                    shed[shed_sites] > self.n_servers[shed_sites]
-                )
-                if bad.any():
-                    i = int(shed_sites[np.flatnonzero(bad)[0]])
-                    raise ValueError(
-                        f"shed server {int(shed[i])} out of range"
-                        f" 1..{int(self.n_servers[i])}"
-                    )
-                chosen = np.where(shed_mask, shed[sites], g.balanced)
-            else:
-                chosen = g.balanced
-
-            # Server-behaviour multipliers: table lookup instead of a
-            # per-unique-site python loop.
-            over_r = over[sites]
-            loss = self._cond_loss[b][sites]
-            delay = g.delay_sub[b]
-            loss = np.clip(
-                loss * np.where(
-                    over_r, self._over_loss[sites, chosen - 1], 1.0
-                ),
-                0.0,
-                1.0,
-            )
-            delay = delay * np.where(
-                over_r, self._over_delay[sites, chosen - 1], 1.0
-            )
-
-            fail_prob = np.clip(
-                loss + BASELINE_FAILURE_PROB, 0.0, 1.0
-            )
-            # A bin fails only when every probe in it fails.
-            bin_fail_prob = fail_prob**self.probes_per_bin
-        failed = rng.random(sites.size) < bin_fail_prob
-        jitter = np.exp(
-            rng.normal(0.0, RTT_JITTER_SIGMA, sites.size)
+        cells = np.ix_(g.bins[g.noisy], sites)
+        over = self._cond_over[cells]
+        g.chosen = np.where(
+            over & self._shed_flags[sites],
+            self._shed_of_bin[cells],
+            g.balanced,
         )
-        rtts = g.base_rtt * jitter + delay
-
-        n_failed = int(np.count_nonzero(failed))
-        if (
-            n_failed == 0
-            and chosen is g.balanced
-            and float(rtts.max()) <= ATLAS_TIMEOUT_MS
-        ):
-            # Nothing failed and nothing timed out (``max() <= T`` is
-            # exactly ``not (rtts > T).any()`` -- all values finite):
-            # every mask below is all-True, so the masked stores
-            # reduce to the precast gather constants.  Defer them for
-            # one batched store per gather.
-            d[3].append(b)
-            d[4].append(rtts)
-            return
-        self._store_sampled_bin(b, g, chosen, failed, n_failed, rtts)
-
-    def _store_sampled_bin(
-        self,
-        b: int,
-        g: _EpochGathers,
-        chosen: np.ndarray,
-        failed: np.ndarray,
-        n_failed: int,
-        rtts: np.ndarray,
-    ) -> None:
-        """Write one sampled bin that has failures or timeouts."""
-        rng = self.rng
-        out_site = self.site_idx[b]
-        timed_out = rtts > ATLAS_TIMEOUT_MS
-        site_result = g.sites.astype(np.int16)
-        if n_failed:
-            site_result[failed] = np.where(
-                rng.random(n_failed) < ERROR_GIVEN_FAILURE,
-                RESP_ERROR,
-                RESP_TIMEOUT,
-            ).astype(np.int16)
-        site_result[timed_out & ~failed] = RESP_TIMEOUT
-
-        ok = site_result >= 0
-        out_site[g.routed_idx] = site_result
-        self.rtt_ms[b][g.routed_idx] = np.where(
-            ok, rtts, np.nan
-        ).astype(np.float32)
-        self.server[b][g.routed_idx] = np.where(ok, chosen, 0).astype(
-            np.int16
+        loss = np.clip(
+            self._cond_loss[cells]
+            * np.where(over, self._over_loss[sites, g.chosen - 1], 1.0),
+            0.0,
+            1.0,
         )
+        g.delay_mult = np.where(
+            over, self._over_delay[sites, g.chosen - 1], 1.0
+        )
+        # A bin fails only when every probe in it fails.
+        fail_prob = (
+            np.clip(loss + BASELINE_FAILURE_PROB, 0.0, 1.0)
+            ** self.probes_per_bin
+        )
+        for row, probs in zip(g.noisy.tolist(), fail_prob):
+            g.fail_prob[row] = probs
 
     @staticmethod
-    def _block_index(bins: list[int], cols: np.ndarray) -> tuple:
-        """An outer ``(rows, cols)`` indexer for the deferred block.
+    def _block_index(bins: np.ndarray, cols: np.ndarray) -> tuple:
+        """An outer ``(rows, cols)`` indexer for one group's block.
 
-        Probe phases stride the bin axis evenly, so deferred bins are
-        almost always a pure arithmetic progression; a basic row slice
-        plus one fancy column index assigns several times faster than
-        the double fancy index ``np.ix_`` builds.  Both spellings are
-        outer indexers addressing exactly the same cells; irregular
-        bin lists keep ``np.ix_``.
+        Probe phases stride the bin axis evenly, so a group's bins are
+        almost always an arithmetic progression; a basic row slice plus
+        one fancy column index assigns several times faster than the
+        double fancy index ``np.ix_`` builds.  Both address exactly the
+        same cells; irregular bins (a recurring routing version) keep
+        ``np.ix_``.
         """
-        if len(bins) > 2:
-            step = bins[1] - bins[0]
-            if step > 0 and bins[-1] == bins[0] + step * (len(bins) - 1):
-                arr = np.asarray(bins)
-                if bool((np.diff(arr) == step).all()):
-                    return (slice(bins[0], bins[-1] + 1, step), cols)
+        steps = np.diff(bins)
+        step = int(steps[0]) if steps.size else 1
+        if bool((steps == step).all()):
+            return (slice(int(bins[0]), int(bins[-1]) + 1, step), cols)
         return np.ix_(bins, cols)
 
-    def _scatter_deferred(
-        self, deferred: dict[tuple[int, int], list]
-    ) -> None:
-        """Write the deferred constant/draw stores, one per gather.
+    def _finish_group(self, g: _Group) -> None:
+        """Turn *g*'s drawn blocks into outcomes and store them."""
+        if g.hijack is not None:
+            ix = self._block_index(g.bins, g.hijacked_idx)
+            self.site_idx[ix] = RESP_BOGUS
+            self.rtt_ms[ix] = HIJACK_RTT_MS * (
+                1.0 + (0.1 * g.hijack).clip(-0.3, 0.3)
+            )
+        if g.unrouted_idx.size:
+            self.site_idx[
+                self._block_index(g.bins, g.unrouted_idx)
+            ] = RESP_TIMEOUT
+        if g.jitter is not None:
+            step = max(1, _FINISH_CELLS // g.routed_idx.size)
+            for lo in range(0, g.bins.size, step):
+                self._finish_rows(g, lo, min(lo + step, g.bins.size))
 
-        Float64 draw rows cast to the float32 output on assignment
-        exactly as the per-bin ``astype`` did, and every deferred
-        region is disjoint from the immediate stores, so the filled
-        matrices match the per-bin order bit for bit.
-        """
-        for key, d in deferred.items():
-            g = self._gather_cache[key]
-            bins_h, rtts_h, bins_u, bins_c, rtts_c = d
-            if bins_h:
-                ix = self._block_index(bins_h, g.hijacked_idx)
-                self.site_idx[ix] = RESP_BOGUS
-                self.rtt_ms[ix] = np.asarray(rtts_h)
-            if bins_u:
-                self.site_idx[
-                    self._block_index(bins_u, g.unrouted_idx)
-                ] = RESP_TIMEOUT
-            if bins_c:
-                ix = self._block_index(bins_c, g.routed_idx)
-                self.site_idx[ix] = g.sites_i16
-                self.rtt_ms[ix] = np.asarray(rtts_c)
-                self.server[ix] = g.balanced_i16
+    def _finish_rows(self, g: _Group, lo: int, hi: int) -> None:
+        """Outcomes of *g*'s routed VPs on rows ``lo:hi``."""
+        bins = g.bins[lo:hi]
+        delay = self._cond_delay[self._block_index(bins, g.sites)]
+        chosen = np.broadcast_to(
+            g.balanced.astype(np.int16), delay.shape
+        )
+        first, stop = np.searchsorted(g.noisy, (lo, hi)).tolist()
+        if first < stop:
+            noisy = g.noisy[first:stop] - lo
+            delay[noisy] *= g.delay_mult[first:stop]
+            chosen = chosen.copy()
+            chosen[noisy] = g.chosen[first:stop]
+        rtts = (
+            g.base_rtt * np.exp(RTT_JITTER_SIGMA * g.jitter[lo:hi]) + delay
+        )
+        failed = g.failed[lo:hi]
+        codes = np.empty(rtts.shape, dtype=np.int16)
+        codes[:] = g.sites
+        errors = [e for e in g.errors[lo:hi] if e is not None]
+        if errors:
+            codes[failed] = np.where(
+                np.concatenate(errors) < ERROR_GIVEN_FAILURE,
+                RESP_ERROR,
+                RESP_TIMEOUT,
+            )
+        codes[(rtts > ATLAS_TIMEOUT_MS) & ~failed] = RESP_TIMEOUT
+        ok = codes >= 0
+        ix = self._block_index(bins, g.routed_idx)
+        self.site_idx[ix] = codes
+        self.rtt_ms[ix] = np.where(ok, rtts, np.nan)
+        self.server[ix] = np.where(ok, chosen, 0)
 
     def flush(self) -> None:
-        """Run the batched sampling pass over all recorded bins.
+        """Sample every recorded bin: prepare, draw, finish.
 
-        Bins are sampled in ascending order so the seeded RNG sequence
-        matches immediate per-bin sampling exactly.  Quiet bins (zero
-        loss, nothing overloaded -- the common case outside events)
-        share one precomputed baseline failure probability; it is
-        computed through the same ufunc (array ** float) as the
-        per-bin expression so the compared bits are identical.
+        The draw loop visits bins in ascending order, so the seeded RNG
+        sequence matches sampling bin by bin exactly.  The quiet-bin
+        baseline failure probability goes through the same ufunc
+        (array ** float) as the non-quiet probabilities, so the compared
+        bits are identical.
         """
         if self._flushed:
             return
+        by_key: dict[tuple[int, int], list[int]] = {}
+        versions = self._version_of_bin.tolist()
+        for b in np.flatnonzero(self._recorded).tolist():
+            by_key.setdefault(
+                (versions[b], b % self.bins_per_probe), []
+            ).append(b)
+        candidates = (self._group(*key, bins) for key, bins in by_key.items())
+        groups = [g for g in candidates if g is not None]
+        self._check_shed(groups)
         quiet = ~(
             self._cond_loss.any(axis=1) | self._cond_over.any(axis=1)
         )
         baseline_bin_fail = (
             np.asarray([BASELINE_FAILURE_PROB]) ** self.probes_per_bin
         )[0]
-        deferred: dict[tuple[int, int], list] = {}
-        versions = self._version_of_bin.tolist()
-        quiet_l = quiet.tolist()
-        # Hoist the (version, phase) -> (gathers, deferred-lists)
-        # resolution out of the per-bin call: versions change only at
-        # epoch boundaries, so one small lookup table per version run
-        # replaces a tuple-build plus two dict probes per bin.
-        bins_per = self.bins_per_probe
-        rng = self.rng
-        current_version = None
-        by_phase: list[tuple] = []
-        for b in np.flatnonzero(self._recorded).tolist():
-            version = versions[b]
-            if version != current_version:
-                current_version = version
-                by_phase = []
-                for phase in range(bins_per):
-                    key = (version, phase)
-                    d = deferred.get(key)
-                    if d is None:
-                        d = deferred[key] = [[], [], [], [], []]
-                    g = self._epoch_gathers(*key)
-                    # Quiet bins of a gather with routed VPs run
-                    # inline below with these hoisted fields; gathers
-                    # probing nothing (or nothing routed) keep the
-                    # general path.
-                    fast = None
-                    if g.any_probed and g.routed_idx.size:
-                        fast = (
-                            g.base_rtt,
-                            g.delay_sub,
-                            g.routed_idx.size,
-                            g.hijacked_idx.size,
-                            d[0].append,
-                            d[1].append,
-                            d[2].append if g.unrouted_idx.size else None,
-                            d[3].append,
-                            d[4].append,
-                        )
-                    by_phase.append((g, d, fast))
-            g, d, fast = by_phase[b % bins_per]
-            if fast is None or not quiet_l[b]:
-                self._sample_recorded_bin(
-                    b, quiet_l[b], baseline_bin_fail, g, d
-                )
+        steps: list[tuple[_Group, int] | None] = [None] * self.grid.n_bins
+        for g in groups:
+            self._prepare(g, quiet, baseline_bin_fail)
+            for k, b in enumerate(g.bins.tolist()):
+                steps[b] = (g, k)
+
+        standard_normal = self.rng.standard_normal
+        random = self.rng.random
+        for step in steps:
+            if step is None:
                 continue
-            # Inline quiet fast path: draw for draw and op for op the
-            # same sequence as _sample_recorded_bin's quiet branch,
-            # minus the per-bin call and gather-field dispatch.
-            (
-                base_rtt, delay_sub, n_routed, n_hijacked,
-                hijack_bins, hijack_rtts,
-                unrouted_append, clean_bins, clean_rtts,
-            ) = fast
-            if n_hijacked:
-                hijack_bins(b)
-                hijack_rtts(
-                    HIJACK_RTT_MS
-                    * (
-                        1.0
-                        + rng.normal(
-                            0.0, 0.1, n_hijacked
-                        ).clip(-0.3, 0.3)
-                    )
-                )
-            if unrouted_append is not None:
-                unrouted_append(b)
-            failed = rng.random(n_routed) < baseline_bin_fail
-            jitter = np.exp(
-                rng.normal(0.0, RTT_JITTER_SIGMA, n_routed)
-            )
-            rtts = base_rtt * jitter + delay_sub[b]
-            n_failed = int(np.count_nonzero(failed))
-            if (
-                n_failed == 0
-                and float(rtts.max()) <= ATLAS_TIMEOUT_MS
-            ):
-                clean_bins(b)
-                clean_rtts(rtts)
+            g, k = step
+            if g.hijack is not None:
+                standard_normal(out=g.hijack[k])
+            if g.jitter is None:
                 continue
-            self._store_sampled_bin(
-                b, g, g.balanced, failed, n_failed, rtts
+            # The row holds the failure uniforms until the jitter
+            # normals overwrite them.
+            row = g.jitter[k]
+            random(out=row)
+            n_failed = np.count_nonzero(
+                np.less(row, g.fail_prob[k], out=g.failed[k])
             )
-        self._scatter_deferred(deferred)
+            standard_normal(out=row)
+            if n_failed:
+                g.errors[k] = random(n_failed)
+
+        for g in groups:
+            self._finish_group(g)
         self._flushed = True
 
     def finish(self) -> LetterObservations:

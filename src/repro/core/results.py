@@ -30,15 +30,19 @@ class Series:
         if self.hours.shape != self.values.shape:
             raise ValueError(f"series {self.name!r}: axis mismatch")
 
+    def _any_value(self) -> bool:
+        """Whether some bin holds a value (not empty, not all NaN)."""
+        return not np.isnan(self.values).all()
+
     def min(self) -> float:
-        return float(np.nanmin(self.values)) if self.values.size else np.nan
+        return float(np.nanmin(self.values)) if self._any_value() else np.nan
 
     def max(self) -> float:
-        return float(np.nanmax(self.values)) if self.values.size else np.nan
+        return float(np.nanmax(self.values)) if self._any_value() else np.nan
 
     def median(self) -> float:
         return (
-            float(np.nanmedian(self.values)) if self.values.size else np.nan
+            float(np.nanmedian(self.values)) if self._any_value() else np.nan
         )
 
     def at_hour(self, hour: float) -> float:

@@ -26,14 +26,31 @@ def _median_ignoring_empty(
 
     Bins with fewer than *min_samples* observations yield NaN --
     medians over a handful of probes (A-Root's 30-minute cadence) are
-    too noisy to interpret.
+    too noisy to interpret.  A bin with a NaN among its selected values
+    is NaN too, as ``np.median`` would give.
+
+    One masked row sort replaces a ``np.median`` call per bin:
+    unselected cells become +inf in the input dtype and sort last, so
+    a bin with ``c`` selected values has its median at ``c // 2``, or
+    the mean of ``c // 2 - 1`` and ``c // 2`` when ``c`` is even,
+    computed in the input dtype as ``np.median`` does.
     """
     n_bins = values.shape[0]
     out = np.full(n_bins, np.nan)
-    for b in range(n_bins):
-        selected = values[b][mask[b]]
-        if selected.size >= min_samples:
-            out[b] = np.median(selected)
+    if values.shape[1] == 0:
+        return out
+    counts = np.count_nonzero(mask, axis=1)
+    rows = np.where(mask, values, np.array(np.inf, dtype=values.dtype))
+    rows.sort(axis=1)
+    # Selected NaNs sort after the +inf fill, to the end of their row.
+    bins = np.flatnonzero(
+        (counts >= max(min_samples, 1)) & ~np.isnan(rows[:, -1])
+    )
+    c = counts[bins]
+    medians = rows[bins, c // 2]
+    even = c % 2 == 0
+    medians[even] = (rows[bins[even], c[even] // 2 - 1] + medians[even]) / 2
+    out[bins] = medians
     return out
 
 
@@ -74,6 +91,8 @@ def rtt_significantly_changed(
     obs = dataset.letter(letter)
     success = obs.site_idx >= 0
     medians = _median_ignoring_empty(obs.rtt_ms, success, min_samples)
+    if np.isnan(medians).all():
+        return False
     baseline = float(np.nanmedian(medians))
     if not np.isfinite(baseline) or baseline <= 0:
         return False
