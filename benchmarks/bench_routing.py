@@ -15,19 +15,10 @@ run once with the reference propagate patched in (the pre-kernel
 baseline) and once with the kernel, asserting bit-identical result
 arrays and recording the wall-time improvement.
 
-Plus ``delta_churn`` -- internet-scale rows (50k and 100k ASes from
-the as-rel2 synthetic generator): a 24-state DDoS-flap schedule
-(single-neighbor export blocks on global sites, local-site flaps, one
-full site outage and recovery) propagated once per state with the full
-kernel and once via :func:`~repro.netsim.bgp.propagate_delta` chained
-from the previous state, asserting bit-identical tables per step and
-recording the per-change speedup (acceptance floor: >= 5x on the
-largest row).
-
 Every reference-vs-kernel propagation pair is checked for equality
 (same tables, same iteration order); ``--smoke`` shrinks the sizes for
 CI, where only the equality assertions matter, and skips the speedup
-floors.
+floor.
 
 Usage::
 
@@ -46,22 +37,12 @@ import platform
 import sys
 import time
 
-import numpy as np
-
 from repro import ScenarioConfig, simulate
 from repro.faults import BgpSessionReset, FaultPlan, PeerChurn
 from repro.netsim import anycast as anycast_module
 from repro.netsim import bgp, bgp_reference
 from repro.netsim.anycast import AnycastPrefix
-from repro.netsim.asgraph import AsRole
-from repro.netsim.bgp import Origin, Scope
-from repro.netsim.topology import (
-    AsRelTopologyConfig,
-    TopologyConfig,
-    build_internet_graph,
-    build_topology,
-    synthetic_location,
-)
+from repro.netsim.topology import TopologyConfig, build_topology
 from repro.rootdns.deployment import build_deployments
 from repro.rootdns.letters import LETTERS_SPEC
 from repro.scenario import diff_arrays, result_arrays
@@ -107,162 +88,6 @@ def churn_states(prefix: AnycastPrefix) -> list:
             origins.append(origin)
         states.append(origins)
     return states
-
-
-def ddos_flap_schedule(
-    graph, sites: list[Origin], steps: int, rng_seed: int = 11
-) -> list[tuple[str, Origin]]:
-    """The Nov-2015-shaped churn schedule the delta path is built for.
-
-    Mostly small events -- one global site toggling export to a single
-    upstream (partial reachability under attack), local sites flapping
-    in and out -- plus one full outage of a victim site a third of the
-    way in and its recovery at two thirds.
-    """
-    base = {o.site: o for o in sites}
-    rng = np.random.default_rng(rng_seed)
-    schedule: list[tuple[str, Origin]] = []
-    current = dict(base)
-    victim = sites[0].site
-    for step in range(steps):
-        if step == steps // 3:
-            schedule.append(("withdraw", base[victim]))
-            del current[victim]
-            continue
-        if step == 2 * steps // 3:
-            schedule.append(("announce", base[victim]))
-            current[victim] = base[victim]
-            continue
-        site = sites[int(rng.integers(0, len(sites)))].site
-        if site == victim and site not in current:
-            site = sites[1].site
-        origin = current.get(site, base[site])
-        if site not in current:
-            schedule.append(("announce", base[site]))
-            current[site] = base[site]
-            continue
-        if origin.scope is Scope.LOCAL:
-            schedule.append(("withdraw", origin))
-            del current[site]
-            continue
-        neighbors = sorted(graph.neighbors(origin.asn))
-        pick = neighbors[int(rng.integers(0, len(neighbors)))]
-        if pick in origin.blocked_neighbors:
-            flipped = origin.with_blocked(
-                origin.blocked_neighbors - {pick}
-            )
-        else:
-            flipped = origin.with_blocked(
-                origin.blocked_neighbors | {pick}
-            )
-        schedule.append(("announce", flipped))
-        current[site] = flipped
-    return schedule
-
-
-def transit_hosted_sites(graph, n_sites: int) -> list[Origin]:
-    """Anycast origins on moderate-degree transit ASes.
-
-    Root-letter sites peer widely but are not tier-1 cores; hosting on
-    15-40-degree transit ASes (every third site local-scope) mirrors
-    that.  Deterministic: hosts come from the sorted AS list at a
-    fixed stride.
-    """
-    mid = sorted(
-        node.asn
-        for node in graph.nodes()
-        if node.role is AsRole.TRANSIT
-        and 15 <= len(graph.neighbors(node.asn)) <= 40
-    )
-    hosts = mid[10::60][:n_sites]
-    if len(hosts) < n_sites:
-        hosts = mid[:n_sites]
-    return [
-        Origin(
-            site=f"S{i:02d}",
-            asn=asn,
-            scope=Scope.LOCAL if i % 3 == 2 else Scope.GLOBAL,
-            location=synthetic_location(asn),
-        )
-        for i, asn in enumerate(hosts)
-    ]
-
-
-def bench_delta_churn(
-    n_ases: int, n_sites: int, steps: int, repeat: int
-) -> dict:
-    """Full kernel vs chained delta on one churn schedule.
-
-    Both passes walk the same announce/withdraw schedule; the full
-    pass propagates every state from scratch (canonical site-sorted
-    origin order -- the order the delta path reproduces), the delta
-    pass derives each table from the previous one.  Every step is
-    asserted bit-identical.  Per-step wall time is the best of
-    *repeat* runs (both passes), which strips scheduler noise without
-    favouring either side.
-    """
-    graph = build_internet_graph(AsRelTopologyConfig(n_ases=n_ases, seed=7))
-    sites = transit_hosted_sites(graph, n_sites)
-    base = {o.site: o for o in sites}
-    schedule = ddos_flap_schedule(graph, sites, steps)
-
-    # Warm both code paths (CSR compile, distance rows, allocator).
-    warm = bgp.propagate(graph, list(base.values()))
-    bgp.propagate_delta(graph, warm, announce=[sites[1]])
-
-    state = dict(base)
-    full_tables = []
-    full_wall = 0.0
-    for op, origin in schedule:
-        if op == "withdraw":
-            del state[origin.site]
-        else:
-            state[origin.site] = origin
-        origins = [state[s] for s in sorted(state)]
-        best = None
-        for _ in range(repeat):
-            started = time.perf_counter()
-            table = bgp.propagate(graph, origins)
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None or elapsed < best else best
-        full_tables.append(table)
-        full_wall += best
-
-    for key in bgp.DELTA_STATS:
-        bgp.DELTA_STATS[key] = 0
-    table = bgp.propagate(graph, list(base.values()))
-    delta_wall = 0.0
-    for step, (op, origin) in enumerate(schedule):
-        best = None
-        for _ in range(repeat):
-            started = time.perf_counter()
-            if op == "withdraw":
-                derived = bgp.propagate_delta(
-                    graph, table, withdraw=[origin.site]
-                )
-            else:
-                derived = bgp.propagate_delta(
-                    graph, table, announce=[origin]
-                )
-            elapsed = time.perf_counter() - started
-            best = elapsed if best is None or elapsed < best else best
-        table = derived
-        delta_wall += best
-        assert not table.changes_from(full_tables[step]), (
-            f"delta diverged from full propagation at step {step}"
-        )
-
-    return {
-        "n_ases": n_ases,
-        "n_sites": n_sites,
-        "steps": steps,
-        "timing": f"best of {repeat} per step",
-        "full_wall_s": round(full_wall, 4),
-        "delta_wall_s": round(delta_wall, 4),
-        "delta_speedup": round(full_wall / delta_wall, 2),
-        "tables_identical": True,
-        "delta_stats": dict(bgp.DELTA_STATS),
-    }
 
 
 def assert_equal_tables(kernel_table, ref_table) -> None:
@@ -416,28 +241,6 @@ def main(argv: list[str] | None = None) -> int:
         file=sys.stderr,
     )
 
-    if args.smoke:
-        delta_sizes = [(600, 8, 10, 1)]
-    else:
-        delta_sizes = [(50_000, 24, 24, 3), (100_000, 32, 24, 3)]
-    delta_rows = []
-    for n_ases, n_sites, steps, repeat in delta_sizes:
-        row = bench_delta_churn(n_ases, n_sites, steps, repeat)
-        delta_rows.append(row)
-        print(
-            f"delta churn: {row['n_ases']} ASes x {row['steps']} states, "
-            f"full {row['full_wall_s']}s, delta {row['delta_wall_s']}s "
-            f"({row['delta_speedup']}x)",
-            file=sys.stderr,
-        )
-    if not args.smoke:
-        top = delta_rows[-1]
-        assert top["n_ases"] >= 50_000, "delta bench needs a >=50k-AS row"
-        assert top["delta_speedup"] >= 5.0, (
-            f"churn-delta speedup {top['delta_speedup']}x below the "
-            "5x floor"
-        )
-
     payload = {
         "generated": datetime.datetime.now(datetime.timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ"),
@@ -449,15 +252,11 @@ def main(argv: list[str] | None = None) -> int:
             "back-to-back (reference vs array kernel vs LRU cache "
             "hits); faulted_e2e = one scenario with per-bin BGP "
             "session flaps, run with each propagate implementation "
-            "and asserted bit-identical; delta_churn = as-rel2 "
-            "synthetic internet graphs, full kernel per state vs "
-            "propagate_delta chained state-to-state on a DDoS-flap "
-            "schedule, bit-identical per step"
+            "and asserted bit-identical"
         ),
         "smoke": args.smoke,
         "churn": churn,
         "faulted_e2e": faulted,
-        "delta_churn": delta_rows,
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)

@@ -10,10 +10,9 @@ wall time must clear the 2x floor against the recorded pre-batching
 baseline (0.754 s); the report keeps both paths' timings so the file
 documents the trade.
 
-``--routing`` instead runs ``benchmarks/bench_routing.py`` (churn,
-faulted end-to-end, and the churn-delta suite on 50k/100k-AS as-rel2
-graphs) and writes ``BENCH_routing.json``; add ``--smoke`` to shrink
-it to the CI equality-only sizes.
+``--routing`` instead runs ``benchmarks/bench_routing.py`` (churn and
+faulted end-to-end) and writes ``BENCH_routing.json``; add ``--smoke``
+to shrink it to the CI equality-only sizes.
 
 ``--profile`` runs the acceptance scenario once under cProfile and
 writes the top 25 functions by cumulative time to

@@ -9,8 +9,8 @@ runs them:
   ``run_cells_serial``) -- the jobs=1 == jobs=N contract;
 * checkpoint replay (``load_checkpoint``) -- resume must be
   bit-identical to the original run;
-* the routing kernels (``propagate`` / ``propagate_delta``) -- delta
-  mode must equal full propagation;
+* the routing kernel (``propagate``) -- the golden fixtures pin its
+  exact output;
 * the scenario engine (``simulate`` / ``build_substrate``) -- the
   golden fixtures pin their exact outputs.
 
@@ -71,9 +71,6 @@ PURITY_ROOTS: dict[str, str] = {
     ),
     "repro.netsim.bgp.propagate": (
         "routing kernel; golden fixtures pin its exact output"
-    ),
-    "repro.netsim.bgp.propagate_delta": (
-        "incremental routing kernel; must equal full propagation"
     ),
     "repro.scenario.engine.simulate": (
         "scenario engine; output must be a pure function of the config"

@@ -2,17 +2,7 @@
 
 from .anycast import AnycastPrefix, RouteChangeRecord
 from .asgraph import ASGraph, AsNode, AsRole, CompiledGraph, Relationship
-from .bgp import (
-    DELTA_STATS,
-    Origin,
-    Route,
-    RouteClass,
-    RoutingTable,
-    Scope,
-    delta_enabled,
-    propagate,
-    propagate_delta,
-)
+from .bgp import Origin, Route, RouteClass, RoutingTable, Scope, propagate
 from .bgp_reference import propagate as propagate_reference
 from .queueing import OverloadModel
 from .topology import (
@@ -27,6 +17,12 @@ from .topology import (
     generate_as_rel2,
     load_as_rel2,
 )
+
+#: Always zero; kept only because perfbench/child.py:31 imports it.
+DELTA_STATS: dict[str, int] = {
+    "delta": 0, "fallback": 0, "ripple_bailouts": 0,
+    "levels_copied": 0, "levels_replayed": 0,
+}
 
 __all__ = [
     "ASGraph",
@@ -50,11 +46,9 @@ __all__ = [
     "TopologyConfig",
     "build_internet_graph",
     "build_topology",
-    "delta_enabled",
     "dump_as_rel2",
     "generate_as_rel2",
     "load_as_rel2",
     "propagate",
-    "propagate_delta",
     "propagate_reference",
 ]

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 from typing import MutableMapping
 
 from .asgraph import ASGraph
-from .bgp import (
-    Origin,
-    RoutingTable,
-    delta_enabled,
-    propagate,
-    propagate_delta,
-)
+from .bgp import Origin, RoutingTable, propagate
 
 #: Default bound of the per-prefix routing-table cache.  Policy loops
 #: cycle through a handful of announcement states, but fault-injected
@@ -35,35 +29,15 @@ DEFAULT_CACHE_SIZE = 64
 DEFAULT_MEMO_SIZE = 256
 
 #: Cache-path instrumentation, for tests and benchmarks: how routing()
-#: requests were served.  ``delta_derived`` counts computes that went
-#: through :func:`~repro.netsim.bgp.propagate_delta` (the call itself
-#: may still fall back internally; see
-#: :data:`~repro.netsim.bgp.DELTA_STATS`).
+#: requests were served.
 PREFIX_CACHE_STATS: dict[str, int] = {
     "lru_hits": 0,
     "memo_hits": 0,
     "computes": 0,
+    # Always 0; kept only for the ``netsim.prefix_cache.delta_derived``
+    # row that perfbench/tests/test_perfbench.py:144 requires.
     "delta_derived": 0,
 }
-
-#: Below this graph size :meth:`AnycastPrefix._compute` skips the
-#: delta path: on scenario-scale graphs (~1 k nodes) a full propagation
-#: costs 1-5 ms while hunting for a base plus replaying its trace costs
-#: more than it saves; the replay only pays for itself on the as-rel2
-#: internet-scale graphs (50 k+ nodes).  The cutoff is a pure speed
-#: heuristic -- both paths produce bit-identical tables.
-DELTA_MIN_NODES = 4096
-
-
-def _state_distance(key_a: tuple, key_b: tuple) -> int:
-    """How many announce/withdraw/block edits separate two state keys."""
-    announced_a, announced_b = key_a[0], key_b[0]
-    distance = len(announced_a ^ announced_b)
-    blocked_b = dict(key_b[1])
-    for site, blocked in key_a[1]:
-        if site in blocked_b and blocked_b[site] != blocked:
-            distance += 1
-    return distance
 
 
 @dataclass(frozen=True, slots=True)
@@ -203,73 +177,14 @@ class AnycastPrefix:
         return table
 
     def _compute(self, key: tuple) -> RoutingTable:
-        """Propagate the state *key* describes, via delta if possible.
-
-        Any cached table works as a delta base --
-        :func:`~repro.netsim.bgp.propagate_delta` is bit-identical to
-        full propagation whatever it starts from -- so the base choice
-        (nearest by announce/withdraw/block edit distance, most
-        recently used winning ties) only affects speed, never output.
-        Graphs smaller than :data:`DELTA_MIN_NODES` always propagate
-        in full: at that scale the replay costs more than it saves.
-        """
+        """Propagate the announcement state *key* describes."""
         origins = [
             self._origins[s].with_blocked(self._blocked[s])
             for s in sorted(key[0])
         ]
         if not origins:
             return RoutingTable({})
-        base = (
-            self._nearest_base(key)
-            if delta_enabled() and len(self.graph) >= DELTA_MIN_NODES
-            else None
-        )
-        if base is None:
-            return propagate(self.graph, origins)
-        base_key, base_table = base
-        withdraw = sorted(base_key[0] - key[0])
-        base_blocked = dict(base_key[1])
-        announce = [
-            self._origins[s].with_blocked(self._blocked[s])
-            for s in sorted(key[0])
-            if s not in base_key[0]
-            or base_blocked[s] != self._blocked[s]
-        ]
-        PREFIX_CACHE_STATS["delta_derived"] += 1
-        return propagate_delta(
-            self.graph, base_table,
-            announce=announce, withdraw=withdraw,
-        )
-
-    def _nearest_base(
-        self, key: tuple
-    ) -> tuple[tuple, RoutingTable] | None:
-        """The cached state closest to *key*, to derive it from."""
-        best: tuple[tuple, RoutingTable] | None = None
-        best_distance = 0
-        candidates: list[tuple[tuple, RoutingTable]] = [
-            (k, t) for k, t in reversed(self._cache.items())
-        ]
-        if self._shared_memo is not None:
-            candidates.extend(
-                (k[1], t)
-                for k, t in reversed(self._shared_memo.items())
-                if k[0] == self._memo_label
-            )
-        for base_key, table in candidates:
-            if not base_key[0]:
-                continue  # empty table: no trace to replay
-            arrays = table._arrays
-            if arrays is None or arrays.trace is None:
-                # Dict-backed or trace-less tables (the reference
-                # implementation, deserialized fixtures) cannot seed a
-                # replay; they are simply never picked as a base.
-                continue
-            distance = _state_distance(base_key, key)
-            if best is None or distance < best_distance:
-                best = (base_key, table)
-                best_distance = distance
-        return best
+        return propagate(self.graph, origins)
 
     def set_announced(self, site: str, up: bool, timestamp: float) -> bool:
         """Announce or withdraw *site*; log the routing delta.

@@ -63,35 +63,6 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def _edge_correspondence(
-    fwd_indptr: np.ndarray,
-    fwd_indices: np.ndarray,
-    rev_indptr: np.ndarray,
-    rev_indices: np.ndarray,
-    n: int,
-) -> np.ndarray:
-    """For each reverse-CSR edge ``t -> p``, the absolute position of
-    the mirrored forward-CSR edge ``p -> t``.
-
-    Links are symmetric (``add_link`` records both directions), so the
-    two edge sets pair off exactly; ordered-pair keys ``src * n + dst``
-    are unique because at most one link joins two ASes.
-    """
-    if rev_indices.size == 0:
-        return _frozen(np.zeros(0, dtype=np.int64))
-    fwd_src = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(fwd_indptr)
-    )
-    fwd_key = fwd_src * n + fwd_indices.astype(np.int64)
-    rev_src = np.repeat(
-        np.arange(n, dtype=np.int64), np.diff(rev_indptr)
-    )
-    mirror_key = rev_indices.astype(np.int64) * n + rev_src
-    order = np.argsort(fwd_key, kind="stable")
-    pos = np.searchsorted(fwd_key[order], mirror_key)
-    return _frozen(order[pos])
-
-
 #: Relationship -> int8 code used by :attr:`CompiledGraph.all_rel`.
 _REL_CODES: dict[Relationship, int] = {
     Relationship.CUSTOMER: 0,
@@ -115,9 +86,6 @@ _COMPILED_ARRAY_FIELDS = (
     "all_indptr",
     "all_indices",
     "all_rel",
-    "customer_edge_fwd",
-    "provider_edge_fwd",
-    "peer_edge_fwd",
     "_sorted_asns",
     "_sorted_rows",
 )
@@ -154,17 +122,6 @@ class CompiledGraph:
     all_indptr: np.ndarray
     all_indices: np.ndarray
     all_rel: np.ndarray           # int8 codes aligned to all_indices
-    #: Reverse->forward edge correspondence, used by the delta
-    #: propagation path (:func:`repro.netsim.bgp.propagate_delta`) to
-    #: recover a candidate's adjacency offset in the *forward* CSR from
-    #: a reverse-CSR traversal.  ``customer_edge_fwd[e]`` maps customer
-    #: edge ``t -> p`` (at position *e* in ``customer_indices``) to the
-    #: absolute position of ``t`` inside ``p``'s provider list;
-    #: ``provider_edge_fwd`` is the inverse pairing, and
-    #: ``peer_edge_fwd`` maps each peer edge to its mirror.
-    customer_edge_fwd: np.ndarray  # int64 into provider_indices
-    provider_edge_fwd: np.ndarray  # int64 into customer_indices
-    peer_edge_fwd: np.ndarray      # int64 into peer_indices
     _sorted_asns: np.ndarray      # int64, ascending (for rows_of)
     _sorted_rows: np.ndarray      # int64, rows aligned to _sorted_asns
 
@@ -405,9 +362,6 @@ class ASGraph:
             )
         asn_of = np.fromiter(self._nodes, dtype=np.int64, count=n)
         order = np.argsort(asn_of, kind="stable")
-        provider_csr = csr[Relationship.PROVIDER]
-        customer_csr = csr[Relationship.CUSTOMER]
-        peer_csr = csr[Relationship.PEER]
         self._csr_cache = CompiledGraph(
             version=self._version,
             asn_of=_frozen(asn_of),
@@ -421,18 +375,6 @@ class ASGraph:
             all_indptr=_frozen(np.cumsum(all_counts)),
             all_indices=_frozen(np.array(all_columns, dtype=np.int32)),
             all_rel=_frozen(np.array(all_rel, dtype=np.int8)),
-            customer_edge_fwd=_edge_correspondence(
-                provider_csr[0], provider_csr[1],
-                customer_csr[0], customer_csr[1], n,
-            ),
-            provider_edge_fwd=_edge_correspondence(
-                customer_csr[0], customer_csr[1],
-                provider_csr[0], provider_csr[1], n,
-            ),
-            peer_edge_fwd=_edge_correspondence(
-                peer_csr[0], peer_csr[1],
-                peer_csr[0], peer_csr[1], n,
-            ),
             _sorted_asns=_frozen(asn_of[order]),
             _sorted_rows=_frozen(order.astype(np.int64)),
         )

@@ -100,7 +100,11 @@ class Topology:
         self.transit_asns: list[int] = []
         self.stub_asns: list[int] = []
         self.site_host_asns: dict[str, int] = {}
-        self._next_site_asn = _SITE_ASN_BASE
+        # Site hosts number after the stubs (_STUB_ASN_BASE + i), so
+        # more than 10,000 stubs pushes them past _SITE_ASN_BASE.
+        self._next_site_asn = max(
+            _SITE_ASN_BASE, _STUB_ASN_BASE + config.n_stubs
+        )
         self._transit_coords: tuple | None = None
         self._stub_coords: tuple | None = None
         self._distance_memo: dict[

@@ -545,8 +545,7 @@ class Substrate:
     #: Substrate-level routing memo, shared by every letter's prefix
     #: (keyed ``(letter, announcement-state key)``).  Survives prefix
     #: LRU eviction and :meth:`reset`, so sweep cells that differ only
-    #: in attack knobs reuse each other's routing tables -- and give
-    #: the delta path nearby base states to derive new ones from.
+    #: in attack knobs reuse each other's routing tables.
     routing_memo: dict[tuple, "RoutingTable"] = field(
         default_factory=dict
     )

@@ -145,7 +145,7 @@ class SweepResult:
     #: Attempts actually started per cell index (1 for a clean run).
     attempts: dict[int, int] = field(default_factory=dict)
     #: Summed per-cell routing-layer counter deltas across all
-    #: workers (``delta/*`` and ``prefix_cache/*`` keys).
+    #: workers (``prefix_cache/*`` and ``shm/*`` keys).
     routing_stats: dict[str, int] = field(default_factory=dict)
     #: Cell indices restored from the checkpoint instead of re-run.
     restored: tuple[int, ...] = ()

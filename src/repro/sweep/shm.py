@@ -80,10 +80,10 @@ SEGMENT_PREFIX = "repro_sweep"
 #: attached view is aligned however the dtypes interleave.
 _ALIGN = 64
 
-#: Worker-side telemetry counters (mirrors ``DELTA_STATS``): ``cell``
-#: counts cells served from a shared substrate, ``attach`` fresh
-#: segment attachments, ``fallback`` failed attachments that fell back
-#: to a local build.  Write-only telemetry surfaced through
+#: Worker-side telemetry counters (mirrors ``PREFIX_CACHE_STATS``):
+#: ``cell`` counts cells served from a shared substrate, ``attach``
+#: fresh segment attachments, ``fallback`` failed attachments that fell
+#: back to a local build.  Write-only telemetry surfaced through
 #: ``CellOutcome.routing_stats`` (prefixed ``shm/``); no simulation
 #: code path reads them back.
 SHM_STATS: dict[str, int] = {"cell": 0, "attach": 0, "fallback": 0}

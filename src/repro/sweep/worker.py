@@ -18,9 +18,9 @@ a pure function of its config, wherever it runs.
 Supervision contract: a worker never lets one cell's exception escape
 the task -- every cell produces a :class:`CellOutcome`, carrying
 either the result or the error string, plus the worker's pid and the
-cell's routing-layer counter deltas (``DELTA_STATS`` /
-``PREFIX_CACHE_STATS``), so the parent can retry failed cells, spot
-which process did what, and surface fallback storms.  Only process
+cell's routing-layer counter deltas (``PREFIX_CACHE_STATS`` /
+``SHM_STATS``), so the parent can retry failed cells, spot which
+process did what, and surface fallback storms.  Only process
 death (crash, chaos kill, OOM) loses a task, and the runner detects
 that as ``BrokenProcessPool``.
 
@@ -44,7 +44,6 @@ from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..devtools import sanitize
-from ..netsim import DELTA_STATS
 from ..netsim.anycast import PREFIX_CACHE_STATS
 from ..scenario.engine import Substrate, build_substrate, simulate
 from ..scenario.engine import substrate_signature
@@ -84,7 +83,7 @@ class CellOutcome:
 
     Exactly one of ``result``/``error`` is set.  ``routing_stats``
     holds this cell's *deltas* of the process-global routing counters
-    (keys prefixed ``delta/`` and ``prefix_cache/``), so the parent
+    (keys prefixed ``prefix_cache/`` and ``shm/``), so the parent
     can sum them across workers without double counting.
     """
 
@@ -161,10 +160,9 @@ def _substrate_for(cell: SweepCell) -> Substrate:
 
 
 def _stats_snapshot() -> dict[str, int]:
-    snapshot = {f"delta/{k}": v for k, v in DELTA_STATS.items()}
-    snapshot.update(
-        {f"prefix_cache/{k}": v for k, v in PREFIX_CACHE_STATS.items()}
-    )
+    snapshot = {
+        f"prefix_cache/{k}": v for k, v in PREFIX_CACHE_STATS.items()
+    }
     snapshot.update({f"shm/{k}": v for k, v in SHM_STATS.items()})
     return snapshot
 

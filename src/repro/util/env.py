@@ -2,12 +2,10 @@
 
 Determinism contract: a simulated quantity must never depend on the
 host environment, but a handful of *operational* toggles legitimately
-live there -- the incremental-routing escape hatch
-(``REPRO_BGP_DELTA``), the test-only sweep chaos hook
-(``REPRO_SWEEP_CHAOS``), the runtime sanitizer
-(``REPRO_SANITIZE``), the zero-copy sweep-substrate toggle
-(``REPRO_SWEEP_SHM``), and the segment-batched engine escape hatch
-(``REPRO_ENGINE_BATCH``).  Every one of those reads goes through
+live there -- the test-only sweep chaos hook (``REPRO_SWEEP_CHAOS``),
+the runtime sanitizer (``REPRO_SANITIZE``), the zero-copy
+sweep-substrate toggle (``REPRO_SWEEP_SHM``), and the segment-batched
+engine escape hatch (``REPRO_ENGINE_BATCH``).  Every one of those reads goes through
 :func:`read_env` so the interprocedural purity analyzer
 (:mod:`repro.devtools.purity`) has exactly one allowlisted ENV_READ
 source to reason about; an ``os.environ`` read anywhere else in the
@@ -24,7 +22,6 @@ import os
 
 #: The operational toggles this repo recognises.  Names are collected
 #: here so call sites never spell a raw string twice.
-BGP_DELTA = "REPRO_BGP_DELTA"
 SWEEP_CHAOS = "REPRO_SWEEP_CHAOS"
 SANITIZE = "REPRO_SANITIZE"
 #: Zero-copy shared-memory substrates for parallel sweeps; set to
@@ -51,8 +48,8 @@ def env_flag(name: str, *, default: bool = False) -> bool:
     """A boolean toggle: ``"0"``/``""``/unset-with-default-False are
     off, anything else is on.
 
-    ``env_flag(BGP_DELTA, default=True)`` preserves the historical
-    semantics of that knob: set-but-``"0"`` disables, unset enables.
+    ``env_flag(SWEEP_SHM, default=True)`` is the on-by-default form:
+    set-but-``"0"`` disables, unset enables.
     """
     raw = read_env(name, "1" if default else "")
     return raw not in ("", "0")

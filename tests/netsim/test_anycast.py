@@ -8,7 +8,6 @@ from repro.netsim import (
     AsNode,
     Origin,
     Relationship,
-    propagate,
 )
 from repro.netsim.anycast import PREFIX_CACHE_STATS
 from repro.util import Location
@@ -186,74 +185,6 @@ def _assert_same_routes(actual, expected):
     assert list(actual._routes) == list(expected._routes)
     assert actual._routes == expected._routes
     assert actual.catchments() == expected.catchments()
-
-
-class TestDeltaWiring:
-    """routing() derives fresh states from cached tables via deltas."""
-
-    @pytest.fixture(autouse=True)
-    def _force_delta_eligible(self, monkeypatch):
-        # The toy graphs here sit far below the size cutoff where the
-        # delta path pays off; drop it so the wiring stays exercised.
-        from repro.netsim import anycast as anycast_module
-
-        monkeypatch.setattr(anycast_module, "DELTA_MIN_NODES", 0)
-
-    def test_state_changes_are_delta_derived(self, prefix):
-        before = PREFIX_CACHE_STATS["delta_derived"]
-        prefix.routing()                                   # cold: full
-        prefix.withdraw("A", timestamp=1.0)                # delta base {A,B}
-        prefix.set_blocked("B", frozenset({4}), timestamp=2.0)
-        assert PREFIX_CACHE_STATS["delta_derived"] >= before + 2
-
-    def test_delta_tables_match_full_propagation(self, prefix):
-        prefix.withdraw("A", timestamp=1.0)
-        table = prefix.routing()
-        full = propagate(prefix.graph, [prefix.origin("B")])
-        _assert_same_routes(table, full)
-
-    def test_escape_hatch_forces_full(self, prefix, monkeypatch):
-        monkeypatch.setenv("REPRO_BGP_DELTA", "0")
-        before = PREFIX_CACHE_STATS["delta_derived"]
-        prefix.withdraw("A", timestamp=1.0)
-        prefix.set_blocked("B", frozenset({4}), timestamp=2.0)
-        assert PREFIX_CACHE_STATS["delta_derived"] == before
-        full = propagate(
-            prefix.graph,
-            [prefix.origin("B").with_blocked(frozenset({4}))],
-        )
-        _assert_same_routes(prefix.routing(), full)
-
-    def test_dict_backed_tables_never_seed_deltas(self, monkeypatch):
-        # bench_routing's reference A/B swaps propagate for the scalar
-        # implementation; its dict-backed tables land in the cache and
-        # must be passed over when hunting for a delta base.
-        from repro.netsim import anycast as anycast_module
-        from repro.netsim import bgp_reference
-
-        prefix = _make_prefix()
-        with monkeypatch.context() as patched:
-            patched.setattr(
-                anycast_module, "propagate", bgp_reference.propagate
-            )
-            prefix.routing()                   # dict-backed {A, B} cached
-        prefix.withdraw("A", timestamp=1.0)    # must not replay from it
-        full = propagate(prefix.graph, [prefix.origin("B")])
-        _assert_same_routes(prefix.routing(), full)
-
-
-class TestDeltaSizeCutoff:
-    def test_small_graphs_skip_the_delta_path(self, prefix):
-        # Under the default DELTA_MIN_NODES cutoff a 5-node graph
-        # always propagates in full; outputs stay identical.
-        before = PREFIX_CACHE_STATS["delta_derived"]
-        prefix.routing()
-        prefix.withdraw("A", timestamp=1.0)
-        table = prefix.routing()
-        assert PREFIX_CACHE_STATS["delta_derived"] == before
-        _assert_same_routes(
-            table, propagate(prefix.graph, [prefix.origin("B")])
-        )
 
 
 class TestSharedMemo:

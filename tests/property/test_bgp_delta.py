@@ -1,175 +1,47 @@
-"""Delta propagation is bit-identical to full propagation.
+"""The route delta between two tables does not depend on their backing.
 
-:func:`repro.netsim.bgp.propagate_delta` repairs a previous table in
-place of re-running the kernel; its contract is exact equality with
-``propagate(graph, origins)`` over the new origin set in canonical
-(site-sorted) order -- same winners, same tie-break floats, same AS
-paths, same table iteration order -- and therefore, transitively, with
-the scalar reference implementation.  Hypothesis draws the topology,
-the initial announcement state, and a *sequence* of announce /
-withdraw / block edits; every intermediate table in the chain is
-checked, so repair bugs that only surface after accumulated deltas
-(stale shadow state, record-forest corruption) cannot hide.
+``RoutingTable.changes_from`` reports the ASes whose best route differs
+between two announcement states -- the update activity a collector
+peer sees when a site flaps.  It compares two array-backed kernel
+tables elementwise and falls back to a per-route dict walk whenever
+either side is dict-backed (a :mod:`repro.netsim.bgp_reference`
+table); both paths, and every mixed pairing, must report the changed
+set the reference pair reports.  Hypothesis draws the topology, an
+origin pool with unique sites and the withdrawn site.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.netsim import bgp_reference
-from repro.netsim.asgraph import ASGraph, AsNode, Relationship
-from repro.netsim.bgp import (
-    Origin,
-    RoutingTable,
-    Scope,
-    propagate,
-    propagate_delta,
-)
-from repro.util import Location
+from repro.netsim.bgp import propagate
 
-
-@st.composite
-def graph_and_origins(draw):
-    """A random AS graph plus a pool of candidate origins.
-
-    Provider edges orient low ASN -> high ASN so the transit hierarchy
-    is acyclic, matching the kernel property suite; the origin pool is
-    larger than the initially-announced set so announce edits have
-    fresh sites to add.
-    """
-    n = draw(st.integers(min_value=3, max_value=12))
-    graph = ASGraph()
-    for asn in range(1, n + 1):
-        graph.add_as(
-            AsNode(
-                asn=asn,
-                location=Location(
-                    draw(st.floats(min_value=-60, max_value=60)),
-                    draw(st.floats(min_value=-170, max_value=170)),
-                ),
-            )
-        )
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            kind = draw(st.sampled_from(["none", "none", "cust", "peer"]))
-            if kind == "cust":
-                graph.add_link(a, b, Relationship.PROVIDER)
-            elif kind == "peer":
-                graph.add_link(a, b, Relationship.PEER)
-    pool_size = draw(st.integers(min_value=2, max_value=min(5, n)))
-    pool_asns = draw(
-        st.lists(
-            st.integers(min_value=1, max_value=n),
-            min_size=pool_size,
-            max_size=pool_size,
-            unique=True,
-        )
-    )
-    pool = []
-    for asn in pool_asns:
-        pool.append(
-            Origin(
-                site=f"S{asn}",
-                asn=asn,
-                scope=draw(st.sampled_from([Scope.GLOBAL, Scope.LOCAL])),
-                location=draw(
-                    st.sampled_from([None, graph.node(asn).location])
-                ),
-                preference_discount=draw(
-                    st.sampled_from([0.0, 0.25, 0.5])
-                ),
-            )
-        )
-    return graph, pool
-
-
-def assert_tables_identical(actual: RoutingTable, expected: RoutingTable):
-    actual_routes = actual._routes
-    expected_routes = expected._routes
-    assert list(actual_routes) == list(expected_routes)
-    for asn, route in expected_routes.items():
-        assert actual_routes[asn] == route, asn
-    assert actual.catchments() == expected.catchments()
-    assert list(actual.catchments()) == list(expected.catchments())
-    assert actual.reachable_asns() == expected.reachable_asns()
+from .test_anycast_edit_chain import graph_and_origins
 
 
 class TestDeltaMatchesFull:
-    @settings(max_examples=120, deadline=None)
-    @given(data=graph_and_origins(), edits=st.data())
-    def test_edit_chain_bit_identical(self, data, edits):
-        graph, pool = data
-        announced = {o.site: o for o in pool[: max(1, len(pool) // 2)]}
-        table = propagate(graph, list(announced.values()))
-        n_edits = edits.draw(
-            st.integers(min_value=1, max_value=5), label="edit count"
-        )
-        previous_states = [dict(announced)]
-        for _ in range(n_edits):
-            kind = edits.draw(
-                st.sampled_from(["announce", "withdraw", "block"]),
-                label="edit kind",
-            )
-            if kind == "withdraw" and len(announced) > 1:
-                site = edits.draw(
-                    st.sampled_from(sorted(announced)), label="withdrawn"
-                )
-                del announced[site]
-                table = propagate_delta(graph, table, withdraw=[site])
-            elif kind == "block" and announced:
-                site = edits.draw(
-                    st.sampled_from(sorted(announced)), label="blocked site"
-                )
-                origin = announced[site]
-                neighbors = sorted(graph.neighbors(origin.asn))
-                blocked = edits.draw(
-                    st.frozensets(
-                        st.sampled_from(neighbors or [origin.asn]),
-                        max_size=2,
-                    ),
-                    label="blocked set",
-                )
-                origin = origin.with_blocked(blocked)
-                announced[site] = origin
-                table = propagate_delta(graph, table, announce=[origin])
-            else:
-                origin = edits.draw(
-                    st.sampled_from(pool), label="announced"
-                )
-                announced[origin.site] = origin
-                table = propagate_delta(graph, table, announce=[origin])
-            previous_states.append(dict(announced))
-            canonical = [announced[s] for s in sorted(announced)]
-            full = propagate(graph, canonical)
-            assert_tables_identical(table, full)
-            reference = bgp_reference.propagate(graph, canonical)
-            assert_tables_identical(table, reference)
-
     @settings(max_examples=60, deadline=None)
     @given(data=graph_and_origins(), edits=st.data())
     def test_changes_from_cross_backing(self, data, edits):
         # changes_from must agree whichever implementation produced
-        # either side: delta-vs-full, delta-vs-reference, and the
-        # reference pair must all report the same changed set.
+        # either side: kernel-vs-kernel, kernel-vs-reference both ways,
+        # and the reference pair must all report the same changed set.
         graph, pool = data
         announced = {o.site: o for o in pool}
-        # Canonical (site-sorted) order, matching ref_before below:
-        # announcement order decides tie-breaks, so the kernel- and
+        # Canonical (site-sorted) order on both sides: announcement
+        # order decides tie-breaks, so the kernel- and
         # reference-produced "before" tables must agree on it for the
         # changed-set comparison to be apples-to-apples.
-        table = propagate(graph, [announced[s] for s in sorted(announced)])
+        before = [announced[s] for s in sorted(announced)]
         site = edits.draw(st.sampled_from(sorted(announced)), label="flap")
-        survivors = {s: o for s, o in announced.items() if s != site}
-        if not survivors:
-            return
-        delta_table = propagate_delta(graph, table, withdraw=[site])
-        canonical = [survivors[s] for s in sorted(survivors)]
-        full_table = propagate(graph, canonical)
-        ref_before = bgp_reference.propagate(
-            graph, [announced[s] for s in sorted(announced)]
-        )
-        ref_after = bgp_reference.propagate(graph, canonical)
+        after = [o for o in before if o.site != site]
+        kernel_before = propagate(graph, before)
+        kernel_after = propagate(graph, after)
+        ref_before = bgp_reference.propagate(graph, before)
+        ref_after = bgp_reference.propagate(graph, after)
         expected = ref_after.changes_from(ref_before)
-        assert delta_table.changes_from(table) == expected
-        assert full_table.changes_from(table) == expected
-        assert delta_table.changes_from(ref_before) == expected
-        assert ref_after.changes_from(delta_table) == set()
+        assert kernel_after.changes_from(kernel_before) == expected
+        assert kernel_after.changes_from(ref_before) == expected
+        assert ref_after.changes_from(kernel_before) == expected
+        assert ref_after.changes_from(kernel_after) == set()
+        assert kernel_after.changes_from(ref_after) == set()

@@ -87,25 +87,3 @@ class TestBatchModeEquivalence:
             assert np.array_equal(
                 golden[name], np.asarray(arrays[name]), equal_nan=True
             ), name
-
-
-class TestDeltaModeEquivalence:
-    """REPRO_BGP_DELTA=0 (full propagation everywhere) is the escape
-    hatch for the incremental-routing fast path; both modes must
-    produce bit-identical scenario outputs."""
-
-    def test_delta_off_matches_golden(self, golden, monkeypatch):
-        monkeypatch.setenv("REPRO_BGP_DELTA", "0")
-        sys.path.insert(0, SCRIPTS)
-        try:
-            from make_golden import golden_config, result_arrays
-        finally:
-            sys.path.remove(SCRIPTS)
-        from repro.scenario.engine import simulate
-
-        arrays = result_arrays(simulate(golden_config()))
-        assert set(golden.files) == set(arrays)
-        for name in golden.files:
-            assert np.array_equal(
-                golden[name], np.asarray(arrays[name]), equal_nan=True
-            ), name

@@ -105,3 +105,15 @@ class TestSubstrateReuse:
         assert not diff_arrays(
             fresh, result_arrays(simulate(config, substrate))
         )
+
+
+class TestLargeStubCounts:
+    def test_more_stubs_than_the_stub_asn_range_builds(self):
+        # Stub ASNs count up from 10,000 and site hosts from 20,000 at
+        # the lowest: the 10,001st stub is AS 20,000.
+        topology = build_substrate(
+            ScenarioConfig(seed=0, n_stubs=10_001, n_vps=20, letters=("K",))
+        ).topology
+        assert len(topology.stub_asns) == 10_001
+        hosts = set(topology.site_host_asns.values())
+        assert not hosts & set(topology.stub_asns)

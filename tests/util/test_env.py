@@ -7,9 +7,10 @@ semantics that entry's justification relies on.
 """
 
 from repro.util.env import (
-    BGP_DELTA,
+    ENGINE_BATCH,
     SANITIZE,
     SWEEP_CHAOS,
+    SWEEP_SHM,
     env_flag,
     env_str,
     read_env,
@@ -64,6 +65,7 @@ class TestEnvStr:
 def test_declared_knob_names_are_stable():
     # These spellings are user-facing (docs, CI); renaming them is a
     # breaking change that must be deliberate.
-    assert BGP_DELTA == "REPRO_BGP_DELTA"
     assert SWEEP_CHAOS == "REPRO_SWEEP_CHAOS"
     assert SANITIZE == "REPRO_SANITIZE"
+    assert SWEEP_SHM == "REPRO_SWEEP_SHM"
+    assert ENGINE_BATCH == "REPRO_ENGINE_BATCH"
