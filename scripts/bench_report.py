@@ -2,13 +2,10 @@
 
 The default (engine) mode runs the same size grid as
 ``benchmarks/bench_engine_scaling.py`` plus the acceptance scenario
-(seed=1, 300 stubs, 500 VPs), timing the acceptance run under both
-engine paths -- segment-batched (REPRO_ENGINE_BATCH=1, the default)
-and the per-bin reference loop (REPRO_ENGINE_BATCH=0) -- and writes
-the results to ``BENCH_engine.json`` at the repo root.  The batched
-wall time must clear the 2x floor against the recorded pre-batching
-baseline (0.754 s); the report keeps both paths' timings so the file
-documents the trade.
+(seed=1, 300 stubs, 500 VPs) and writes the results to
+``BENCH_engine.json`` at the repo root.  The best-of acceptance wall
+time must clear the 2x floor against the recorded pre-batching
+baseline (0.754 s).
 
 ``--routing`` instead runs ``benchmarks/bench_routing.py`` (churn and
 faulted end-to-end) and writes ``BENCH_routing.json``; add ``--smoke``
@@ -40,7 +37,6 @@ from pathlib import Path
 
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.engine import simulate
-from repro.util.env import ENGINE_BATCH
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -92,38 +88,6 @@ def time_simulate(**kwargs) -> float:
     finally:
         if was_enabled:
             gc.enable()
-
-
-def time_acceptance_once(batch: bool) -> float:
-    """One acceptance wall time under one engine path.
-
-    The previous env value is restored so the report run cannot leak
-    mode into later timings.
-    """
-    previous = os.environ.get(ENGINE_BATCH)
-    os.environ[ENGINE_BATCH] = "1" if batch else "0"
-    try:
-        return time_simulate(**ACCEPTANCE)
-    finally:
-        if previous is None:
-            del os.environ[ENGINE_BATCH]
-        else:
-            os.environ[ENGINE_BATCH] = previous
-
-
-def time_acceptance(reps: int) -> tuple[float, float]:
-    """Best-of-*reps* acceptance wall times, ``(batched, per_bin)``.
-
-    The two paths alternate within each rep so scheduler / host noise
-    hits both equally instead of skewing whichever ran later; best-of
-    keeps transient slowdowns out of the recorded numbers.
-    """
-    walls_batched = []
-    walls_per_bin = []
-    for _ in range(reps):
-        walls_batched.append(time_acceptance_once(True))
-        walls_per_bin.append(time_acceptance_once(False))
-    return min(walls_batched), min(walls_per_bin)
 
 
 def profile_acceptance(top_n: int = 25) -> list[dict]:
@@ -256,21 +220,18 @@ def main() -> None:
         )
         print(f"stubs={n_stubs:4d} vps={n_vps:4d}: {wall:6.2f}s")
 
-    batched, per_bin = time_acceptance(args.reps)
-    speedup = args.baseline / batched
+    wall = min(time_simulate(**ACCEPTANCE) for _ in range(args.reps))
+    speedup = args.baseline / wall
     acceptance = {
         **ACCEPTANCE,
-        "wall_s": round(batched, 3),
-        "wall_s_batched": round(batched, 3),
-        "wall_s_per_bin": round(per_bin, 3),
+        "wall_s": round(wall, 3),
         "baseline_wall_s": args.baseline,
         "speedup": round(speedup, 2),
         "reps": args.reps,
     }
     report["acceptance"] = acceptance
     print(
-        f"acceptance {ACCEPTANCE}: batched {batched:.3f}s, "
-        f"per-bin {per_bin:.3f}s "
+        f"acceptance {ACCEPTANCE}: {wall:.3f}s "
         f"({speedup:.2f}x vs {args.baseline}s baseline)"
     )
 
@@ -278,7 +239,7 @@ def main() -> None:
     print(f"wrote {args.output}")
     if speedup < BATCH_FLOOR:
         raise SystemExit(
-            f"batched acceptance {batched:.3f}s misses the "
+            f"acceptance {wall:.3f}s misses the "
             f"{BATCH_FLOOR}x floor vs the {args.baseline}s baseline "
             f"({speedup:.2f}x)"
         )

@@ -4,30 +4,23 @@ Runs one scenario carrying every fault type twice with the same seed
 and compares every simulated output array (truth, Atlas, RSSAC,
 BGPmon, .nl) plus the quality report exactly.  Any diff means the
 fault machinery leaked nondeterminism into the engine -- the CI
-determinism job fails on it.
-
-``--save-arrays PATH`` additionally writes every result array of the
-first run to an ``.npz``; ``--check-against PATH`` diffs the current
-run against such a file array by array.  The CI determinism job uses
-the pair to prove the segment-batched engine (REPRO_ENGINE_BATCH=1,
-the default) and the per-bin reference loop (REPRO_ENGINE_BATCH=0)
-produce bit-identical faulted scenarios.
+determinism job fails on it.  ``tests/scenario/test_engine_batch.py``
+also runs :func:`faulted_config` through the per-bin executor and
+diffs it against the batched run.
 
 Usage::
 
-    PYTHONPATH=src python scripts/check_determinism.py \
-        [--save-arrays PATH] [--check-against PATH]
+    PYTHONPATH=src python scripts/check_determinism.py
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from repro.scenario.arrays import diff_arrays, result_arrays
+from repro.scenario.arrays import result_arrays
 from repro.scenario.engine import ScenarioResult
 from repro.faults import (
     BgpSessionReset,
@@ -100,21 +93,7 @@ def compare_runs(first: ScenarioResult, second: ScenarioResult) -> list[str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--save-arrays",
-        type=Path,
-        default=None,
-        help="write the faulted run's result arrays to this .npz",
-    )
-    parser.add_argument(
-        "--check-against",
-        type=Path,
-        default=None,
-        help="diff the faulted run against a saved .npz, array by array",
-    )
-    args = parser.parse_args(argv)
-
+    argparse.ArgumentParser(description=__doc__).parse_args(argv)
     first = simulate(faulted_config())
     second = simulate(faulted_config())
     mismatches = compare_runs(first, second)
@@ -125,35 +104,11 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  - {name}")
         return 1
 
-    arrays = result_arrays(first)
     print(
-        f"determinism ok: {len(arrays)} arrays "
+        f"determinism ok: {len(result_arrays(first))} arrays "
         f"bit-identical across two faulted runs "
         f"({len(first.quality)} quality flag(s))"
     )
-
-    if args.save_arrays is not None:
-        np.savez_compressed(args.save_arrays, **arrays)
-        print(f"saved {len(arrays)} arrays to {args.save_arrays}")
-
-    if args.check_against is not None:
-        with np.load(args.check_against) as saved:
-            cross = diff_arrays(
-                {name: saved[name] for name in saved.files}, arrays
-            )
-        if cross:
-            print(
-                f"CROSS-RUN FAILURE: outputs differ from "
-                f"{args.check_against}"
-            )
-            for name in cross:
-                print(f"  - {name}")
-            return 1
-        print(
-            f"cross-run ok: {len(arrays)} arrays bit-identical to "
-            f"{args.check_against}"
-        )
-
     return 0
 
 

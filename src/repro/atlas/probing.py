@@ -280,13 +280,16 @@ class LetterProber:
         loss: np.ndarray,
         delay_ms: np.ndarray,
         overloaded: np.ndarray,
+        shed: list[int],
     ) -> None:
         """Batched :meth:`record_bin` over one contiguous segment.
 
         All bins of the segment share one routing table and one
-        shed-server snapshot (the engine only batches across bins with
-        no policy action, so the per-site states cannot change inside
-        the run); the condition matrices are ``(n_bins_seg, n_sites)``.
+        shed-server snapshot *shed* (site order); the condition
+        matrices are ``(n_bins_seg, n_sites)``.  The engine records a
+        segment after its last bin's policies ran, and a restore there
+        may already have rotated the deployment's shed server, so the
+        caller passes the snapshot it took at segment start.
         """
         if self._flushed:
             raise RuntimeError("prober already finished")
@@ -296,10 +299,7 @@ class LetterProber:
         self._cond_loss[start:stop] = loss
         self._cond_delay[start:stop] = delay_ms
         self._cond_over[start:stop] = overloaded
-        states = self.deployment.states
-        self._shed_of_bin[start:stop] = [
-            states[c].shed_server for c in self.site_codes
-        ]
+        self._shed_of_bin[start:stop] = shed
         self._recorded[start:stop] = True
 
     def _group(

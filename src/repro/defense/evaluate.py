@@ -51,7 +51,14 @@ def served_fractions(
     with np.errstate(divide="ignore", invalid="ignore"):
         per_bin = np.where(offered > 0, served / offered, 1.0)
     overall = float(served.sum() / offered.sum())
-    during = float(served[mask].sum() / offered[mask].sum())
+    # A window with no event bin loses nothing during events; 1.0 is
+    # the convention per_bin uses for bins with nothing offered.
+    during_offered = offered[mask].sum()
+    during = (
+        float(served[mask].sum() / during_offered)
+        if during_offered > 0
+        else 1.0
+    )
     worst = float(per_bin.min())
     return overall, during, worst
 

@@ -189,13 +189,14 @@ class LetterDeployment:
         self._announced_cache = (version, mask)
         return mask
 
-    def _is_quiet(self) -> bool:
+    def is_quiet(self) -> bool:
         """Whether every site is in its normal announcement state.
 
         Quiet means: every primary announced and fully exported, every
         standby down.  In that state ``apply_policies`` with sub-
-        threshold utilisations is a no-op, so the engine's per-bin call
-        can return immediately.  Memoized per routing-table version.
+        threshold utilisations is a no-op: it returns at once here and
+        the segment-batched engine skips the call in gated bins.
+        Memoized per routing-table version.
         """
         version = self.prefix.routing().version
         cached = self._quiet_cache
@@ -232,6 +233,10 @@ class LetterDeployment:
     ) -> bool:
         """Run one control-loop step; returns whether routing changed.
 
+        Every action taken appends a :class:`PolicyEvent` to
+        :attr:`policy_log`, routing changes included; the
+        segment-batched engine ends its segments on that.
+
         *utilisation_by_site* is each announced site's offered/capacity
         for the last bin -- either a ``{code: rho}`` dict or an array
         in site order (the engine's fast path).  Withdrawn sites see no
@@ -243,7 +248,7 @@ class LetterDeployment:
             # Quiet-bin fast path: every site in its normal state and
             # nobody over a reaction threshold -> the loop below would
             # be a no-op, so skip it (the common case outside events).
-            if self._is_quiet() and not (
+            if self.is_quiet() and not (
                 rho_vector > self._fastpath_thresholds
             ).any():
                 return False

@@ -1,4 +1,4 @@
-"""Segment-batched engine execution (``REPRO_ENGINE_BATCH``).
+"""Segment-batched engine execution.
 
 The reference bin loop (:func:`repro.scenario.engine._run_bin`) walks
 the window one ten-minute bin at a time: four python passes per bin,
@@ -15,9 +15,9 @@ of bins where, for every letter,
 * no scheduled fault perturbs routing or capacity
   (:meth:`FaultRuntime.disruptive_bins`; those bins run through the
   per-bin reference path), and
-* the policy control loop provably takes no action, so each letter's
-  routing table (and with it every per-epoch share vector) is constant
-  across the run.
+* no letter's policy control loop acts, so each letter's routing
+  table (and with it every per-epoch share vector) is constant across
+  the run.
 
 Within a segment everything is computed as ``(n_bins_seg, n_sites)``
 matrices: bin centres, baseline rates, attack rates, offered loads as
@@ -43,13 +43,19 @@ Bit-identity argument (validated by
   contribution collapses to the unrouted term.  Gate failure never
   changes values -- it only routes the bin through the exact per-bin
   arithmetic (small vectors, the real ``spillover`` walk).
-* Policy actions are *predicted* conservatively during the scan
-  (reaction thresholds, calm-counter recovery, standby consistency).
-  A predicted action ends the segment at that bin and the real
-  :meth:`LetterDeployment.apply_policies` runs there, so every state
-  transition is performed by the reference code itself.  Calm counters
-  for withdrawn/partial sites are tracked scalar-exactly (they are
-  small integers) and written back before the real call.
+* The scan runs the real :meth:`LetterDeployment.apply_policies` for
+  every letter after each bin's losses, in letter order as the per-bin
+  path does, and ends the segment at the first bin where a call logs a
+  policy event (every action it takes is logged, routing changes
+  included).  A letter is skipped only
+  when it is *idle*: its deployment is quiet
+  (:meth:`LetterDeployment.is_quiet`) and the bin passed the quiet
+  gate.  Gated bins keep every utilisation at or below the loss knee
+  (<= 1), and withdraw thresholds exceed 1, so the skipped call would
+  have been a no-op.  Segment outputs are recorded after the last
+  bin's policy calls, so everything they read from the deployments
+  (routing table, announced mask, shed-server rotation) is snapshot
+  at segment start.
 """
 
 from __future__ import annotations
@@ -63,7 +69,6 @@ from ..attack.workload import retry_spill
 from ..dns.message import make_query
 from ..netsim.bgp import RoutingTable
 from ..rootdns.deployment import LetterDeployment
-from ..rootdns.sites import DEFAULT_RECOVERY_BINS, SitePolicy
 from .engine import OVERLOAD_RHO, _EpochData, _RunState, _epoch_for, _run_bin
 
 #: Relative slack applied to the conservative quiet-bin gates.  The
@@ -73,17 +78,6 @@ from .engine import OVERLOAD_RHO, _EpochData, _RunState, _epoch_for, _run_bin
 #: while remaining negligible against the knee (0.95) and facility
 #: headroom it guards.
 _GATE_SLACK = 1e-9
-
-
-@dataclass(slots=True)
-class _TrackedSite:
-    """One site whose calm counter the scan must carry bin to bin."""
-
-    code: str
-    index: int
-    partial: bool          # partial-withdraw recovery vs re-announce
-    eligible: bool         # may the recovery action actually fire?
-    threshold: float       # real reaction threshold (calm freeze)
 
 
 @dataclass(slots=True)
@@ -101,10 +95,8 @@ class _LetterSegment:
     base_mat: np.ndarray          # offered load excluding spill
     rho0_max: np.ndarray          # (nb_max,) spill-free rho upper rows
     spill_over_cap: float         # max(legit_share / capacity)
-    trigger_thr: np.ndarray       # (n_sites,) reaction thresholds
-    tracked: list[_TrackedSite]
-    calm: dict[str, int]
-    standby_bad: bool
+    quiet: bool                   # deployment in its normal state
+    shed: list[int]               # shed-server snapshot, site order
     unrouted_lost: float          # max(0.0, 1 - legit_total), per bin
     spill_arr: np.ndarray         # (nb_max,) spill entering each bin
     extra_rows: dict[int, np.ndarray] = field(default_factory=dict)
@@ -176,56 +168,6 @@ def _prepare_letter(
     rho0_max = mats[2][start:limit]
     spill_over_cap = mats[3]
 
-    n_sites = len(dep.site_order)
-    trigger_thr = np.full(n_sites, np.inf)
-    tracked: list[_TrackedSite] = []
-    calm: dict[str, int] = {}
-    any_withdrawn_primary = False
-    standby_bad = False
-    for i, code in enumerate(dep.site_order):
-        st = dep.states[code]
-        spec = st.spec
-        up = bool(announced[i])
-        if not spec.initially_announced:
-            continue
-        if not up:
-            any_withdrawn_primary = True
-            tracked.append(
-                _TrackedSite(
-                    code=code,
-                    index=i,
-                    partial=False,
-                    eligible=st.may_reannounce(),
-                    threshold=spec.withdraw_threshold,
-                )
-            )
-            calm[code] = st.calm_bins
-            continue
-        if st.partial:
-            tracked.append(
-                _TrackedSite(
-                    code=code,
-                    index=i,
-                    partial=True,
-                    eligible=True,
-                    threshold=spec.withdraw_threshold,
-                )
-            )
-            calm[code] = st.calm_bins
-            # An already-partial site cannot partial-withdraw again,
-            # so its reaction threshold stays infinite.
-            continue
-        if spec.policy in (
-            SitePolicy.WITHDRAW, SitePolicy.PARTIAL_WITHDRAW
-        ):
-            trigger_thr[i] = spec.withdraw_threshold
-    for i, code in enumerate(dep.site_order):
-        st = dep.states[code]
-        if st.spec.initially_announced:
-            continue
-        if bool(announced[i]) != any_withdrawn_primary:
-            standby_bad = True
-
     return _LetterSegment(
         dep=dep,
         table=table,
@@ -238,10 +180,8 @@ def _prepare_letter(
         base_mat=base_mat,
         rho0_max=rho0_max,
         spill_over_cap=spill_over_cap,
-        trigger_thr=trigger_thr,
-        tracked=tracked,
-        calm=calm,
-        standby_bad=standby_bad,
+        quiet=dep.is_quiet(),
+        shed=[dep.states[c].shed_server for c in dep.site_order],
         unrouted_lost=max(0.0, 1.0 - ed.legit_total),
         spill_arr=np.zeros(limit - start),
     )
@@ -321,11 +261,9 @@ def _run_segment(
     """Run bins ``start..end`` batched (``end < limit``); return
     ``end + 1``.
 
-    The segment ends early -- at the first bin where a policy trigger
-    is predicted -- or at *limit*.  The trigger bin itself is part of
-    the segment (its outputs batch like any other bin; the reference
-    path also records a bin *before* running its policies), and the
-    real ``apply_policies`` runs for every letter at that bin.
+    The segment ends early -- at the first bin where a letter's
+    ``apply_policies`` acts, i.e. logs a policy event -- or at *limit*.  That bin is part of the segment: the reference path also
+    records a bin *before* running its policies.
     """
     grid = state.grid
     config = state.config
@@ -347,19 +285,16 @@ def _run_segment(
 
     spill = state.spill
     end_off = nb_max - 1
-    triggered = False
-    rho_of_bin: dict[str, np.ndarray] = {}
 
     # Pure-quiet bins with zero inbound spill are fully predictable:
     # losses are identically 0.0 (``unrouted_lost == 0`` and gated
-    # loss is exactly zero), so spill stays the all-zero dict and the
-    # per-bin scan below would be a no-op for every letter.  Runs of
-    # such bins are skipped in one step; ``retry_spill`` on all-zero
-    # losses reproduces the all-zero dict the reference carries.
+    # loss is exactly zero), so spill stays the all-zero dict, and
+    # with every deployment quiet every letter is idle.  Runs of such
+    # bins are skipped in one step; ``retry_spill`` on all-zero losses
+    # reproduces the all-zero dict the reference carries.
     skippable = quiet0 = None
     if (
-        not any(seg.tracked for seg in segs.values())
-        and not any(seg.standby_bad for seg in segs.values())
+        all(seg.quiet for seg in segs.values())
         # unrouted_lost is max(0, .); <= 0 is an exact zero test.
         and all(seg.unrouted_lost <= 0.0 for seg in segs.values())
     ):
@@ -404,9 +339,8 @@ def _run_segment(
         # the spill-dependent offered rows, the real facility walk,
         # per-letter loss.  Quiet bins have loss exactly 0 and no
         # spillover, so only the unrouted spill term survives.
-        trigger = False
-        pending: dict[str, dict[str, int]] = {}
         losses: dict[str, float] = {}
+        rhos: dict[str, np.ndarray] = {}
         if exact:
             offered_by_label: dict[str, float] = {}
             rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -448,34 +382,41 @@ def _run_segment(
                     seg.legit_vec[off] + spill[letter]
                 )
                 losses[letter] = lost
-                if (rho > seg.trigger_thr).any():
-                    trigger = True
-                pending[letter] = _step_calm(
-                    seg, off, rho
-                )
-                if pending[letter].pop("__trigger__", 0):
-                    trigger = True
+                rhos[letter] = rho
         else:
             for letter in letters:
                 seg = segs[letter]
-                losses[letter] = seg.unrouted_lost * (
-                    seg.legit_vec[off] + spill[letter]
-                )
-                pending[letter] = _step_calm(seg, off, None)
-                if pending[letter].pop("__trigger__", 0):
-                    trigger = True
-        if off == 0 and any(s.standby_bad for s in segs.values()):
-            trigger = True
+                legit_qps = seg.legit_vec[off] + spill[letter]
+                losses[letter] = seg.unrouted_lost * legit_qps
+                if not seg.quiet:
+                    offered = (
+                        seg.attack_site_mat[off]
+                        + legit_qps * seg.ed.legit_share
+                    )
+                    rhos[letter] = offered / seg.capacity
 
         spill = retry_spill(
             {letter: losses[letter] for letter in letters}, letters
         )
-        if trigger:
+        # The control loop, as at the end of a per-bin pass; letters
+        # without a utilisation row are idle this bin.  Every action
+        # ``apply_policies`` takes is logged -- each routing change,
+        # and a restore that rotates the shed server even when routing
+        # stays put -- so a longer log ends the segment here.
+        timestamp = float(grid.bin_start(start + off) + grid.bin_seconds)
+        acted = False
+        for letter, rho in rhos.items():
+            seg = segs[letter]
+            n_logged = len(seg.dep.policy_log)
+            seg.dep.apply_policies(
+                rho,
+                letter_under_attack=bool(seg.attack_vec[off] > 0),
+                timestamp=timestamp,
+            )
+            acted = acted or len(seg.dep.policy_log) > n_logged
+        if acted:
             end_off = off
-            triggered = True
             break
-        for letter in letters:
-            segs[letter].calm.update(pending[letter])
         off += 1
 
     state.spill = spill
@@ -508,9 +449,8 @@ def _run_segment(
         combined = 1.0 - (1.0 - loss_mat) * (1.0 - extra_mat)
         overloaded = rho_mat > OVERLOAD_RHO
         state.probers[letter].record_bins(
-            start, seg.table, combined, delay_mat, overloaded
+            start, seg.table, combined, delay_mat, overloaded, seg.shed
         )
-        rho_of_bin[letter] = rho_mat[nb - 1]
 
         t = state.truth[letter]
         sl = slice(start, start + nb)
@@ -572,61 +512,4 @@ def _run_segment(
                 nl_extra[off] = row
         nl.record_bins(start, nl_mat[:nb], nl_extra)
 
-    # --- The trigger bin's real control loop. --------------------------
-    if triggered:
-        for letter in letters:
-            seg = segs[letter]
-            for site in seg.tracked:
-                seg.dep.states[site.code].calm_bins = seg.calm[site.code]
-        ts_end = grid.bin_start(start + end_off)
-        for letter in letters:
-            seg = segs[letter]
-            seg.dep.apply_policies(
-                rho_of_bin[letter],
-                letter_under_attack=bool(seg.attack_vec[end_off] > 0),
-                timestamp=float(ts_end + grid.bin_seconds),
-            )
-    else:
-        for letter in letters:
-            seg = segs[letter]
-            for site in seg.tracked:
-                seg.dep.states[site.code].calm_bins = seg.calm[site.code]
-
     return start + nb
-
-
-def _step_calm(
-    seg: _LetterSegment, off: int, rho: np.ndarray | None
-) -> dict[str, int]:
-    """Prospective calm-counter updates for one bin.
-
-    Mirrors one ``apply_policies`` pass over the tracked sites:
-    under-attack bins reset, calm bins increment, and an increment
-    reaching the recovery threshold for an *eligible* site predicts a
-    policy action (returned under the ``"__trigger__"`` key so the
-    caller ends the segment there instead of committing the update --
-    the real ``apply_policies`` performs that bin's transition).  A
-    partial site whose utilisation exceeds its reaction threshold
-    takes the no-op reaction branch instead, freezing its counter --
-    only possible in exact bins, since gated bins sit below the knee.
-    """
-    under_attack = bool(seg.attack_vec[off] > 0)
-    pending: dict[str, int] = {}
-    trigger = False
-    for site in seg.tracked:
-        if (
-            site.partial
-            and rho is not None
-            and float(rho[site.index]) > site.threshold
-        ):
-            pending[site.code] = seg.calm[site.code]
-            continue
-        if under_attack:
-            pending[site.code] = 0
-            continue
-        new_calm = seg.calm[site.code] + 1
-        if new_calm >= DEFAULT_RECOVERY_BINS and site.eligible:
-            trigger = True
-        pending[site.code] = new_calm
-    pending["__trigger__"] = 1 if trigger else 0
-    return pending

@@ -62,8 +62,6 @@ from ..rssac.reports import (
     build_baseline_report,
     build_daily_report,
 )
-from ..util import env
-from ..util.env import env_flag
 from ..util.rng import RngFactory
 from ..util.timegrid import Interval, TimeGrid
 from .config import ScenarioConfig
@@ -240,14 +238,16 @@ def _run_controller(
 class _RunState:
     """Everything the bin loop reads and mutates, bundled.
 
-    Shared by the per-bin reference path (:func:`_run_bin`) and the
-    segment-batched executor (:mod:`repro.scenario.batch`), so both
-    operate on literally the same state objects and interleave freely
-    (the batched path falls back to :func:`_run_bin` for bins a fault
-    perturbs).
+    Shared by the per-bin path (:func:`_run_bin`, which runs controller
+    scenarios and the bins a fault perturbs) and the segment-batched
+    executor (:mod:`repro.scenario.batch`), so both operate on
+    literally the same state objects and interleave freely.
     """
 
     config: ScenarioConfig
+    #: The config's pluggable controllers that actually decide; letters
+    #: not listed run the deployment's built-in ``apply_policies``.
+    controllers: dict[str, Controller]
     grid: TimeGrid
     topology: Topology
     facilities: FacilityRegistry
@@ -442,11 +442,7 @@ def _run_bin(state: _RunState, b: int) -> None:
         # Control loop (affects routing from the next bin): either
         # the deployment's built-in static policies or a pluggable
         # defense controller (repro.defense).
-        controller = (
-            config.controllers.get(letter)
-            if config.controllers
-            else None
-        )
+        controller = state.controllers.get(letter)
         if controller is None:
             dep.apply_policies(
                 rho,
@@ -755,6 +751,18 @@ def simulate(
         for letter in letters
     }
 
+    controllers = config.controllers or {}
+    if controllers:
+        from ..defense.controllers import StaticPolicyController
+
+        # The marker names the built-in policies: its letters run
+        # ``apply_policies`` like unlisted ones.
+        controllers = {
+            letter: controller
+            for letter, controller in controllers.items()
+            if not isinstance(controller, StaticPolicyController)
+        }
+
     # Per-(letter, routing version) precomputed share/catchment arrays;
     # versions are stable tokens (unlike id(), which the GC can alias),
     # so entries stay valid for the whole run and recurring routing
@@ -762,6 +770,7 @@ def simulate(
     duplicate_ratio = 1.0 - config.botnet.tail_share
     state = _RunState(
         config=config,
+        controllers=controllers,
         grid=grid,
         topology=topology,
         facilities=facilities,
@@ -787,19 +796,18 @@ def simulate(
         spill={letter: 0.0 for letter in letters},
     )
 
-    # Segment-batched execution (the default): contiguous runs of bins
-    # with no routing change, no scheduled fault, and no controller are
-    # computed as (n_bins, n_sites) matrices; proven bit-identical to
-    # the per-bin path (tests/scenario/test_engine_batch.py).  Pluggable
-    # controllers observe per-bin state mid-loop, so they always take
-    # the reference path, as does REPRO_ENGINE_BATCH=0.
-    if env_flag(env.ENGINE_BATCH, default=True) and not config.controllers:
+    # Segment-batched execution: contiguous runs of bins with no
+    # routing change and no scheduled fault are computed as (n_bins,
+    # n_sites) matrices, bit-identical to the per-bin path
+    # (tests/scenario/test_engine_batch.py).  Pluggable controllers
+    # observe per-bin state mid-loop, so they take the per-bin path.
+    if controllers:
+        for b in range(grid.n_bins):
+            _run_bin(state, b)
+    else:
         from .batch import run_batched
 
         run_batched(state)
-    else:
-        for b in range(grid.n_bins):
-            _run_bin(state, b)
 
     # --- Package outputs. ----------------------------------------------
     atlas = AtlasDataset(

@@ -3,13 +3,12 @@
 Determinism contract: a simulated quantity must never depend on the
 host environment, but a handful of *operational* toggles legitimately
 live there -- the test-only sweep chaos hook (``REPRO_SWEEP_CHAOS``),
-the runtime sanitizer (``REPRO_SANITIZE``), the zero-copy
-sweep-substrate toggle (``REPRO_SWEEP_SHM``), and the segment-batched
-engine escape hatch (``REPRO_ENGINE_BATCH``).  Every one of those reads goes through
-:func:`read_env` so the interprocedural purity analyzer
-(:mod:`repro.devtools.purity`) has exactly one allowlisted ENV_READ
-source to reason about; an ``os.environ`` read anywhere else in the
-call graph of a purity root is a violation.
+the runtime sanitizer (``REPRO_SANITIZE``), and the zero-copy
+sweep-substrate toggle (``REPRO_SWEEP_SHM``).  Every one of those
+reads goes through :func:`read_env` so the interprocedural purity
+analyzer (:mod:`repro.devtools.purity`) has exactly one allowlisted
+ENV_READ source to reason about; an ``os.environ`` read anywhere else
+in the call graph of a purity root is a violation.
 
 All accessors re-read the environment on every call, so tests can
 flip a knob with ``monkeypatch.setenv`` and see the change
@@ -27,10 +26,6 @@ SANITIZE = "REPRO_SANITIZE"
 #: Zero-copy shared-memory substrates for parallel sweeps; set to
 #: ``"0"`` to force the legacy per-worker rebuild (pickled) path.
 SWEEP_SHM = "REPRO_SWEEP_SHM"
-#: Segment-batched engine execution; set to ``"0"`` to force the
-#: per-bin reference path (bit-identical by construction, see
-#: docs/architecture.md "Segment-batched execution").
-ENGINE_BATCH = "REPRO_ENGINE_BATCH"
 
 
 def read_env(name: str, default: str = "") -> str:

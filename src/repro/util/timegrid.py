@@ -191,12 +191,11 @@ class TimeGrid:
         """Boolean mask over bins that overlap any of *intervals*."""
         mask = np.zeros(self.n_bins, dtype=bool)
         for interval in intervals:
-            clipped = Interval(
-                max(interval.start, self.start), min(interval.end, self.end)
-            )
-            if clipped.seconds <= 0:
-                continue
-            mask[self.bins_overlapping(clipped)] = True
+            start = max(interval.start, self.start)
+            end = min(interval.end, self.end)
+            if end <= start:
+                continue  # outside the window (or empty)
+            mask[self.bins_overlapping(Interval(start, end))] = True
         return mask
 
     def _check_index(self, index: int) -> None:

@@ -86,8 +86,9 @@ def _record(probers, dep, tables, rng, bad_shed=()):
         if rng.random() < 0.1:
             pass  # unrecorded bins stay "not probed"
         elif rng.random() < 0.5:
+            shed = [dep.states[c].shed_server for c in dep.site_order]
             for p in probers:
-                p.record_bins(b, table, loss, delay, over)
+                p.record_bins(b, table, loss, delay, over, shed)
         else:
             for i in range(stop - b):
                 conditions = SiteBinConditions(loss[i], delay[i], over[i])

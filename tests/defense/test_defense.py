@@ -174,6 +174,16 @@ class TestClosedLoop:
         outcome = evaluate_controller(base_config, "K", "static", None)
         assert outcome.routing_actions > 0
 
+    def test_window_without_the_events(self):
+        """A six-hour window ends before either paper event starts."""
+        config = ScenarioConfig(
+            seed=3, n_stubs=60, n_vps=30, letters=("A", "K"),
+            include_nl=False, window_seconds=6 * 3600,
+        )
+        outcome = evaluate_controller(config, "K", "static", None)
+        assert outcome.served_during_events == 1.0
+        assert 0.0 <= outcome.worst_bin <= outcome.served_overall <= 1.0
+
     def test_comparison_table(self, base_config):
         table = compare_controllers(
             base_config,

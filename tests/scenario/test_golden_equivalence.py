@@ -19,6 +19,8 @@ import sys
 import numpy as np
 import pytest
 
+from .per_bin_reference import simulate_per_bin
+
 FIXTURE = pathlib.Path(__file__).parent / "golden" / "golden_engine.npz"
 SCRIPTS = str(
     pathlib.Path(__file__).resolve().parent.parent.parent / "scripts"
@@ -68,20 +70,17 @@ class TestGoldenEquivalence:
 
 
 class TestBatchModeEquivalence:
-    """REPRO_ENGINE_BATCH=0 (per-bin reference loop) is the escape
-    hatch for the segment-batched engine; both modes must reproduce
-    the golden fixture bit for bit."""
+    """The per-bin executor (controller runs and fault bins take it)
+    must reproduce the golden fixture bit for bit as well."""
 
-    def test_batch_off_matches_golden(self, golden, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_BATCH", "0")
+    def test_batch_off_matches_golden(self, golden):
         sys.path.insert(0, SCRIPTS)
         try:
             from make_golden import golden_config, result_arrays
         finally:
             sys.path.remove(SCRIPTS)
-        from repro.scenario.engine import simulate
 
-        arrays = result_arrays(simulate(golden_config()))
+        arrays = result_arrays(simulate_per_bin(golden_config()))
         assert set(golden.files) == set(arrays)
         for name in golden.files:
             assert np.array_equal(

@@ -7,7 +7,6 @@ semantics that entry's justification relies on.
 """
 
 from repro.util.env import (
-    ENGINE_BATCH,
     SANITIZE,
     SWEEP_CHAOS,
     SWEEP_SHM,
@@ -68,4 +67,3 @@ def test_declared_knob_names_are_stable():
     assert SWEEP_CHAOS == "REPRO_SWEEP_CHAOS"
     assert SANITIZE == "REPRO_SANITIZE"
     assert SWEEP_SHM == "REPRO_SWEEP_SHM"
-    assert ENGINE_BATCH == "REPRO_ENGINE_BATCH"

@@ -125,6 +125,20 @@ class TestTimeGrid:
         # Bin at hour 20 is quiet.
         assert not mask[120]
 
+    def test_event_mask_skips_intervals_outside_the_window(self):
+        grid = TimeGrid(start=6000, bin_seconds=600, n_bins=6)
+        inside = Interval(6500, 7200)
+        mask = grid.event_mask((inside,))
+        assert mask.tolist() == [True, True, False, False, False, False]
+        before, after = Interval(0, 3000), Interval(9600, 12000)
+        assert grid.event_mask((before, inside, after)).tolist() == (
+            mask.tolist()
+        )
+        # The paper's second event lies past a six-hour window.
+        short = TimeGrid(start=EVENT_1.start - 3600, bin_seconds=600,
+                         n_bins=36)
+        assert short.event_mask().sum() == 16
+
     def test_validation(self):
         with pytest.raises(ValueError):
             TimeGrid(start=0, bin_seconds=0, n_bins=1)
