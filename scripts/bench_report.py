@@ -1,11 +1,15 @@
 """Record benchmark wall times in BENCH_*.json reports.
 
 The default (engine) mode runs the same size grid as
-``benchmarks/bench_engine_scaling.py`` plus the acceptance scenario
-(seed=1, 300 stubs, 500 VPs) and writes the results to
-``BENCH_engine.json`` at the repo root.  The best-of acceptance wall
-time must clear the 2x floor against the recorded pre-batching
-baseline (0.754 s).
+``benchmarks/bench_engine_scaling.py``, the acceptance scenario
+(seed=1, 300 stubs, 500 VPs) and the controller scenario (perfbench's
+``playbook`` cell: seed=42, 600 stubs, 300 VPs, ``GreedyShedController``
+on every attacked letter, the six-fault plan) and writes the results
+to ``BENCH_engine.json`` at the repo root.  The best-of acceptance
+wall time must clear the 2x floor against the recorded pre-batching
+baseline (0.754 s).  The controller row records its best-of time
+beside the per-bin engine's, measured on the same host; it asserts no
+floor, because the speed-up depends on the host.
 
 ``--routing`` instead runs ``benchmarks/bench_routing.py`` (churn and
 faulted end-to-end) and writes ``BENCH_routing.json``; add ``--smoke``
@@ -35,6 +39,9 @@ import pstats
 import time
 from pathlib import Path
 
+from check_determinism import FAULT_PLAN
+from repro.defense.controllers import GreedyShedController
+from repro.rootdns import ATTACKED_LETTERS
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.engine import simulate
 
@@ -56,6 +63,15 @@ ACCEPTANCE = {"seed": 1, "n_stubs": 300, "n_vps": 500}
 PRE_BATCH_BASELINE_S = 0.754
 BATCH_FLOOR = 2.0
 
+#: The controller scenario, without its controllers and faults (see
+#: :func:`controllers_config`).
+CONTROLLERS = {"seed": 42, "n_stubs": 600, "n_vps": 300}
+
+#: Best-of-10 wall time of the controller scenario when controller
+#: runs stepped every bin through the per-bin loop, measured on the
+#: host BENCH_engine.json records.
+PER_BIN_CONTROLLERS_S = 1.046
+
 
 def host_metadata() -> dict:
     """The ``host`` block shared by every BENCH_* report writer.
@@ -72,7 +88,19 @@ def host_metadata() -> dict:
     }
 
 
-def time_simulate(**kwargs) -> float:
+def controllers_config() -> ScenarioConfig:
+    """The controller scenario, with fresh controllers: they keep
+    state through a run."""
+    return ScenarioConfig(
+        **CONTROLLERS,
+        controllers={
+            letter: GreedyShedController() for letter in ATTACKED_LETTERS
+        },
+        faults=FAULT_PLAN,
+    )
+
+
+def time_simulate(config: ScenarioConfig) -> float:
     """Wall time of one full simulate() call, in seconds.
 
     The collector is paused around the timed region (the
@@ -83,7 +111,7 @@ def time_simulate(**kwargs) -> float:
     gc.disable()
     try:
         start = time.perf_counter()
-        simulate(ScenarioConfig(**kwargs))
+        simulate(config)
         return time.perf_counter() - start
     finally:
         if was_enabled:
@@ -214,13 +242,18 @@ def main() -> None:
     }
 
     for n_stubs, n_vps in SCALING_SIZES:
-        wall = time_simulate(seed=1, n_stubs=n_stubs, n_vps=n_vps)
+        wall = time_simulate(
+            ScenarioConfig(seed=1, n_stubs=n_stubs, n_vps=n_vps)
+        )
         report["scaling"].append(
             {"n_stubs": n_stubs, "n_vps": n_vps, "wall_s": round(wall, 3)}
         )
         print(f"stubs={n_stubs:4d} vps={n_vps:4d}: {wall:6.2f}s")
 
-    wall = min(time_simulate(**ACCEPTANCE) for _ in range(args.reps))
+    wall = min(
+        time_simulate(ScenarioConfig(**ACCEPTANCE))
+        for _ in range(args.reps)
+    )
     speedup = args.baseline / wall
     acceptance = {
         **ACCEPTANCE,
@@ -233,6 +266,23 @@ def main() -> None:
     print(
         f"acceptance {ACCEPTANCE}: {wall:.3f}s "
         f"({speedup:.2f}x vs {args.baseline}s baseline)"
+    )
+
+    controlled = min(
+        time_simulate(controllers_config()) for _ in range(args.reps)
+    )
+    report["controllers"] = {
+        **CONTROLLERS,
+        "controllers": "GreedyShedController on ATTACKED_LETTERS",
+        "faults": "check_determinism.FAULT_PLAN",
+        "wall_s": round(controlled, 3),
+        "per_bin_wall_s": PER_BIN_CONTROLLERS_S,
+        "speedup": round(PER_BIN_CONTROLLERS_S / controlled, 2),
+        "reps": args.reps,
+    }
+    print(
+        f"controllers {CONTROLLERS}: {controlled:.3f}s "
+        f"(per-bin engine {PER_BIN_CONTROLLERS_S}s)"
     )
 
     args.output.write_text(json.dumps(report, indent=2) + "\n")

@@ -1,12 +1,15 @@
-"""Determinism gate: a faulted scenario must reproduce bit for bit.
+"""Determinism gate: faulted and controlled scenarios must reproduce
+bit for bit.
 
-Runs one scenario carrying every fault type twice with the same seed
-and compares every simulated output array (truth, Atlas, RSSAC,
-BGPmon, .nl) plus the quality report exactly.  Any diff means the
-fault machinery leaked nondeterminism into the engine -- the CI
-determinism job fails on it.  ``tests/scenario/test_engine_batch.py``
-also runs :func:`faulted_config` through the per-bin executor and
-diffs it against the batched run.
+Runs each of two scenarios twice with the same seed -- one carrying
+every fault type (:func:`faulted_config`), and the same with
+``GreedyShedController`` on A and H (:func:`controlled_config`) -- and
+compares every simulated output array (truth, Atlas, RSSAC, BGPmon,
+.nl) plus the quality report exactly.  Any diff means the fault
+machinery or the controller branch of the batched scan leaked
+nondeterminism into the engine -- the CI determinism job fails on it.
+``tests/scenario/test_engine_batch.py`` also runs both configs through
+the per-bin executor and diffs them against the batched runs.
 
 Usage::
 
@@ -16,10 +19,12 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 import numpy as np
 
+from repro.defense.controllers import GreedyShedController
 from repro.scenario.arrays import result_arrays
 from repro.scenario.engine import ScenarioResult
 from repro.faults import (
@@ -67,6 +72,24 @@ def faulted_config() -> ScenarioConfig:
     )
 
 
+def controlled_config() -> ScenarioConfig:
+    """:func:`faulted_config` with ``GreedyShedController`` on A and H.
+
+    Controllers carry state through a run, so every call builds fresh
+    ones.
+    """
+    return dataclasses.replace(
+        faulted_config(),
+        controllers={
+            letter: GreedyShedController() for letter in ("A", "H")
+        },
+    )
+
+
+#: The scenarios ``main`` checks, each run twice.
+SCENARIOS = {"faulted": faulted_config, "controlled": controlled_config}
+
+
 def compare_runs(first: ScenarioResult, second: ScenarioResult) -> list[str]:
     """Names of every output that differs between two runs.
 
@@ -94,22 +117,26 @@ def compare_runs(first: ScenarioResult, second: ScenarioResult) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argparse.ArgumentParser(description=__doc__).parse_args(argv)
-    first = simulate(faulted_config())
-    second = simulate(faulted_config())
-    mismatches = compare_runs(first, second)
-
-    if mismatches:
-        print("DETERMINISM FAILURE: outputs differ between identical runs")
-        for name in mismatches:
-            print(f"  - {name}")
-        return 1
-
-    print(
-        f"determinism ok: {len(result_arrays(first))} arrays "
-        f"bit-identical across two faulted runs "
-        f"({len(first.quality)} quality flag(s))"
-    )
-    return 0
+    status = 0
+    for name, make_config in SCENARIOS.items():
+        first = simulate(make_config())
+        second = simulate(make_config())
+        mismatches = compare_runs(first, second)
+        if mismatches:
+            print(
+                f"DETERMINISM FAILURE ({name}): outputs differ between "
+                "identical runs"
+            )
+            for mismatch in mismatches:
+                print(f"  - {mismatch}")
+            status = 1
+            continue
+        print(
+            f"determinism ok ({name}): {len(result_arrays(first))} arrays "
+            f"bit-identical across two runs "
+            f"({len(first.quality)} quality flag(s))"
+        )
+    return status
 
 
 if __name__ == "__main__":

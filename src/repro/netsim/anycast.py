@@ -9,6 +9,7 @@ sets recur (before/during/after each event).
 
 from __future__ import annotations
 
+import copy
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import MutableMapping
@@ -256,6 +257,18 @@ class AnycastPrefix:
             self._blocked[site] = origin.blocked_neighbors
         self._current = None
         self._change_log = []
+
+    def snapshot(self) -> "AnycastPrefix":
+        """A copy with its own announcement state and change log.
+
+        The origins, the graph and the routing caches stay shared:
+        tables are pure functions of graph + announcement state.
+        """
+        clone = copy.copy(self)
+        clone._announced = dict(self._announced)
+        clone._blocked = dict(self._blocked)
+        clone._change_log = list(self._change_log)
+        return clone
 
     def change_log(self) -> list[RouteChangeRecord]:
         """All routing transitions so far, in time order."""

@@ -13,6 +13,8 @@ space -- absorb, withdraw, partial withdraw -- plus standby activation
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,6 +137,24 @@ class LetterDeployment:
             if not site.initially_announced:
                 self.prefix.withdraw(site.code, timestamp=float("-inf"))
 
+    def snapshot(self) -> "LetterDeployment":
+        """A copy whose run state a later :meth:`reset` cannot touch.
+
+        The site states, the policy log and the prefix's announcement
+        state and change log are copied; the spec, topology, capacity
+        tables and routing caches are shared.  :func:`simulate` hands
+        one to each :class:`ScenarioResult`, so a substrate reused for
+        the next run leaves earlier results intact.
+        """
+        clone = copy.copy(self)
+        clone.states = {
+            code: dataclasses.replace(state)
+            for code, state in self.states.items()
+        }
+        clone.policy_log = list(self.policy_log)
+        clone.prefix = self.prefix.snapshot()
+        return clone
+
     @property
     def letter(self) -> str:
         return self.spec.letter
@@ -225,6 +245,20 @@ class LetterDeployment:
         asn = self.host_asns[code]
         return frozenset(self.topology.graph.providers(asn))
 
+    def set_partial(self, code: str, partial: bool, timestamp: float) -> bool:
+        """Partially withdraw *code* (``True``) or restore its full
+        export (``False``); returns whether the export changed.
+
+        The one place a site's partial state and its blocked export
+        set change together, for ``apply_policies`` and pluggable
+        controllers alike.
+        """
+        blocked = (
+            self._blocked_set_for_partial(code) if partial else frozenset()
+        )
+        self.states[code].partial = partial
+        return self.prefix.set_blocked(code, blocked, timestamp)
+
     def apply_policies(
         self,
         utilisation_by_site: dict[str, float] | np.ndarray,
@@ -278,9 +312,7 @@ class LetterDeployment:
                     spec.policy is SitePolicy.PARTIAL_WITHDRAW
                     and not state.partial
                 ):
-                    blocked = self._blocked_set_for_partial(code)
-                    if self.prefix.set_blocked(code, blocked, timestamp):
-                        state.partial = True
+                    if self.set_partial(code, True, timestamp):
                         state.calm_bins = 0
                         changed = True
                         self._log(timestamp, code, "partial")
@@ -303,11 +335,8 @@ class LetterDeployment:
                 else:
                     state.calm_bins += 1
                     if state.calm_bins >= DEFAULT_RECOVERY_BINS:
-                        if self.prefix.set_blocked(
-                            code, frozenset(), timestamp
-                        ):
+                        if self.set_partial(code, False, timestamp):
                             changed = True
-                        state.partial = False
                         state.calm_bins = 0
                         # A new event sheds to a different server.
                         state.shed_server = rotate_shed_server(

@@ -4,10 +4,10 @@ The reference bin loop (:func:`repro.scenario.engine._run_bin`) walks
 the window one ten-minute bin at a time: four python passes per bin,
 per-site dict bookkeeping, one small :meth:`OverloadModel.evaluate`
 per letter-bin.  Almost all of that state is piecewise-constant: the
-routing tables only change when a policy acts or a fault flaps a
-session, and outside the attack events every site sits far below its
-loss knee.  This module exploits that structure without changing a
-single output bit.
+routing tables only change when a policy or controller acts or a fault
+flaps a session, and outside the attack events every site sits far
+below its loss knee.  This module exploits that structure without
+changing a single output bit.
 
 The window is partitioned into maximal *segments* -- contiguous runs
 of bins where, for every letter,
@@ -15,9 +15,9 @@ of bins where, for every letter,
 * no scheduled fault perturbs routing or capacity
   (:meth:`FaultRuntime.disruptive_bins`; those bins run through the
   per-bin reference path), and
-* no letter's policy control loop acts, so each letter's routing
-  table (and with it every per-epoch share vector) is constant across
-  the run.
+* no letter's control loop -- its policies or its pluggable
+  controller -- acts, so each letter's routing table (and with it
+  every per-epoch share vector) is constant across the run.
 
 Within a segment everything is computed as ``(n_bins_seg, n_sites)``
 matrices: bin centres, baseline rates, attack rates, offered loads as
@@ -56,11 +56,19 @@ Bit-identity argument (validated by
   bin's policy calls, so everything they read from the deployments
   (routing table, announced mask, shed-server rotation) is snapshot
   at segment start.
+* Controller letters call the real ``controller.decide()`` every bin,
+  in the same letter-order loop, with the bin's offered and combined
+  loss rows (all-zero loss in gated bins, as the per-bin path
+  computes it there).  Any action ends the segment, so the announced
+  and partial flags each observation reports are read once per
+  segment.  Controllers observe every bin, so a run with any never
+  skips quiet runs of bins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -69,7 +77,18 @@ from ..attack.workload import retry_spill
 from ..dns.message import make_query
 from ..netsim.bgp import RoutingTable
 from ..rootdns.deployment import LetterDeployment
-from .engine import OVERLOAD_RHO, _EpochData, _RunState, _epoch_for, _run_bin
+from .engine import (
+    OVERLOAD_RHO,
+    _EpochData,
+    _RunState,
+    _epoch_for,
+    _run_bin,
+    _run_controller,
+    _site_flags,
+)
+
+if TYPE_CHECKING:
+    from ..defense.controllers import Controller
 
 #: Relative slack applied to the conservative quiet-bin gates.  The
 #: gate expressions accumulate a handful of float64 roundings (each a
@@ -99,6 +118,9 @@ class _LetterSegment:
     shed: list[int]               # shed-server snapshot, site order
     unrouted_lost: float          # max(0.0, 1 - legit_total), per bin
     spill_arr: np.ndarray         # (nb_max,) spill entering each bin
+    #: The letter's pluggable controller and the ``_site_flags`` it
+    #: observes all segment long; ``None`` runs ``apply_policies``.
+    controller: tuple[Controller, tuple[list[bool], list[bool]]] | None
     extra_rows: dict[int, np.ndarray] = field(default_factory=dict)
 
 
@@ -111,10 +133,13 @@ class _SpanCache:
     top of that; both are computed elementwise, so a slice of the
     full-span array is bit-identical to computing the same expression
     on the sliced timestamp vector.  Segments therefore slice instead
-    of recomputing.  The mat cache also pins the capacity base array:
-    cap-scale faults only act inside per-bin fault bins (never within
-    a segment), so the base object is stable, but a changed object
-    invalidates the entry defensively.
+    of recomputing.  ``mat`` keeps only each letter's current routing
+    version: a controller run can visit over a hundred routing tables,
+    and a full-span matrix for each would dominate peak memory.  The
+    entry also pins the capacity base array: cap-scale faults only act
+    inside per-bin fault bins (never within a segment), so the base
+    object is stable, but a changed object invalidates the entry
+    defensively.
     """
 
     tc_full: np.ndarray
@@ -122,8 +147,8 @@ class _SpanCache:
     nl_full: np.ndarray | None
     vec: dict[str, tuple[np.ndarray, np.ndarray]]
     mat: dict[
-        tuple[str, int],
-        tuple[np.ndarray, np.ndarray, np.ndarray, float, np.ndarray],
+        str,
+        tuple[int, np.ndarray, np.ndarray, np.ndarray, float, np.ndarray],
     ]
 
 
@@ -148,25 +173,30 @@ def _prepare_letter(
         cache.vec[letter] = vecs
     attack_vec = vecs[0][start:limit]
     legit_vec = vecs[1][start:limit]
-    key = (letter, table.version)
-    mats = cache.mat.get(key)
-    if mats is None or mats[4] is not capacity:
+    mats = cache.mat.get(letter)
+    if (
+        mats is None
+        or mats[0] != table.version
+        or mats[5] is not capacity
+    ):
         asm_full = vecs[0][:, None] * ed.bot_share[None, :]
         base_full = (
             asm_full + vecs[1][:, None] * ed.legit_share[None, :]
         )
         mats = (
+            table.version,
             asm_full,
             base_full,
             (base_full / capacity).max(axis=1),
             float((ed.legit_share / capacity).max()),
             capacity,
         )
-        cache.mat[key] = mats
-    attack_site_mat = mats[0][start:limit]
-    base_mat = mats[1][start:limit]
-    rho0_max = mats[2][start:limit]
-    spill_over_cap = mats[3]
+        cache.mat[letter] = mats
+    attack_site_mat = mats[1][start:limit]
+    base_mat = mats[2][start:limit]
+    rho0_max = mats[3][start:limit]
+    spill_over_cap = mats[4]
+    controller = state.controllers.get(letter)
 
     return _LetterSegment(
         dep=dep,
@@ -184,6 +214,11 @@ def _prepare_letter(
         shed=[dep.states[c].shed_server for c in dep.site_order],
         unrouted_lost=max(0.0, 1.0 - ed.legit_total),
         spill_arr=np.zeros(limit - start),
+        controller=(
+            (controller, _site_flags(dep))
+            if controller is not None
+            else None
+        ),
     )
 
 
@@ -262,8 +297,9 @@ def _run_segment(
     ``end + 1``.
 
     The segment ends early -- at the first bin where a letter's
-    ``apply_policies`` acts, i.e. logs a policy event -- or at *limit*.  That bin is part of the segment: the reference path also
-    records a bin *before* running its policies.
+    ``apply_policies`` logs a policy event or its controller issues an
+    action -- or at *limit*.  That bin is part of the segment: the
+    reference path also records a bin *before* its control loop runs.
     """
     grid = state.grid
     config = state.config
@@ -291,10 +327,12 @@ def _run_segment(
     # loss is exactly zero), so spill stays the all-zero dict, and
     # with every deployment quiet every letter is idle.  Runs of such
     # bins are skipped in one step; ``retry_spill`` on all-zero losses
-    # reproduces the all-zero dict the reference carries.
+    # reproduces the all-zero dict the reference carries.  Controllers
+    # observe every bin, so a run with any never skips.
     skippable = quiet0 = None
     if (
-        all(seg.quiet for seg in segs.values())
+        not state.controllers
+        and all(seg.quiet for seg in segs.values())
         # unrouted_lost is max(0, .); <= 0 is an exact zero test.
         and all(seg.unrouted_lost <= 0.0 for seg in segs.values())
     ):
@@ -339,8 +377,10 @@ def _run_segment(
         # the spill-dependent offered rows, the real facility walk,
         # per-letter loss.  Quiet bins have loss exactly 0 and no
         # spillover, so only the unrouted spill term survives.
+        # ``control`` holds (utilisation, offered, combined loss) rows
+        # for every letter the control loop visits this bin.
         losses: dict[str, float] = {}
-        rhos: dict[str, np.ndarray] = {}
+        control: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         if exact:
             offered_by_label: dict[str, float] = {}
             rows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
@@ -382,31 +422,44 @@ def _run_segment(
                     seg.legit_vec[off] + spill[letter]
                 )
                 losses[letter] = lost
-                rhos[letter] = rho
+                control[letter] = (rho, offered, combined)
         else:
             for letter in letters:
                 seg = segs[letter]
                 legit_qps = seg.legit_vec[off] + spill[letter]
                 losses[letter] = seg.unrouted_lost * legit_qps
-                if not seg.quiet:
+                if not seg.quiet or seg.controller is not None:
                     offered = (
                         seg.attack_site_mat[off]
                         + legit_qps * seg.ed.legit_share
                     )
-                    rhos[letter] = offered / seg.capacity
+                    control[letter] = (
+                        offered / seg.capacity,
+                        offered,
+                        np.zeros_like(offered),
+                    )
 
         spill = retry_spill(
             {letter: losses[letter] for letter in letters}, letters
         )
-        # The control loop, as at the end of a per-bin pass; letters
-        # without a utilisation row are idle this bin.  Every action
+        # The control loop, as at the end of a per-bin pass; policy
+        # letters without a row are idle this bin.  Every action
         # ``apply_policies`` takes is logged -- each routing change,
         # and a restore that rotates the shed server even when routing
-        # stays put -- so a longer log ends the segment here.
-        timestamp = float(grid.bin_start(start + off) + grid.bin_seconds)
+        # stays put -- so a longer log ends the segment here, as does
+        # any controller action.
+        b = start + off
+        timestamp = float(grid.bin_start(b) + grid.bin_seconds)
         acted = False
-        for letter, rho in rhos.items():
+        for letter, (rho, offered, combined) in control.items():
             seg = segs[letter]
+            if seg.controller is not None:
+                controller, flags = seg.controller
+                acted = _run_controller(
+                    controller, seg.dep, b, seg.capacity, offered,
+                    combined, flags, timestamp,
+                ) or acted
+                continue
             n_logged = len(seg.dep.policy_log)
             seg.dep.apply_policies(
                 rho,

@@ -179,69 +179,85 @@ class ScenarioResult:
         return self.grid.event_mask(self.event_intervals())
 
 
+def _site_flags(dep: LetterDeployment) -> tuple[list[bool], list[bool]]:
+    """Each site's ``(announced, partial)`` flags in site order, as a
+    controller observes them; only control actions and faults change
+    them."""
+    return (
+        [dep.prefix.is_announced(code) for code in dep.site_order],
+        [dep.states[code].partial for code in dep.site_order],
+    )
+
+
 def _run_controller(
     controller: Controller,
     dep: LetterDeployment,
     bin_index: int,
-    codes: list[str],
     capacity: np.ndarray,
     offered: np.ndarray,
     loss: np.ndarray,
+    flags: tuple[list[bool], list[bool]],
     timestamp: float,
-) -> None:
-    """Drive one defense controller for one letter-bin."""
+) -> bool:
+    """Drive one defense controller for one letter-bin.
+
+    *offered* and *loss* are the bin's per-site rows (site order),
+    *flags* the letter's :func:`_site_flags`.  Returns whether the
+    controller issued any action.
+    """
     from ..defense.controllers import Action, ActionKind, OracleController
     from ..defense.observation import LetterObservation, SiteObservation
 
-    sites: list[SiteObservation] = []
-    for i, code in enumerate(codes):
-        accepted = float(offered[i] * (1.0 - loss[i]))
-        dropped = float(offered[i] * loss[i])
-        state = dep.states[code]
-        sites.append(
-            SiteObservation(
-                code=code,
-                capacity_qps=float(capacity[i]),
-                accepted_qps=accepted,
-                dropped_qps=dropped,
-                announced=dep.prefix.is_announced(code),
-                partial=state.partial,
-            )
+    codes = dep.site_order
+    announced, partial = flags
+    sites = tuple(
+        SiteObservation(
+            code=code,
+            capacity_qps=cap,
+            accepted_qps=accepted,
+            dropped_qps=dropped,
+            announced=up,
+            partial=part,
         )
+        for code, cap, accepted, dropped, up, part in zip(
+            codes,
+            capacity.tolist(),
+            (offered * (1.0 - loss)).tolist(),
+            (offered * loss).tolist(),
+            announced,
+            partial,
+        )
+    )
     observation = LetterObservation(
-        letter=dep.letter, bin_index=bin_index, sites=tuple(sites)
+        letter=dep.letter, bin_index=bin_index, sites=sites
     )
     if isinstance(controller, OracleController):
-        controller.set_truth(
-            {code: float(offered[i]) for i, code in enumerate(codes)}
-        )
+        controller.set_truth(dict(zip(codes, offered.tolist())))
+    acted = False
     for action in controller.decide(observation):
         if not isinstance(action, Action):
             raise TypeError(f"controller returned {action!r}")
+        acted = True
         if action.kind is ActionKind.WITHDRAW:
             dep.prefix.withdraw(action.site, timestamp)
         elif action.kind is ActionKind.ANNOUNCE:
             dep.prefix.announce(action.site, timestamp)
         elif action.kind is ActionKind.PARTIAL:
-            dep.prefix.set_blocked(
-                action.site,
-                dep._blocked_set_for_partial(action.site),
-                timestamp,
-            )
-            dep.states[action.site].partial = True
+            dep.set_partial(action.site, True, timestamp)
         elif action.kind is ActionKind.RESTORE:
-            dep.prefix.set_blocked(action.site, frozenset(), timestamp)
-            dep.states[action.site].partial = False
+            dep.set_partial(action.site, False, timestamp)
+    return acted
 
 
 @dataclass(slots=True)
 class _RunState:
     """Everything the bin loop reads and mutates, bundled.
 
-    Shared by the per-bin path (:func:`_run_bin`, which runs controller
-    scenarios and the bins a fault perturbs) and the segment-batched
-    executor (:mod:`repro.scenario.batch`), so both operate on
-    literally the same state objects and interleave freely.
+    Shared by the per-bin path (:func:`_run_bin`, which runs the bins
+    a fault perturbs) and the segment-batched executor
+    (:mod:`repro.scenario.batch`, which runs every other bin, with or
+    without controllers), so both operate on literally the same state
+    objects and interleave freely.
     """
 
     config: ScenarioConfig
@@ -367,7 +383,6 @@ def _run_bin(state: _RunState, b: int) -> None:
     for letter in letters:
         dep = deployments[letter]
         data = per_letter[letter]
-        codes = dep.site_order
         capacity = dep.capacity_vector
         if faults is not None:
             capacity = faults.capacity(letter, b, capacity)
@@ -451,8 +466,8 @@ def _run_bin(state: _RunState, b: int) -> None:
             )
         else:
             _run_controller(
-                controller, dep, b, codes, capacity, offered,
-                combined_loss, float(ts + grid.bin_seconds),
+                controller, dep, b, capacity, offered, combined_loss,
+                _site_flags(dep), float(ts + grid.bin_seconds),
             )
 
     if nl is not None:
@@ -672,7 +687,9 @@ def simulate(
     pre-loop artifacts are reused instead of rebuilt; the substrate is
     reset first, and the outputs are bit-identical to a fresh build.
     The substrate must have been built for a config with the same
-    :func:`substrate_signature`.
+    :func:`substrate_signature`.  The result holds its own copy of the
+    deployments' run state (:meth:`LetterDeployment.snapshot`), so
+    reusing the substrate leaves earlier results intact.
     """
     if substrate is None:
         substrate = build_substrate(config)
@@ -799,15 +816,12 @@ def simulate(
     # Segment-batched execution: contiguous runs of bins with no
     # routing change and no scheduled fault are computed as (n_bins,
     # n_sites) matrices, bit-identical to the per-bin path
-    # (tests/scenario/test_engine_batch.py).  Pluggable controllers
-    # observe per-bin state mid-loop, so they take the per-bin path.
-    if controllers:
-        for b in range(grid.n_bins):
-            _run_bin(state, b)
-    else:
-        from .batch import run_batched
+    # (tests/scenario/test_engine_batch.py).  Policies and controllers
+    # run inside the scan; only the bins a fault perturbs go through
+    # ``_run_bin``.
+    from .batch import run_batched
 
-        run_batched(state)
+    run_batched(state)
 
     # --- Package outputs. ----------------------------------------------
     atlas = AtlasDataset(
@@ -861,7 +875,9 @@ def simulate(
         config=config,
         grid=grid,
         topology=topology,
-        deployments=deployments,
+        deployments={
+            letter: deployments[letter].snapshot() for letter in letters
+        },
         facilities=facilities,
         botnet=botnet,
         collectors=collectors,

@@ -163,3 +163,42 @@ class TestPolicyLoop:
             k.state("ZZZ")
         with pytest.raises(KeyError):
             k.site_spec("ZZZ")
+
+    def test_set_partial_blocks_and_restores(self, topo):
+        k = self._fresh(topo, "K")
+        providers = frozenset(
+            k.topology.graph.providers(k.host_asns["LHR"])
+        )
+        assert k.set_partial("LHR", True, 100.0)
+        assert k.state("LHR").partial
+        assert k.prefix.blocked_neighbors("LHR") == providers
+        assert not k.is_quiet()
+        # Repeating an action changes nothing.
+        assert not k.set_partial("LHR", True, 101.0)
+        assert k.set_partial("LHR", False, 102.0)
+        assert not k.state("LHR").partial
+        assert k.prefix.blocked_neighbors("LHR") == frozenset()
+        assert k.is_quiet()
+        # Unlike apply_policies, the method logs no policy event.
+        assert not k.policy_log
+
+
+class TestSnapshot:
+    def test_snapshot_survives_reset(self):
+        topo = build_topology(
+            TopologyConfig(n_stubs=200), np.random.default_rng(9)
+        )
+        k = LetterDeployment(LETTERS_SPEC["K"], topo)
+        k.apply_policies({"LHR": 5.0}, True, 100.0)  # partial withdraw
+        k.prefix.withdraw("AMS", 101.0)
+        log, changes = list(k.policy_log), k.prefix.change_log()
+        saved = k.snapshot()
+        k.reset()
+        assert not k.policy_log and not k.prefix.change_log()
+        assert not k.state("LHR").partial
+        assert k.prefix.is_announced("AMS")
+        assert saved.policy_log == log
+        assert saved.prefix.change_log() == changes
+        assert saved.state("LHR").partial
+        assert saved.prefix.blocked_neighbors("LHR")
+        assert not saved.prefix.is_announced("AMS")

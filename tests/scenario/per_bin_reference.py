@@ -1,10 +1,11 @@
 """The per-bin executor as a reference for the batched engine.
 
-``simulate()`` runs every scenario without controllers through
+``simulate()`` runs every scenario, controllers included, through
 :func:`repro.scenario.batch.run_batched`.  :func:`simulate_per_bin`
 runs the same scenario one bin at a time through
-:func:`repro.scenario.engine._run_bin` -- the path controller runs and
-fault bins take -- so tests can diff the two executors array by array.
+:func:`repro.scenario.engine._run_bin` -- the path only fault bins
+take inside ``run_batched`` -- so tests can diff the two executors
+array by array.
 """
 
 import pytest

@@ -5,8 +5,9 @@ evaluates whole ``(bins, sites)`` matrices at once;
 ``tests/scenario/per_bin_reference.py`` runs the same scenario one bin
 at a time.  The two must be *bit-identical* on every simulated output
 -- these tests drive randomized event grids, every §2.2 policy action,
-faults and .nl recording through both paths and diff every array.
-Any mismatch means the batching changed simulation semantics.
+every controller action, faults and .nl recording through both paths
+and diff every array.  Any mismatch means the batching changed
+simulation semantics.
 """
 
 import sys
@@ -18,7 +19,10 @@ import pytest
 from repro import ScenarioConfig, simulate
 from repro.attack import AttackEvent
 from repro.defense.controllers import (
+    Action,
+    ActionKind,
     GreedyShedController,
+    OracleController,
     StaticPolicyController,
 )
 from repro.faults import (
@@ -28,7 +32,7 @@ from repro.faults import (
     SiteFailure,
     VpDropout,
 )
-from repro.scenario import batch
+from repro.rootdns import ATTACKED_LETTERS
 from repro.scenario.arrays import diff_arrays, result_arrays
 from repro.util import Interval
 from repro.util.timegrid import EVENT_WINDOW_START as W
@@ -37,7 +41,11 @@ from .per_bin_reference import simulate_per_bin
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "scripts"))
 
-from check_determinism import faulted_config  # noqa: E402
+from check_determinism import (  # noqa: E402
+    FAULT_PLAN,
+    controlled_config,
+    faulted_config,
+)
 
 HOUR = 3600
 
@@ -89,14 +97,24 @@ def _assert_same(result, reference):
     assert not mismatches, mismatches
     assert result.quality == reference.quality
     for letter in result.letters:
-        assert (
-            result.deployments[letter].policy_log
-            == reference.deployments[letter].policy_log
-        )
+        ours = result.deployments[letter]
+        theirs = reference.deployments[letter]
+        assert ours.policy_log == theirs.policy_log
+        # Controller actions never reach policy_log.
+        assert ours.prefix.change_log() == theirs.prefix.change_log()
 
 
 def _assert_equivalent(config):
     _assert_same(simulate(config), simulate_per_bin(config))
+
+
+def _assert_equivalent_runs(make_config):
+    """Like :func:`_assert_equivalent` for configs carrying
+    controllers, which keep state through a run: each path gets fresh
+    ones from *make_config*.  Returns the batched result."""
+    result = simulate(make_config())
+    _assert_same(result, simulate_per_bin(make_config()))
+    return result
 
 
 class TestBatchedEquivalence:
@@ -171,21 +189,6 @@ class TestBatchedEquivalence:
         """The six-fault, .nl, A/F/H/K, 48 h determinism scenario."""
         _assert_equivalent(faulted_config())
 
-    def test_controllers_force_reference_path(self, monkeypatch):
-        """Pluggable controllers observe per-bin state mid-loop, so a
-        controller run must take the per-bin path for every bin."""
-
-        def refuse(state):
-            raise AssertionError("a controller run entered run_batched")
-
-        monkeypatch.setattr(batch, "run_batched", refuse)
-        simulate(
-            _config(
-                seed=13,
-                controllers={"K": GreedyShedController(calm_bins=2)},
-            )
-        )
-
     def test_static_policy_marker_is_no_controller(self):
         """The marker keeps the built-in policies: its run is the
         controller-free run."""
@@ -202,6 +205,153 @@ class TestBatchedEquivalence:
         )
         greedy = _config(seed=3, controllers={"A": GreedyShedController()})
         _assert_same(simulate(marked), simulate(greedy))
+
+
+class ScriptedController:
+    """Issues a fixed action list at chosen bins and logs every
+    observation it gets, so both executors can be compared on what the
+    controller saw as well as on what it did.
+
+    *script* maps a bin to its actions as text, e.g. ``"withdraw AMS,
+    partial LHR"``.
+    """
+
+    def __init__(self, script):
+        self.script = {
+            b: [
+                Action(ActionKind(kind), site)
+                for kind, site in (a.split() for a in text.split(", "))
+            ]
+            for b, text in script.items()
+        }
+        self.seen = []
+
+    def decide(self, observation):
+        self.seen.append(observation)
+        return list(self.script.get(observation.bin_index, ()))
+
+
+#: K's script, by bin.  The Nov 30 event covers bins 41-56 of the 48 h
+#: window; the other scripted bins are quiet and pass the batched
+#: scan's quiet gate.  Bin 11 re-announces an announced site (a no-op
+#: that still ends the segment), and 287 is the window's last bin.
+K_SCRIPT = {
+    5: "partial LHR",
+    11: "announce FRA",
+    12: "restore LHR, withdraw AMS",
+    20: "announce AMS",
+    44: "withdraw FRA, partial LHR",
+    47: "restore LHR",
+    50: "announce FRA, withdraw LHR",
+    60: "announce LHR",
+    287: "withdraw AMS, partial LHR",
+}
+QUIET_SCRIPT_BINS = (5, 11, 12, 20, 60, 287)
+
+
+class TestControllerEquivalence:
+    """Controllers run inside the batched scan, against the per-bin
+    path they used to take for every bin."""
+
+    def test_greedy_shed_on_every_attacked_letter(self):
+        """The playbook workload in miniature: GreedyShed on all ten
+        attacked letters, the six-fault plan and .nl."""
+
+        def make_config():
+            return ScenarioConfig(
+                seed=7,
+                n_stubs=100,
+                n_vps=60,
+                include_nl=True,
+                faults=FAULT_PLAN,
+                controllers={
+                    letter: GreedyShedController()
+                    for letter in ATTACKED_LETTERS
+                },
+            )
+
+        result = _assert_equivalent_runs(make_config)
+        acted = [
+            letter
+            for letter in ATTACKED_LETTERS
+            if len(result.deployments[letter].prefix.change_log()) > 1
+        ]
+        assert len(acted) >= 5, acted
+
+    def test_oracle_controller(self):
+        """The oracle also reads each bin's true offered row."""
+
+        def make_config():
+            return _config(
+                seed=7,
+                letters=("A", "H", "K"),
+                window_seconds=24 * HOUR,
+                controllers={
+                    letter: OracleController() for letter in ("H", "K")
+                },
+            )
+
+        result = _assert_equivalent_runs(make_config)
+        assert len(result.deployments["K"].prefix.change_log()) > 1
+
+    def test_scripted_actions(self):
+        """Every action kind, in quiet bins, event bins and the last
+        bin, plus a no-op re-announce; the controller must also see
+        the same observations on both paths."""
+        runs = []
+        for simulate_with in (simulate, simulate_per_bin):
+            controller = ScriptedController(K_SCRIPT)
+            config = _config(
+                seed=3,
+                window_seconds=48 * HOUR,
+                controllers={"K": controller},
+            )
+            runs.append((simulate_with(config), controller))
+        (result, ours), (reference, theirs) = runs
+        _assert_same(result, reference)
+        assert ours.seen == theirs.seen
+        assert len(ours.seen) == result.grid.n_bins
+        event = result.event_mask()
+        loss = result.truth["K"].loss
+        for b in QUIET_SCRIPT_BINS:
+            assert not event[b] and not loss[b].any()
+        assert event[44] and event[47] and event[50]
+        # Actions apply from the next bin on.
+        assert ours.seen[6].site("LHR").partial
+        assert not ours.seen[13].site("AMS").announced
+        assert ours.seen[21].site("AMS").announced
+        assert not ours.seen[45].site("FRA").announced
+        assert not ours.seen[48].site("LHR").partial
+        states = result.deployments["K"].states
+        assert states["LHR"].partial
+        assert not result.deployments["K"].prefix.is_announced("AMS")
+        assert not result.deployments["K"].policy_log
+
+    def test_controllers_beside_policy_letters(self):
+        """Controller letters interleave with policy letters (E, F, H
+        act on their own) and a StaticPolicyController marker."""
+
+        def make_config():
+            return _config(
+                seed=5,
+                letters=("A", "E", "F", "H", "K"),
+                include_nl=True,
+                window_seconds=24 * HOUR,
+                controllers={
+                    "A": GreedyShedController(calm_bins=2),
+                    "F": StaticPolicyController(),
+                    "K": GreedyShedController(calm_bins=2),
+                },
+            )
+
+        result = _assert_equivalent_runs(make_config)
+        for letter in ("E", "F", "H"):
+            assert result.deployments[letter].policy_log, letter
+        assert len(result.deployments["K"].prefix.change_log()) > 1
+
+    def test_controlled_determinism_scenario(self):
+        """The determinism gate's controller scenario."""
+        _assert_equivalent_runs(controlled_config)
 
 
 #: Letters whose sites cover every §2.2 action: A absorbs, E withdraws

@@ -2,7 +2,10 @@
 
 import pytest
 
+from repro import ScenarioConfig, simulate
+from repro.attack.events import NOV2015_EVENTS
 from repro.scenario import diff_arrays, result_arrays
+from repro.scenario.presets import QUIET_WINDOW_START
 from repro.sweep import (
     CELL_DONE,
     SWEEP_DONE,
@@ -121,3 +124,34 @@ class TestStatefulControllers:
         second = run_sweep(spec, jobs=1)
         for a, b in zip(first.results, second.results):
             assert not diff_arrays(result_arrays(a), result_arrays(b))
+
+
+def _logs(result, letter):
+    deployment = result.deployments[letter]
+    return deployment.policy_log, deployment.prefix.change_log()
+
+
+class TestResultIsolation:
+    def test_serial_results_keep_their_own_logs(self):
+        """A serial sweep reuses one substrate, and each cell's reset
+        clears its deployments in place: every result must hold its
+        own copy of the policy and route-change logs, agreeing with the
+        pool run and with a standalone simulate of the same cell."""
+        base = ScenarioConfig(
+            seed=7, n_stubs=80, n_vps=40, letters=("H", "K"),
+            include_nl=False,
+        )
+        event = {"events": NOV2015_EVENTS}
+        quiet = {"events": (), "window_start": QUIET_WINDOW_START}
+        spec = SweepSpec.from_points(base, [event, quiet, event, quiet])
+        sweeps = {jobs: run_sweep(spec, jobs=jobs) for jobs in (1, 2)}
+        for cell in spec.cells():
+            standalone = simulate(cell.config)
+            if cell.config.events:
+                assert standalone.deployments["H"].policy_log
+            for sweep in sweeps.values():
+                result = sweep.results[cell.index]
+                for letter in result.letters:
+                    assert _logs(result, letter) == _logs(
+                        standalone, letter
+                    )

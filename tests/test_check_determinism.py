@@ -19,7 +19,12 @@ from repro.util.timegrid import EVENT_WINDOW_START
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
 
-from check_determinism import compare_runs, faulted_config  # noqa: E402
+from check_determinism import (  # noqa: E402
+    SCENARIOS,
+    compare_runs,
+    controlled_config,
+    faulted_config,
+)
 
 
 def small_config(seed=7):
@@ -81,3 +86,13 @@ def test_ci_config_carries_every_fault_type():
         "PeerChurn",
         "RssacOutage",
     }
+
+
+def test_ci_checks_a_controlled_scenario():
+    """The gate also covers the batched scan's controller branch: the
+    faulted scenario plus GreedyShed on A and H, fresh per call."""
+    assert set(SCENARIOS.values()) == {faulted_config, controlled_config}
+    first, second = controlled_config(), controlled_config()
+    assert first.faults == faulted_config().faults
+    assert sorted(first.controllers) == ["A", "H"]
+    assert first.controllers["A"] is not second.controllers["A"]
