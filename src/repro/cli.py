@@ -10,11 +10,7 @@ Installed as the ``anycast-ddos`` console script:
 * ``anycast-ddos policies --attack 6`` -- evaluate the §2.2 model;
 * ``anycast-ddos sweep --axis baseline_days=3,7 --replicates 3
   --jobs 4`` -- run a scenario grid in parallel and print per-cell
-  summaries (bit-identical for any ``--jobs``);
-* ``anycast-ddos gen-topo --ases 50000 --out topo.as-rel2`` --
-  generate a deterministic internet-scale AS topology in CAIDA
-  as-rel2 format (loadable with
-  :func:`repro.netsim.topology.load_as_rel2`).
+  summaries (bit-identical for any ``--jobs``).
 """
 
 from __future__ import annotations
@@ -57,6 +53,9 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
         "--preset", choices=("nov2015", "june2016"), default="nov2015",
         help="which event to simulate",
     )
+    # Lets commands report a config the arguments cannot build as a
+    # usage error of their own subcommand.
+    parser.set_defaults(parser=parser)
 
 
 def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
@@ -67,12 +66,15 @@ def _config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     factory = (
         nov2015_config if args.preset == "nov2015" else june2016_config
     )
-    return factory(
-        seed=args.seed,
-        n_stubs=args.stubs,
-        n_vps=args.vps,
-        letters=letters,
-    )
+    try:
+        return factory(
+            seed=args.seed,
+            n_stubs=args.stubs,
+            n_vps=args.vps,
+            letters=letters,
+        )
+    except ValueError as exc:
+        args.parser.error(str(exc))
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
@@ -209,12 +211,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         )
     else:
         base = _config_from_args(args)
-        axes = dict(_parse_axis(spec_str) for spec_str in args.axis or [])
-        spec = SweepSpec.grid(
-            base,
-            axes,
-            replicates=args.replicates if args.replicates > 1 else None,
-        )
+        axes = dict(args.axis or [])
+        try:
+            spec = SweepSpec.grid(
+                base,
+                axes,
+                replicates=args.replicates if args.replicates > 1 else None,
+            )
+        except ValueError as exc:
+            args.parser.error(str(exc))
     print(
         f"sweep: {spec.n_points} point(s) x {spec.n_seeds} seed(s) = "
         f"{spec.n_cells} cell(s), jobs={args.jobs}",
@@ -284,33 +289,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_gen_topo(args: argparse.Namespace) -> int:
-    from .netsim.topology import (
-        AsRelTopologyConfig,
-        build_internet_graph,
-        dump_as_rel2,
-    )
-
-    config = AsRelTopologyConfig(
-        n_ases=args.ases,
-        clique_size=args.clique,
-        multihome_fraction=args.multihome,
-        peer_degree=args.peer_degree,
-        seed=args.seed,
-    )
-    graph = build_internet_graph(config)
-    dump_as_rel2(graph, args.out)
-    n_transit = sum(len(graph.customers(asn)) for asn in graph.asns)
-    n_peer = sum(len(graph.peers(asn)) for asn in graph.asns) // 2
-    print(
-        f"wrote {args.out}: {len(graph)} ASes, "
-        f"{n_transit} transit links, {n_peer} peer links "
-        f"(seed={args.seed})",
-        file=sys.stderr,
-    )
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="anycast-ddos",
@@ -348,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_scenario_args(swp)
     swp.add_argument(
-        "--axis", action="append", metavar="FIELD=V1,V2,...",
+        "--axis", action="append", type=_parse_axis,
+        metavar="FIELD=V1,V2,...",
         help="one grid axis over a ScenarioConfig field (repeatable)",
     )
     swp.add_argument("--replicates", type=int, default=1,
@@ -383,23 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
              "the cell retried (default: no timeout)",
     )
     swp.set_defaults(func=_cmd_sweep)
-
-    topo = sub.add_parser(
-        "gen-topo",
-        help="generate an as-rel2 synthetic internet topology",
-    )
-    topo.add_argument("--ases", type=int, default=50_000,
-                      help="total ASes in the graph")
-    topo.add_argument("--clique", type=int, default=12,
-                      help="transit-free core clique size")
-    topo.add_argument("--multihome", type=float, default=0.35,
-                      help="fraction of ASes with two providers")
-    topo.add_argument("--peer-degree", type=float, default=0.6,
-                      help="extra peer links per AS beyond the clique")
-    topo.add_argument("--seed", type=int, default=0)
-    topo.add_argument("--out", default="topology.as-rel2",
-                      help="output path (CAIDA as-rel2 serial-2)")
-    topo.set_defaults(func=_cmd_gen_topo)
 
     return parser
 

@@ -8,14 +8,9 @@ from .queueing import OverloadModel
 from .topology import (
     ATLAS_REGION_WEIGHTS,
     TRANSIT_METROS,
-    AsRelTopologyConfig,
     Topology,
     TopologyConfig,
-    build_internet_graph,
     build_topology,
-    dump_as_rel2,
-    generate_as_rel2,
-    load_as_rel2,
 )
 
 #: Always zero; kept only because perfbench/child.py:31 imports it.
@@ -29,7 +24,6 @@ __all__ = [
     "ATLAS_REGION_WEIGHTS",
     "AnycastPrefix",
     "AsNode",
-    "AsRelTopologyConfig",
     "AsRole",
     "CompiledGraph",
     "DELTA_STATS",
@@ -44,11 +38,7 @@ __all__ = [
     "TRANSIT_METROS",
     "Topology",
     "TopologyConfig",
-    "build_internet_graph",
     "build_topology",
-    "dump_as_rel2",
-    "generate_as_rel2",
-    "load_as_rel2",
     "propagate",
     "propagate_reference",
 ]

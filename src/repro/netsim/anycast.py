@@ -3,8 +3,8 @@
 One :class:`AnycastPrefix` models one root letter's service address.
 Sites can be withdrawn and re-announced over time (the paper's
 "withdraw" policy and post-event recovery); the best-route table is
-recomputed on demand and cached per announcement set, since the same
-sets recur (before/during/after each event).
+recomputed on demand and cached per announcement state, since the same
+states recur (before/during/after each event).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import copy
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import MutableMapping
 
 from .asgraph import ASGraph
 from .bgp import Origin, RoutingTable, propagate
@@ -24,15 +23,12 @@ from .bgp import Origin, RoutingTable, propagate
 #: every table for the life of a sweep worker.
 DEFAULT_CACHE_SIZE = 64
 
-#: Bound of a shared (substrate-level) routing memo, when attached.
-#: Larger than the per-prefix LRU because it serves every letter of a
-#: substrate across sweep cells.
-DEFAULT_MEMO_SIZE = 256
-
 #: Cache-path instrumentation, for tests and benchmarks: how routing()
 #: requests were served.
 PREFIX_CACHE_STATS: dict[str, int] = {
     "lru_hits": 0,
+    # Always 0; kept only for the ``netsim.prefix_cache.memo_hits``
+    # row that perfbench/child.py:40 reports.
     "memo_hits": 0,
     "computes": 0,
     # Always 0; kept only for the ``netsim.prefix_cache.delta_derived``
@@ -73,32 +69,10 @@ class AnycastPrefix:
         }
         self._cache: OrderedDict[tuple, RoutingTable] = OrderedDict()
         self._cache_size = cache_size
+        # The current state's key and table, built once per change.
+        self._current_key: tuple | None = None
         self._current: RoutingTable | None = None
         self._change_log: list[RouteChangeRecord] = []
-        self._shared_memo: MutableMapping[tuple, RoutingTable] | None = None
-        self._memo_label: object = None
-        self._memo_size = DEFAULT_MEMO_SIZE
-
-    def attach_shared_memo(
-        self,
-        memo: MutableMapping[tuple, RoutingTable],
-        label: object,
-        memo_size: int = DEFAULT_MEMO_SIZE,
-    ) -> None:
-        """Share *memo* as a second-level routing-table cache.
-
-        The memo outlives this prefix's bounded LRU (and
-        :meth:`reset`), so sweep cells that revisit an announcement
-        state after eviction -- or after the substrate was handed to a
-        different cell -- reuse the table instead of recomputing.
-        Entries are keyed ``(label, state_key)``; *label* namespaces
-        prefixes (letters) sharing one memo.  Reuse is output-invariant
-        for the same reason LRU eviction is: tables are pure functions
-        of graph + announcement state.
-        """
-        self._shared_memo = memo
-        self._memo_label = label
-        self._memo_size = memo_size
 
     @property
     def sites(self) -> list[str]:
@@ -128,49 +102,46 @@ class AnycastPrefix:
             raise KeyError(f"unknown site {site!r}")
         return self._blocked[site]
 
-    def _state_key(self) -> tuple:
-        announced = self.announced_sites()
-        return (
-            announced,
-            tuple(sorted((s, self._blocked[s]) for s in announced)),
-        )
+    def state_key(self) -> tuple:
+        """A hashable key of the current announcement state.
+
+        Equal keys mean equal announced sites with equal export
+        blocks, hence equal routes.  Callers that number or cache
+        per-state results key on this rather than ``table.version``,
+        which changes when an evicted state is recomputed.  The key
+        object is built once per state change and shared with the
+        routing-table cache.
+        """
+        if self._current_key is None:
+            announced = self.announced_sites()
+            self._current_key = (
+                announced,
+                tuple(sorted((s, self._blocked[s]) for s in announced)),
+            )
+        return self._current_key
 
     def routing(self) -> RoutingTable:
         """Best routes for the current announcement state (cached).
 
-        The returned table carries a stable ``version`` token (see
-        :class:`~repro.netsim.bgp.RoutingTable`): recurring
-        announcement states return the *same* table object (while it
-        stays cached), so callers can key their own caches on
-        ``table.version``.  The current table is additionally memoized
-        until the next announce / withdraw / block change, making
-        per-bin ``routing()`` calls O(1).
-
-        The cache is a bounded LRU (*cache_size* states): recomputing
-        an evicted state yields a table with identical routes but a
-        fresh ``version``, so downstream version-keyed caches recompute
-        the same derived values -- eviction never changes outputs.
+        Tables are cached per :meth:`state_key` in a bounded LRU
+        (*cache_size* states), and the current table is additionally
+        held until the next announce / withdraw / block change, making
+        per-bin ``routing()`` calls O(1).  Recomputing an evicted
+        state yields identical routes under a fresh ``version`` (see
+        :class:`~repro.netsim.bgp.RoutingTable`), so ``version``-keyed
+        caches stay correct and only recompute; anything that reaches
+        outputs keys on :meth:`state_key` instead.
         """
         if self._current is not None:
             return self._current
-        key = self._state_key()
+        key = self.state_key()
         table = self._cache.get(key)
         if table is not None:
             PREFIX_CACHE_STATS["lru_hits"] += 1
             self._cache.move_to_end(key)
         else:
-            memo = self._shared_memo
-            if memo is not None:
-                table = memo.get((self._memo_label, key))
-            if table is not None:
-                PREFIX_CACHE_STATS["memo_hits"] += 1
-            else:
-                table = self._compute(key)
-                PREFIX_CACHE_STATS["computes"] += 1
-                if memo is not None:
-                    memo[(self._memo_label, key)] = table
-                    while len(memo) > self._memo_size:
-                        memo.pop(next(iter(memo)))
+            table = self._compute(key)
+            PREFIX_CACHE_STATS["computes"] += 1
             self._cache[key] = table
             if len(self._cache) > self._cache_size:
                 self._cache.popitem(last=False)
@@ -198,6 +169,7 @@ class AnycastPrefix:
             return False
         before = self.routing()
         self._announced[site] = up
+        self._current_key = None
         self._current = None
         after = self.routing()
         changed = after.changes_from(before)
@@ -223,6 +195,7 @@ class AnycastPrefix:
             return False
         before = self.routing()
         self._blocked[site] = blocked
+        self._current_key = None
         self._current = None
         after = self.routing()
         changed = after.changes_from(before)
@@ -255,6 +228,7 @@ class AnycastPrefix:
         for site, origin in self._origins.items():
             self._announced[site] = True
             self._blocked[site] = origin.blocked_neighbors
+        self._current_key = None
         self._current = None
         self._change_log = []
 

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 
 import numpy as np
 
-from ..util.geo import Location, haversine_km
+from ..util.geo import Location
 from .asgraph import ASGraph, CompiledGraph
 
 if TYPE_CHECKING:
@@ -469,19 +469,6 @@ def _rows_prefix_aligned(a: CompiledGraph, b: CompiledGraph) -> bool:
     """
     n = min(a.asn_of.shape[0], b.asn_of.shape[0])
     return bool(np.array_equal(a.asn_of[:n], b.asn_of[:n]))
-
-
-def _geo_tiebreak(graph: ASGraph, asn: int, origin: Origin) -> float:
-    """Effective distance from *asn* to the origin site (0 if unknown).
-
-    The origin's richness discount shrinks its effective distance.
-    Kept as the scalar definition of the tie-break; :func:`propagate`
-    uses precomputed per-origin distance rows instead.
-    """
-    if origin.location is None:
-        return 0.0
-    distance = haversine_km(graph.node(asn).location, origin.location)
-    return distance * (1.0 - origin.preference_discount)
 
 
 class _Propagation:

@@ -22,7 +22,6 @@ ones: mostly-nearest-site, with policy exceptions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -160,16 +159,6 @@ class Topology:
         order = np.argsort(distances, kind="stable")[:k]
         return [self.transit_asns[i] for i in order]
 
-    def stubs_within(self, location: Location, radius_km: float) -> list[int]:
-        """Stub ASes within *radius_km* of *location*."""
-        if not self.stub_asns:
-            return []
-        distances = self.stub_distances(location)
-        return [
-            self.stub_asns[i]
-            for i in np.flatnonzero(distances <= radius_km)
-        ]
-
     def add_site_host(
         self,
         site_label: str,
@@ -230,12 +219,6 @@ class Topology:
                 self.graph.add_link(asn, stub, Relationship.PEER)
         self.site_host_asns[site_label] = asn
         return asn
-
-    def stub_locations(self) -> dict[int, Location]:
-        """Location of every stub AS."""
-        return {
-            asn: self.graph.node(asn).location for asn in self.stub_asns
-        }
 
 
 def build_topology(
@@ -312,217 +295,3 @@ def build_topology(
 
     graph.validate()
     return topo
-
-
-# ---------------------------------------------------------------------------
-# Internet-scale synthetic topologies (CAIDA as-rel2 format)
-# ---------------------------------------------------------------------------
-
-#: Golden-ratio conjugates used to derive deterministic pseudo-random
-#: coordinates from an ASN alone, so a graph loaded from an as-rel2
-#: file (which carries no geography) gets the same locations the
-#: generator assigned.
-_LOC_PHI_LAT = 0.6180339887498949
-_LOC_PHI_LON = 0.7548776662466927
-
-
-def synthetic_location(asn: int) -> Location:
-    """Deterministic location for a synthetic AS, derived from its ASN.
-
-    Anchors each AS at a transit metro (cycling through
-    :data:`TRANSIT_METROS`) and jitters it by a few degrees using
-    low-discrepancy sequences, so geography is a pure function of the
-    ASN -- no RNG, no serialization needed.
-    """
-    anchor = airport(TRANSIT_METROS[asn % len(TRANSIT_METROS)]).location
-    lat_jit = ((asn * _LOC_PHI_LAT) % 1.0 - 0.5) * 8.0
-    lon_jit = ((asn * _LOC_PHI_LON) % 1.0 - 0.5) * 8.0
-    lat = min(89.0, max(-89.0, anchor.lat + lat_jit))
-    lon = ((anchor.lon + lon_jit) + 180.0) % 360.0 - 180.0
-    return Location(lat, lon)
-
-
-@dataclass(frozen=True, slots=True)
-class AsRelTopologyConfig:
-    """Knobs for the internet-scale synthetic AS graph.
-
-    The generated graph has the shape BGP propagation cares about: a
-    full peer mesh among *clique_size* transit-free core ASes, a
-    power-law provider hierarchy grown by preferential attachment
-    (every provider draw is weighted by current customer count + 1, so
-    early ASes become heavy transits and the customer-degree
-    distribution is heavy-tailed), multihomed edges, and a peering
-    mesh sampled with the same attachment weights (dense between
-    well-connected mid-tier ASes, sparse at the edge).
-    """
-
-    n_ases: int = 50_000
-    clique_size: int = 12
-    multihome_fraction: float = 0.35
-    #: Extra peer links per AS (beyond the clique mesh).
-    peer_degree: float = 0.6
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.clique_size < 2:
-            raise ValueError("clique needs at least two ASes")
-        if self.n_ases <= self.clique_size:
-            raise ValueError("n_ases must exceed clique_size")
-        if not 0.0 <= self.multihome_fraction <= 1.0:
-            raise ValueError("multihome_fraction must be within [0, 1]")
-        if self.peer_degree < 0.0:
-            raise ValueError("peer_degree must be non-negative")
-
-
-def generate_as_rel2(
-    config: AsRelTopologyConfig,
-) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
-    """Generate an internet-scale topology's link lists.
-
-    Returns ``(provider_links, peer_links)`` where each provider link
-    is ``(customer, provider)`` and each peer link ``(a, b)`` with
-    ``a < b``.  Fully deterministic in ``config.seed``.
-    """
-    rng = np.random.default_rng(config.seed)
-    n = config.n_ases
-    clique = list(range(1, config.clique_size + 1))
-    provider_links: list[tuple[int, int]] = []
-    peer_links: list[tuple[int, int]] = []
-    linked: set[tuple[int, int]] = set()
-
-    for i, a in enumerate(clique):
-        for b in clique[i + 1 :]:
-            peer_links.append((a, b))
-            linked.add((a, b))
-
-    # Preferential-attachment pool: each AS appears once at birth plus
-    # once per customer it gains, so a draw lands on an AS with
-    # probability proportional to (customer count + 1).  Clique members
-    # get a seed boost so the hierarchy grows under the core.
-    pool: list[int] = []
-    for asn in clique:
-        pool.extend([asn] * 8)
-    for asn in range(config.clique_size + 1, n + 1):
-        n_providers = 1 + int(rng.random() < config.multihome_fraction)
-        chosen: list[int] = []
-        for _ in range(n_providers):
-            for _attempt in range(8):
-                provider = pool[int(rng.random() * len(pool))]
-                if provider not in chosen:
-                    chosen.append(provider)
-                    break
-        for provider in chosen:
-            pair = (min(asn, provider), max(asn, provider))
-            provider_links.append((asn, provider))
-            linked.add(pair)
-            pool.append(provider)
-        pool.append(asn)
-
-    n_peer = int(config.peer_degree * n)
-    for _ in range(n_peer):
-        a = pool[int(rng.random() * len(pool))]
-        b = pool[int(rng.random() * len(pool))]
-        if a == b:
-            continue
-        pair = (min(a, b), max(a, b))
-        if pair in linked:
-            continue
-        peer_links.append(pair)
-        linked.add(pair)
-    return provider_links, peer_links
-
-
-def graph_from_links(
-    provider_links: list[tuple[int, int]],
-    peer_links: list[tuple[int, int]],
-) -> ASGraph:
-    """Assemble an :class:`ASGraph` from as-rel2 link lists.
-
-    ASes appearing as a provider of anyone get the ``TRANSIT`` role,
-    the rest are ``STUB``; locations come from
-    :func:`synthetic_location`.
-    """
-    providers = {p for _, p in provider_links}
-    asns = sorted(
-        {a for link in provider_links for a in link}
-        | {a for link in peer_links for a in link}
-    )
-    graph = ASGraph()
-    for asn in asns:
-        role = AsRole.TRANSIT if asn in providers else AsRole.STUB
-        graph.add_as(
-            AsNode(
-                asn=asn,
-                location=synthetic_location(asn),
-                role=role,
-                name=f"as{asn}",
-            )
-        )
-    for customer, provider in provider_links:
-        graph.add_link(customer, provider, Relationship.PROVIDER)
-    for a, b in peer_links:
-        graph.add_link(a, b, Relationship.PEER)
-    return graph
-
-
-def build_internet_graph(config: AsRelTopologyConfig) -> ASGraph:
-    """Generate a deterministic internet-scale AS graph."""
-    provider_links, peer_links = generate_as_rel2(config)
-    return graph_from_links(provider_links, peer_links)
-
-
-def dump_as_rel2(graph: ASGraph, path: "str | Path") -> None:
-    """Write *graph* in CAIDA as-rel2 serial-2 format.
-
-    One relationship per line: ``<provider>|<customer>|-1`` for
-    transit, ``<a>|<b>|0`` for peering (each link once, smaller ASN
-    first), sorted numerically so output is deterministic.
-    """
-    transit: list[tuple[int, int]] = []
-    peering: list[tuple[int, int]] = []
-    for asn in sorted(graph.asns):
-        for neighbor in sorted(graph.customers(asn)):
-            transit.append((asn, neighbor))
-        for neighbor in sorted(graph.peers(asn)):
-            if asn < neighbor:
-                peering.append((asn, neighbor))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("# synthetic as-rel2 topology (repro.netsim.topology)\n")
-        fh.write(f"# ases: {len(graph)}\n")
-        for provider, customer in sorted(transit):
-            fh.write(f"{provider}|{customer}|-1\n")
-        for a, b in sorted(peering):
-            fh.write(f"{a}|{b}|0\n")
-
-
-def load_as_rel2(path: "str | Path") -> ASGraph:
-    """Load a CAIDA as-rel2 serial-2 file into an :class:`ASGraph`.
-
-    Accepts the standard format: ``#`` comments, ``a|b|-1`` (a
-    provides transit to b) and ``a|b|0`` (peers); a trailing
-    ``|source`` field, as found in published CAIDA files, is
-    tolerated.  Locations and roles are reconstructed exactly as the
-    generator would assign them, so ``load(dump(g))`` reproduces *g*.
-    """
-    provider_links: list[tuple[int, int]] = []
-    peer_links: list[tuple[int, int]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("|")
-            if len(parts) < 3:
-                raise ValueError(
-                    f"{path}:{lineno}: expected a|b|rel, got {line!r}"
-                )
-            a, b, rel = int(parts[0]), int(parts[1]), int(parts[2])
-            if rel == -1:
-                provider_links.append((b, a))
-            elif rel == 0:
-                peer_links.append((min(a, b), max(a, b)))
-            else:
-                raise ValueError(
-                    f"{path}:{lineno}: unknown relationship {rel}"
-                )
-    return graph_from_links(provider_links, peer_links)

@@ -477,11 +477,7 @@ def _run_segment(
 
     # --- Batched outputs for bins start..start+nb-1. -------------------
     date_of = [
-        min(
-            len(state.day_dates) - 1,
-            (start + off) * grid.bin_seconds // 86_400,
-        )
-        for off in range(nb)
+        (start + off) * grid.bin_seconds // 86_400 for off in range(nb)
     ]
     for letter in letters:
         seg = segs[letter]

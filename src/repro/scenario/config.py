@@ -109,13 +109,21 @@ class ScenarioConfig:
         )
 
     def topology_config(self) -> TopologyConfig:
-        """The effective topology config (n_stubs wins)."""
+        """The effective topology config.
+
+        An explicit ``topology`` wins, ``n_stubs`` included; otherwise
+        the defaults with ``n_stubs`` stub ASes.
+        """
         if self.topology is not None:
             return self.topology
         return TopologyConfig(n_stubs=self.n_stubs)
 
     def vp_config(self) -> VpPopulationConfig:
-        """The effective VP population config (n_vps wins)."""
+        """The effective VP population config.
+
+        An explicit ``vps`` wins, ``n_vps`` included; otherwise the
+        defaults with ``n_vps`` vantage points.
+        """
         if self.vps is not None:
             return self.vps
         return VpPopulationConfig(n_vps=self.n_vps)

@@ -87,18 +87,26 @@ BASELINE_DATES = (
 )
 
 
-def window_dates(grid: TimeGrid) -> tuple[list[str], list[str]]:
-    """(day dates, 7-day baseline dates) for an arbitrary 48 h window."""
+def window_dates(
+    grid: TimeGrid, baseline_days: int = 7
+) -> tuple[list[str], list[str]]:
+    """(day dates, baseline dates) of the RSSAC reports for *grid*.
+
+    Day *i* is the 24 h starting *i* days after ``grid.start``; a
+    trailing partial day gets its own report, so every bin falls in
+    exactly one day.  The *baseline_days* dates precede the window,
+    oldest first.
+    """
     import datetime as _dt
 
     start = _dt.datetime.fromtimestamp(grid.start, tz=_dt.timezone.utc)
     days = [
         (start + _dt.timedelta(days=i)).strftime("%Y-%m-%d")
-        for i in range(max(1, grid.seconds // 86_400))
+        for i in range(-(-grid.seconds // 86_400))
     ]
     baseline = [
         (start - _dt.timedelta(days=i)).strftime("%Y-%m-%d")
-        for i in range(7, 0, -1)
+        for i in range(baseline_days, 0, -1)
     ]
     return days, baseline
 
@@ -108,9 +116,10 @@ class _EpochData:
     """Per-(letter, routing epoch) precomputed arrays.
 
     Everything here depends only on the routing table, so it is
-    computed once per distinct ``table.version`` a letter visits and
-    reused by every bin of that epoch; the per-bin work in pass 1
-    reduces to scalar-times-vector arithmetic.
+    computed once per distinct announcement state a letter visits
+    (:meth:`AnycastPrefix.state_key`) and reused by every bin of that
+    epoch; the per-bin work in pass 1 reduces to scalar-times-vector
+    arithmetic.
     """
 
     epoch: int                # index into LetterTruth.stub_site_by_epoch
@@ -276,7 +285,7 @@ class _RunState:
     workloads: dict[str, BaselineWorkload]
     truth: dict[str, LetterTruth]
     epoch_catchments: dict[str, list[np.ndarray]]
-    epoch_cache: dict[tuple[str, int], _EpochData]
+    epoch_cache: dict[tuple[str, tuple], _EpochData]
     accumulators: dict[str, dict[str, DayAccumulator]]
     day_dates: list[str]
     buffer_caps: dict[str, np.ndarray]
@@ -293,11 +302,15 @@ def _epoch_for(
 
     Cache misses append the epoch's stub catchment and assign the next
     epoch index, so epoch numbering follows each letter's first-visit
-    order exactly as the original inline code did.
+    order.  Epochs are keyed on the announcement state, not on
+    ``table.version``: a state the routing-table LRU evicted and
+    recomputed comes back under a new version, and keying on that
+    would number one state twice.  So no cache bound can change
+    ``epoch_of_bin`` or ``stub_site_by_epoch``.
     """
     dep = state.deployments[letter]
     table = dep.routing()
-    key = (letter, table.version)
+    key = (letter, dep.prefix.state_key())
     ed = state.epoch_cache.get(key)
     if ed is None:
         legit_share, legit_total = legit_share_vector(
@@ -331,9 +344,7 @@ def _run_bin(state: _RunState, b: int) -> None:
 
     ts = grid.bin_start(b)
     tc = ts + grid.bin_seconds / 2.0
-    date = state.day_dates[
-        min(len(state.day_dates) - 1, b * grid.bin_seconds // 86_400)
-    ]
+    date = state.day_dates[b * grid.bin_seconds // 86_400]
     event = active_event(config.events, tc)
 
     # Incidental failures scheduled for this bin (session resets
@@ -539,9 +550,10 @@ class Substrate:
     deployments (announcement state, policy state, change logs) are
     not, so :meth:`reset` restores them to their post-construction
     state before each reuse.  Pure caches (routing tables per
-    announcement state, per-origin distance rows) are deliberately
-    kept across resets -- they are functions of immutable inputs, and
-    reusing them is what makes replicate runs cheap.
+    announcement state in each prefix's LRU, per-origin distance
+    rows) are deliberately kept across resets -- they are functions of
+    immutable inputs, and reusing them is what makes replicate runs
+    cheap.
     """
 
     signature: tuple[object, ...]
@@ -553,13 +565,6 @@ class Substrate:
     vps: VantagePointTable
     botnet: Botnet
     collectors: BgpCollectors
-    #: Substrate-level routing memo, shared by every letter's prefix
-    #: (keyed ``(letter, announcement-state key)``).  Survives prefix
-    #: LRU eviction and :meth:`reset`, so sweep cells that differ only
-    #: in attack knobs reuse each other's routing tables.
-    routing_memo: dict[tuple, "RoutingTable"] = field(
-        default_factory=dict
-    )
 
     def reset(self) -> None:
         """Restore every mutable piece to its post-construction state."""
@@ -666,10 +671,6 @@ def build_substrate(config: ScenarioConfig) -> Substrate:
         botnet=botnet,
         collectors=collectors,
     )
-    for letter in letters:
-        deployments[letter].prefix.attach_shared_memo(
-            substrate.routing_memo, letter
-        )
     # Under REPRO_SANITIZE=1 the constant arrays every run shares are
     # locked read-only, so an in-place mutation raises at the write
     # site instead of corrupting a sibling sweep cell.
@@ -762,7 +763,7 @@ def simulate(
     epoch_catchments: dict[str, list[np.ndarray]] = {
         L: [] for L in letters
     }
-    day_dates, baseline_dates = window_dates(grid)
+    day_dates, baseline_dates = window_dates(grid, config.baseline_days)
     accumulators = {
         letter: {date: DayAccumulator() for date in day_dates}
         for letter in letters
@@ -780,10 +781,9 @@ def simulate(
             if not isinstance(controller, StaticPolicyController)
         }
 
-    # Per-(letter, routing version) precomputed share/catchment arrays;
-    # versions are stable tokens (unlike id(), which the GC can alias),
-    # so entries stay valid for the whole run and recurring routing
-    # states (before/during/after each event) hit the cache.
+    # Per-(letter, announcement state) precomputed share/catchment
+    # arrays (see _epoch_for): recurring routing states (before/during/
+    # after each event) hit the cache and keep their epoch number.
     duplicate_ratio = 1.0 - config.botnet.tail_share
     state = _RunState(
         config=config,
@@ -843,7 +843,7 @@ def simulate(
         spec = specs[letter]
         reports = [
             build_baseline_report(spec, date, rssac_rng)
-            for date in baseline_dates[-config.baseline_days:]
+            for date in baseline_dates
         ]
         for date in day_dates:
             reports.append(

@@ -15,7 +15,7 @@ routing table from scratch.  This module removes that tax:
   :func:`~repro.scenario.engine.substrate_constant_arrays` -- is
   copied once into a single ``multiprocessing.shared_memory`` segment.
   The remaining object skeleton (deployments, announcement state,
-  graph adjacency, warm routing memo) is pickled *into the same
+  graph adjacency, warm routing-table LRUs) is pickled *into the same
   segment* with every constant array replaced by a persistent-id
   token, so no array bytes travel through the pickle stream.
 

@@ -9,7 +9,6 @@ from repro.netsim import (
     Origin,
     Relationship,
 )
-from repro.netsim.anycast import PREFIX_CACHE_STATS
 from repro.util import Location
 
 
@@ -84,6 +83,34 @@ class TestChangeLog:
         assert times == [100.0, 200.0]
 
 
+class TestStateKey:
+    def test_recurring_state_has_an_equal_key(self, prefix):
+        key = prefix.state_key()
+        prefix.withdraw("A", timestamp=1.0)
+        assert prefix.state_key() != key
+        prefix.announce("A", timestamp=2.0)
+        assert prefix.state_key() == key
+
+    def test_blocked_sets_are_part_of_the_key(self, prefix):
+        key = prefix.state_key()
+        prefix.set_blocked("A", frozenset({3}), timestamp=1.0)
+        assert prefix.state_key() != key
+        prefix.set_blocked("A", frozenset(), timestamp=2.0)
+        assert prefix.state_key() == key
+
+    def test_key_built_once_and_shared_with_the_cache(self, prefix):
+        key = prefix.state_key()
+        prefix.routing()
+        assert prefix.state_key() is key
+        assert next(iter(prefix._cache)) is key
+
+    def test_reset_restores_the_initial_key(self, prefix):
+        key = prefix.state_key()
+        prefix.withdraw("B", timestamp=1.0)
+        prefix.reset()
+        assert prefix.state_key() == key
+
+
 class TestCacheLru:
     def _make_prefix(self, cache_size):
         graph = ASGraph()
@@ -131,10 +158,13 @@ class TestCacheLru:
     def test_recomputed_state_gets_fresh_version(self):
         prefix = self._make_prefix(cache_size=1)
         v_full = prefix.routing().version
+        key = prefix.state_key()
         prefix.withdraw("A", timestamp=1.0)   # evicts {A, B}
         prefix.routing()
         prefix.announce("A", timestamp=2.0)   # recompute {A, B}
         assert prefix.routing().version != v_full
+        # ... but the same state key, which epoch numbering uses.
+        assert prefix.state_key() == key
 
     def test_recency_keeps_hot_state(self):
         prefix = self._make_prefix(cache_size=2)
@@ -164,65 +194,3 @@ class TestValidation:
                 prefix.graph,
                 [Origin(site="A", asn=1), Origin(site="A", asn=2)],
             )
-
-
-def _make_prefix(cache_size=64):
-    graph = ASGraph()
-    for asn in (1, 2, 3, 4, 5):
-        graph.add_as(_node(asn))
-    graph.add_link(1, 3, Relationship.PROVIDER)
-    graph.add_link(2, 4, Relationship.PROVIDER)
-    graph.add_link(3, 4, Relationship.PEER)
-    graph.add_link(5, 3, Relationship.PROVIDER)
-    return AnycastPrefix(
-        graph,
-        [Origin(site="A", asn=1), Origin(site="B", asn=2)],
-        cache_size=cache_size,
-    )
-
-
-def _assert_same_routes(actual, expected):
-    assert list(actual._routes) == list(expected._routes)
-    assert actual._routes == expected._routes
-    assert actual.catchments() == expected.catchments()
-
-
-class TestSharedMemo:
-    def test_memo_serves_states_the_lru_evicted(self):
-        prefix = _make_prefix(cache_size=1)
-        memo = {}
-        prefix.attach_shared_memo(memo, "X")
-        before = dict(PREFIX_CACHE_STATS)
-        schedule = [
-            ("A", False), ("A", True), ("A", False), ("A", True),
-        ]
-        for t, (site, up) in enumerate(schedule):
-            prefix.set_announced(site, up, timestamp=float(t))
-        after = dict(PREFIX_CACHE_STATS)
-        assert after["memo_hits"] > before["memo_hits"]
-        assert len(memo) <= 2
-        # Memo reuse is output-invariant: same catchments as no memo.
-        bare = _make_prefix(cache_size=1)
-        for t, (site, up) in enumerate(schedule):
-            bare.set_announced(site, up, timestamp=float(t))
-        _assert_same_routes(prefix.routing(), bare.routing())
-
-    def test_memo_stays_bounded(self):
-        prefix = _make_prefix(cache_size=1)
-        memo = {}
-        prefix.attach_shared_memo(memo, "X", memo_size=2)
-        prefix.routing()                      # {A, B}
-        prefix.withdraw("A", timestamp=1.0)   # {B}
-        prefix.withdraw("B", timestamp=2.0)   # {}
-        prefix.announce("A", timestamp=3.0)   # {A}
-        assert len(memo) <= 2
-
-    def test_memo_survives_reset(self):
-        prefix = _make_prefix(cache_size=1)
-        memo = {}
-        prefix.attach_shared_memo(memo, "X")
-        prefix.routing()
-        prefix.withdraw("A", timestamp=1.0)
-        entries = dict(memo)
-        prefix.reset()
-        assert memo == entries

@@ -4,16 +4,11 @@ import numpy as np
 import pytest
 
 from repro.netsim import (
-    AsRelTopologyConfig,
     AsRole,
     Origin,
     Scope,
     TopologyConfig,
-    build_internet_graph,
     build_topology,
-    dump_as_rel2,
-    generate_as_rel2,
-    load_as_rel2,
     propagate,
 )
 from repro.util import airport
@@ -132,78 +127,3 @@ class TestEndToEndCatchments:
             1 for asn in eu_stubs if table.site_of(asn) == "T-AMS"
         )
         assert to_ams / len(eu_stubs) > 0.9
-
-
-class TestAsRel2:
-    """The internet-scale as-rel2 generator, dumper, and loader."""
-
-    @pytest.fixture(scope="class")
-    def internet(self):
-        config = AsRelTopologyConfig(n_ases=800, seed=3)
-        return build_internet_graph(config)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            AsRelTopologyConfig(n_ases=10, clique_size=12)
-        with pytest.raises(ValueError):
-            AsRelTopologyConfig(clique_size=1)
-        with pytest.raises(ValueError):
-            AsRelTopologyConfig(multihome_fraction=1.5)
-        with pytest.raises(ValueError):
-            AsRelTopologyConfig(peer_degree=-0.1)
-
-    def test_link_lists_deterministic_in_seed(self):
-        config = AsRelTopologyConfig(n_ases=400, seed=9)
-        assert generate_as_rel2(config) == generate_as_rel2(config)
-        other = AsRelTopologyConfig(n_ases=400, seed=10)
-        assert generate_as_rel2(config) != generate_as_rel2(other)
-
-    def test_clique_is_peer_mesh(self, internet):
-        clique = range(1, 13)
-        for a in clique:
-            peers = set(internet.peers(a))
-            assert {b for b in clique if b != a} <= peers
-
-    def test_every_non_clique_as_has_a_provider(self, internet):
-        for asn in internet.asns:
-            if asn > 12:
-                assert internet.providers(asn), asn
-
-    def test_roles_follow_customer_count(self, internet):
-        for asn in internet.asns:
-            has_customers = bool(internet.customers(asn))
-            is_transit = internet.node(asn).role is AsRole.TRANSIT
-            assert is_transit == has_customers, asn
-
-    def test_dump_load_round_trip(self, internet, tmp_path):
-        path = tmp_path / "topo.as-rel2"
-        dump_as_rel2(internet, path)
-        loaded = load_as_rel2(path)
-        assert sorted(loaded.asns) == sorted(internet.asns)
-        for asn in internet.asns:
-            assert sorted(loaded.providers(asn)) == sorted(
-                internet.providers(asn)
-            )
-            assert sorted(loaded.peers(asn)) == sorted(internet.peers(asn))
-            assert loaded.node(asn).role is internet.node(asn).role
-            assert loaded.node(asn).location == internet.node(asn).location
-
-    def test_load_tolerates_caida_source_field(self, tmp_path):
-        path = tmp_path / "caida.as-rel2"
-        path.write_text("# comment\n1|2|-1|bgp\n2|3|0|mlp\n")
-        graph = load_as_rel2(path)
-        assert graph.providers(2) == [1]
-        assert graph.peers(2) == [3]
-
-    def test_load_rejects_bad_relationship(self, tmp_path):
-        path = tmp_path / "bad.as-rel2"
-        path.write_text("1|2|7\n")
-        with pytest.raises(ValueError, match="unknown relationship"):
-            load_as_rel2(path)
-
-    def test_propagation_reaches_whole_graph(self, internet):
-        table = propagate(
-            internet,
-            [Origin(site="S1", asn=1, scope=Scope.GLOBAL)],
-        )
-        assert table.reachable_asns() == set(internet.asns)

@@ -1,15 +1,14 @@
 """``AnycastPrefix.routing()`` equals the scalar reference after every edit.
 
-``routing()`` serves an announcement state from the per-prefix LRU,
-from an attached shared memo, or from a fresh :func:`propagate`; all
-three must hand back the table
+``routing()`` serves an announcement state from the per-prefix LRU
+or from a fresh :func:`propagate`; both must hand back the table
 :func:`repro.netsim.bgp_reference.propagate` computes over the
 announced origins in site-sorted order -- same routes, same iteration
 order, same catchments.  Hypothesis draws the topology, an origin pool
 with unique sites, an up-front withdrawal and a chain of withdraw /
 announce / ``set_blocked`` edits.  The chain runs twice: behind a
-one-entry LRU with a shared memo (every revisit is an eviction and a
-memo hit) and behind a roomy LRU with no memo.  Each change-log record
+one-entry LRU (every revisit is an eviction and a recompute) and
+behind a roomy LRU (every revisit is a hit).  Each change-log record
 must equal the reference ``changes_from`` between the two states.
 """
 
@@ -144,9 +143,9 @@ class TestEditChain:
                 )
             chain.append((kind, origin.site, blocked))
 
-        memoized = AnycastPrefix(graph, pool, cache_size=1)
-        memoized.attach_shared_memo({}, "X")
-        run_chain(graph, memoized, withdrawn, chain)
+        run_chain(
+            graph, AnycastPrefix(graph, pool, cache_size=1), withdrawn, chain
+        )
         run_chain(
             graph, AnycastPrefix(graph, pool, cache_size=64), withdrawn, chain
         )

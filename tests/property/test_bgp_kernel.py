@@ -13,6 +13,8 @@ sets, locations, and preference discounts are all drawn by hypothesis;
 a failing example here is a kernel ordering bug, not flakiness.
 """
 
+import dataclasses
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -157,3 +159,46 @@ class TestKernelMatchesReference:
             kernel.sites_of(asns, site_index)
             == ref.sites_of(asns, site_index)
         ).all()
+
+
+def valley_free_reach(graph: ASGraph, asns: list[int]) -> set[int]:
+    """Every AS a route from *asns* can reach under Gao-Rexford export,
+    by graph search: up provider edges, at most one peer edge, then
+    down customer edges."""
+    up = set(asns)
+    stack = list(asns)
+    while stack:
+        for provider in graph.providers(stack.pop()):
+            if provider not in up:
+                up.add(provider)
+                stack.append(provider)
+    reach = set(up)
+    for asn in up:
+        reach.update(graph.peers(asn))
+    stack = list(reach)
+    while stack:
+        for customer in graph.customers(stack.pop()):
+            if customer not in reach:
+                reach.add(customer)
+                stack.append(customer)
+    return reach
+
+
+class TestReachability:
+    @settings(max_examples=100, deadline=None)
+    @given(data=graph_and_origins())
+    def test_global_origins_reach_their_valley_free_closure(self, data):
+        # Independent of the reference: with nothing blocked, global
+        # origins reach exactly the valley-free closure of their ASes
+        # -- the whole graph when an origin tops a connected hierarchy.
+        graph, origins = data
+        unblocked = [
+            dataclasses.replace(
+                o, scope=Scope.GLOBAL, blocked_neighbors=frozenset()
+            )
+            for o in origins
+        ]
+        table = propagate(graph, unblocked)
+        assert table.reachable_asns() == valley_free_reach(
+            graph, [o.asn for o in unblocked]
+        )

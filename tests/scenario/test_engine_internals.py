@@ -1,5 +1,7 @@
 """Edge-case tests for engine internals and scenario plumbing."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,52 @@ class TestWindowDates:
                         n_bins=288)
         days, _ = window_dates(grid)
         assert days == ["2016-06-24", "2016-06-25"]
+
+    @pytest.mark.parametrize(
+        "n_bins, expected",
+        [(216, ["2015-11-30", "2015-12-01"]), (36, ["2015-11-30"])],
+        ids=["36h", "6h"],
+    )
+    def test_partial_day_gets_its_own_date(self, n_bins, expected):
+        grid = TimeGrid(start=utc(2015, 11, 30), bin_seconds=600,
+                        n_bins=n_bins)
+        days, _ = window_dates(grid)
+        assert days == expected
+
+    def test_baseline_days_sets_the_baseline_length(self):
+        _, baseline = window_dates(TimeGrid.paper_window(), 10)
+        assert len(baseline) == 10
+        assert baseline[0] == "2015-11-20"
+        assert baseline[-1] == "2015-11-29"
+
+
+class TestRssacDays:
+    BASE = ScenarioConfig(seed=2, n_stubs=80, n_vps=50, letters=("K",),
+                          include_nl=False, baseline_days=1)
+
+    def test_36h_window_reports_its_second_day_apart(self):
+        day = simulate(
+            dataclasses.replace(self.BASE, window_seconds=86_400)
+        )
+        longer = simulate(
+            dataclasses.replace(self.BASE, window_seconds=129_600)
+        )
+        reports = longer.rssac["K"]
+        assert [r.date for r in reports] == [
+            "2015-11-29", "2015-11-30", "2015-12-01",
+        ]
+        # Nov 30's report counts Nov 30 alone, as in a 24 h window.
+        assert reports[1] == day.rssac["K"][1]
+
+    def test_more_than_seven_baseline_days(self):
+        result = simulate(
+            dataclasses.replace(
+                self.BASE, baseline_days=10, window_seconds=21_600
+            )
+        )
+        dates = [r.date for r in result.rssac["K"]]
+        assert dates[:10] == [f"2015-11-{d}" for d in range(20, 30)]
+        assert dates[10:] == ["2015-11-30"]
 
 
 class TestEventMask:

@@ -7,6 +7,8 @@ standby activation, BGP change logs, and fault resolution.
 """
 
 import dataclasses
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,10 @@ from repro.scenario import (
     simulate,
     substrate_signature,
 )
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "scripts"))
+
+from check_determinism import controlled_config, faulted_config  # noqa: E402
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +110,30 @@ class TestSubstrateReuse:
         # ... and the substrate still reproduces the original config.
         assert not diff_arrays(
             fresh, result_arrays(simulate(config, substrate))
+        )
+
+
+class TestRoutingCacheBound:
+    @pytest.mark.parametrize(
+        "make_config",
+        [faulted_config, controlled_config],
+        ids=["faulted", "controlled"],
+    )
+    def test_one_entry_routing_caches_change_no_output(self, make_config):
+        """Every letter's routing-table LRU cut to one entry: each
+        revisited announcement state is evicted and recomputed under a
+        new table version, and no output array may notice -- routing
+        epochs are numbered per announcement state."""
+        default = result_arrays(simulate(make_config()))
+        substrate = build_substrate(make_config())
+        for deployment in substrate.deployments.values():
+            deployment.prefix._cache_size = 1
+            deployment.prefix._cache.clear()
+        bounded = result_arrays(simulate(make_config(), substrate))
+        assert not diff_arrays(default, bounded)
+        assert all(
+            len(d.prefix._cache) == 1
+            for d in substrate.deployments.values()
         )
 
 

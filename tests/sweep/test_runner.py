@@ -1,5 +1,7 @@
 """Runner behaviour: index keying, chunk invariance, progress stream."""
 
+import dataclasses
+
 import pytest
 
 from repro import ScenarioConfig, simulate
@@ -155,3 +157,33 @@ class TestResultIsolation:
                     assert _logs(result, letter) == _logs(
                         standalone, letter
                     )
+
+
+def _with_scaled_events(config, factor):
+    """The same scenario with every attack's rate scaled by *factor*.
+
+    Changes only a run-time knob, so both configs share one substrate
+    signature.
+    """
+    events = tuple(
+        dataclasses.replace(event, rate_qps=event.rate_qps * factor)
+        for event in config.events
+    )
+    return dataclasses.replace(config, events=events)
+
+
+class TestJobsParity:
+    @pytest.mark.parametrize("jobs", [2])
+    def test_attack_axis_bit_identical_across_jobs(self, tiny_base, jobs):
+        """Cells differing only in attack rate reuse one substrate, and
+        its routing tables, under ``jobs=1``; the pool must agree."""
+        points = [
+            {},
+            {"events": _with_scaled_events(tiny_base, 2.0).events},
+        ]
+        spec = SweepSpec.from_points(tiny_base, points)
+        serial = run_sweep(spec, jobs=1)
+        parallel = run_sweep(spec, jobs=jobs)
+        assert len(serial.results) == len(parallel.results)
+        for a, b in zip(serial.results, parallel.results):
+            assert not diff_arrays(result_arrays(a), result_arrays(b))

@@ -111,19 +111,34 @@ class TestCommands:
         name, values = _parse_axis("include_nl=True,False")
         assert values == [True, False]
 
-    def test_gen_topo_round_trips(self, tmp_path, capsys):
-        from repro.netsim.topology import load_as_rel2
 
-        out = tmp_path / "topo.as-rel2"
-        assert main([
-            "gen-topo", "--ases", "300", "--seed", "5",
-            "--out", str(out),
-        ]) == 0
-        assert "300 ASes" in capsys.readouterr().err
-        graph = load_as_rel2(out)
-        assert len(graph) == 300
-        # Regenerating with the same seed is byte-identical.
-        again = tmp_path / "again.as-rel2"
-        main(["gen-topo", "--ases", "300", "--seed", "5",
-              "--out", str(again)])
-        assert again.read_bytes() == out.read_bytes()
+class TestUsageErrors:
+    """Arguments that cannot build a scenario or sweep exit with a
+    usage error naming the bad value, not a traceback."""
+
+    def _usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert "Traceback" not in err
+        return errors[0]
+
+    def test_unknown_letter(self, capsys):
+        line = self._usage_error(["simulate", "--letters", "K,Z"], capsys)
+        assert line.startswith("anycast-ddos simulate: error:")
+        assert "'Z'" in line
+
+    def test_unknown_sweep_field(self, capsys):
+        line = self._usage_error(
+            ["sweep", "--axis", "bogus_field=3,7"], capsys
+        )
+        assert line.startswith("anycast-ddos sweep: error:")
+        assert "'bogus_field'" in line
+
+    def test_malformed_sweep_axis(self, capsys):
+        line = self._usage_error(["sweep", "--axis", "bogus"], capsys)
+        assert "argument --axis" in line
+        assert "'bogus'" in line
