@@ -11,14 +11,14 @@ where every bin needs a fresh propagation):
   recurring announcement states, i.e. the per-bin fast path.
 
 Plus one end-to-end scenario with BgpSessionReset + PeerChurn faults,
-run once with the reference propagate patched in (the pre-kernel
-baseline) and once with the kernel, asserting bit-identical result
-arrays and recording the wall-time improvement.
+run once with the reference routes patched in (``bgp_reference.table``,
+the pre-kernel baseline) and once with the kernel, asserting
+bit-identical result arrays and recording the wall-time improvement.
 
 Every reference-vs-kernel propagation pair is checked for equality
-(same tables, same iteration order); ``--smoke`` shrinks the sizes for
-CI, where only the equality assertions matter, and skips the speedup
-floor.
+(same routes, same install order); ``--smoke`` shrinks the sizes for
+CI, where only the equality assertions matter, skips the speedup
+floor, and writes no file unless ``--out`` is given.
 
 Usage::
 
@@ -90,9 +90,8 @@ def churn_states(prefix: AnycastPrefix) -> list:
     return states
 
 
-def assert_equal_tables(kernel_table, ref_table) -> None:
-    kernel_routes = kernel_table._routes
-    ref_routes = ref_table._routes
+def assert_equal_tables(kernel_table, ref_routes) -> None:
+    kernel_routes = kernel_table.routes()
     assert list(kernel_routes) == list(ref_routes), "install order differs"
     assert kernel_routes == ref_routes, "routes differ"
 
@@ -179,7 +178,7 @@ def bench_faulted_scenario(stubs: int, vps: int) -> dict:
         return time.perf_counter() - started, result_arrays(result)
 
     original = anycast_module.propagate
-    anycast_module.propagate = bgp_reference.propagate
+    anycast_module.propagate = bgp_reference.table
     try:
         ref_wall, ref_arrays = timed_run()
     finally:
@@ -202,7 +201,11 @@ def bench_faulted_scenario(stubs: int, vps: int) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default="BENCH_routing.json")
+    parser.add_argument(
+        "--out",
+        default=None,
+        help="result file (default BENCH_routing.json; none with --smoke)",
+    )
     parser.add_argument("--propagations", type=int, default=24)
     parser.add_argument("--stubs", type=int, default=3000)
     parser.add_argument(
@@ -258,10 +261,15 @@ def main(argv: list[str] | None = None) -> int:
         "churn": churn,
         "faulted_e2e": faulted,
     }
-    with open(args.out, "w", encoding="utf-8") as handle:
+    out = args.out
+    if out is None and not args.smoke:
+        out = "BENCH_routing.json"
+    if out is None:
+        return 0
+    with open(out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
-    print(f"wrote {args.out}", file=sys.stderr)
+    print(f"wrote {out}", file=sys.stderr)
     return 0
 
 

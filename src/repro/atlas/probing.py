@@ -20,7 +20,7 @@ Performance architecture: the engine *records* each bin's conditions
 (:meth:`LetterProber.record_bin`/:meth:`LetterProber.record_bins`,
 cheap array stores) and all sampling happens in one pass at
 :meth:`LetterProber.flush`.  Recorded bins are grouped by ``(routing
-version, cadence phase)``: every bin of a group probes the same
+table, cadence phase)``: every bin of a group probes the same
 hijacked, unrouted and routed VPs, with the same catchment sites,
 hash-balanced servers and baseline RTTs.  Each group then goes through
 three steps:
@@ -109,7 +109,7 @@ class SiteBinConditions:
 
 @dataclass(slots=True)
 class _Group:
-    """The recorded bins of one ``(routing version, cadence phase)``.
+    """The recorded bins of one ``(routing table, cadence phase)``.
 
     Row ``k`` of every block belongs to bin ``bins[k]``.  The gathers
     are fixed by the group; :meth:`LetterProber._prepare` fills the
@@ -225,27 +225,27 @@ class LetterProber:
         self._cond_delay = np.zeros((grid.n_bins, n_sites))
         self._cond_over = np.zeros((grid.n_bins, n_sites), dtype=bool)
         self._shed_of_bin = np.ones((grid.n_bins, n_sites), dtype=np.int64)
-        self._version_of_bin = np.zeros(grid.n_bins, dtype=np.int64)
+        #: The routing table each recorded bin saw (``None`` elsewhere).
+        self._table_of_bin: list[RoutingTable | None] = [None] * grid.n_bins
         self._recorded = np.zeros(grid.n_bins, dtype=bool)
-        self._tables: dict[int, RoutingTable] = {}
         self._flushed = False
 
-        self._catchment_cache: dict[int, np.ndarray] = {}
+        self._catchment_cache: dict[RoutingTable, np.ndarray] = {}
 
     def _vp_site_indices(self, table: RoutingTable) -> np.ndarray:
         """Site index per VP (-1 when the VP's AS has no route).
 
-        Keyed on ``table.version`` (stable across table reuse, never
-        aliased like ``id()``).
+        Keyed on the table object, which the cache holds, so a key
+        cannot be recycled the way an ``id()`` can.
         """
-        cached = self._catchment_cache.get(table.version)
+        cached = self._catchment_cache.get(table)
         if cached is not None:
             return cached
         code_to_idx = {c: i for i, c in enumerate(self.site_codes)}
         uniq, inverse = np.unique(self.vps.asns, return_inverse=True)
         uniq_sites = table.sites_of(uniq.astype(np.int64), code_to_idx)
         result = uniq_sites.astype(np.int64)[inverse]
-        self._catchment_cache[table.version] = result
+        self._catchment_cache[table] = result
         return result
 
     def record_bin(
@@ -262,8 +262,7 @@ class LetterProber:
         """
         if self._flushed:
             raise RuntimeError("prober already finished")
-        self._tables.setdefault(table.version, table)
-        self._version_of_bin[bin_index] = table.version
+        self._table_of_bin[bin_index] = table
         self._cond_loss[bin_index] = conditions.loss
         self._cond_delay[bin_index] = conditions.delay_ms
         self._cond_over[bin_index] = conditions.overloaded
@@ -294,8 +293,7 @@ class LetterProber:
         if self._flushed:
             raise RuntimeError("prober already finished")
         stop = start + loss.shape[0]
-        self._tables.setdefault(table.version, table)
-        self._version_of_bin[start:stop] = table.version
+        self._table_of_bin[start:stop] = [table] * (stop - start)
         self._cond_loss[start:stop] = loss
         self._cond_delay[start:stop] = delay_ms
         self._cond_over[start:stop] = overloaded
@@ -303,7 +301,7 @@ class LetterProber:
         self._recorded[start:stop] = True
 
     def _group(
-        self, version: int, phase: int, bins: list[int]
+        self, table: RoutingTable, phase: int, bins: list[int]
     ) -> _Group | None:
         """The gathers of one group; ``None`` when it probes no VP."""
         probed = (
@@ -311,7 +309,7 @@ class LetterProber:
         )
         if not probed.any():
             return None
-        vp_site = self._vp_site_indices(self._tables[version])
+        vp_site = self._vp_site_indices(table)
         active = probed & ~self.vps.hijacked
         routed_idx = np.flatnonzero(active & (vp_site >= 0))
         sites = vp_site[routed_idx]
@@ -406,7 +404,7 @@ class LetterProber:
         almost always an arithmetic progression; a basic row slice plus
         one fancy column index assigns several times faster than the
         double fancy index ``np.ix_`` builds.  Both address exactly the
-        same cells; irregular bins (a recurring routing version) keep
+        same cells; irregular bins (a recurring routing table) keep
         ``np.ix_``.
         """
         steps = np.diff(bins)
@@ -476,11 +474,11 @@ class LetterProber:
         """
         if self._flushed:
             return
-        by_key: dict[tuple[int, int], list[int]] = {}
-        versions = self._version_of_bin.tolist()
+        by_key: dict[tuple[RoutingTable | None, int], list[int]] = {}
+        tables = self._table_of_bin
         for b in np.flatnonzero(self._recorded).tolist():
             by_key.setdefault(
-                (versions[b], b % self.bins_per_probe), []
+                (tables[b], b % self.bins_per_probe), []
             ).append(b)
         candidates = (self._group(*key, bins) for key, bins in by_key.items())
         groups = [g for g in candidates if g is not None]

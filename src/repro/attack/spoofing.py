@@ -71,11 +71,3 @@ class SpoofedSourceModel:
             )
             out[from_top] = tops[picks]
         return out
-
-    def expected_duplicate_share(self) -> float:
-        """Fraction of packets whose (source, qname) repeats heavily.
-
-        With a fixed query name, every packet from the top set is a
-        duplicate RRL can account -- the paper's 68 %.
-        """
-        return self.top_share

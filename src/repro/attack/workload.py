@@ -117,14 +117,18 @@ def legit_share_vector(
     return vector, sum(float(vector[site]) for site in order)
 
 
-#: Per-letters-tuple memo of each source letter's retry targets; the
-#: engine calls :func:`retry_spill` once per bin with the same letter
-#: set, so the "everyone but me" lists are worth building once.
-_OTHERS_MEMO: dict[tuple[str, ...], dict[str, list[str]]] = {}
+def retry_targets(letters: list[str]) -> dict[str, list[str]]:
+    """Each letter's retry targets: every other letter, in order."""
+    return {
+        source: [letter for letter in letters if letter != source]
+        for source in letters
+    }
 
 
 def retry_spill(
-    lost_legit_qps: dict[str, float], letters: list[str]
+    lost_legit_qps: dict[str, float],
+    letters: list[str],
+    targets: dict[str, list[str]] | None = None,
 ) -> dict[str, float]:
     """Redistribute failed legitimate queries to other letters.
 
@@ -132,16 +136,10 @@ def retry_spill(
     come back to itself; resolver retries spread across the other
     twelve letters evenly (resolver selection policies differ; a
     uniform spread is the neutral assumption, documented in DESIGN.md).
+    *targets* is :func:`retry_targets` of *letters*; the engine calls
+    this once per bin, so it builds them once per run and passes them.
     """
-    key = tuple(letters)
-    others_of = _OTHERS_MEMO.get(key)
-    if others_of is None:
-        others_of = _OTHERS_MEMO[key] = {
-            source: [letter for letter in letters if letter != source]
-            for source in letters
-        }
-        while len(_OTHERS_MEMO) > 64:
-            _OTHERS_MEMO.pop(next(iter(_OTHERS_MEMO)))
+    others_of = targets if targets is not None else retry_targets(letters)
     extra = {letter: 0.0 for letter in letters}
     for source, lost in lost_legit_qps.items():
         if lost < 0:

@@ -60,12 +60,11 @@ class BgpCollectors:
     ) -> np.ndarray:
         """Updates observed per bin for one letter's prefix (Fig. 9).
 
-        Routing transitions outside the grid (e.g. pre-simulation
-        standby withdrawals) are ignored.  *peer_outages* lists
-        ``(interval, down_peer_asns)`` windows (collector-peer churn,
-        ``repro.faults``): a peer that is down when a transition
-        happens does not observe it, so the counted churn is partial
-        exactly as a real collector fleet's would be.
+        Routing transitions outside the grid are ignored.
+        *peer_outages* lists ``(interval, down_peer_asns)`` windows
+        (collector-peer churn, ``repro.faults``): a peer that is down
+        when a transition happens does not observe it, so the counted
+        churn is partial exactly as a real collector fleet's would be.
         """
         counts = np.zeros(grid.n_bins, dtype=np.float64)
         for record in prefix.change_log():

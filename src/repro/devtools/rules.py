@@ -190,8 +190,8 @@ class IdAsToken(Rule):
                     node,
                     self.code,
                     "id(...) used as a key/token aliases after garbage "
-                    "collection; use an explicit version counter or "
-                    "key attribute (see RoutingTable.version)",
+                    "collection; key on the object itself (held by the "
+                    "cache) or on an explicit state key",
                 )
 
     def _used_as_token(self, file: SourceFile, call: ast.Call) -> bool:

@@ -3,7 +3,6 @@
 from .anycast import AnycastPrefix, RouteChangeRecord
 from .asgraph import ASGraph, AsNode, AsRole, CompiledGraph, Relationship
 from .bgp import Origin, Route, RouteClass, RoutingTable, Scope, propagate
-from .bgp_reference import propagate as propagate_reference
 from .queueing import OverloadModel
 from .topology import (
     ATLAS_REGION_WEIGHTS,
@@ -40,5 +39,4 @@ __all__ = [
     "TopologyConfig",
     "build_topology",
     "propagate",
-    "propagate_reference",
 ]

@@ -46,13 +46,20 @@ class RouteChangeRecord:
 
 
 class AnycastPrefix:
-    """The announcement state of one anycast service (one letter)."""
+    """The announcement state of one anycast service (one letter).
+
+    Every site starts announced with its origin's export policy,
+    except the sites named in *withdrawn* (standby sites such as
+    H-Root's backup), which start withdrawn without a change-log
+    record.
+    """
 
     def __init__(
         self,
         graph: ASGraph,
         origins: list[Origin],
         cache_size: int = DEFAULT_CACHE_SIZE,
+        withdrawn: frozenset[str] = frozenset(),
     ) -> None:
         if not origins:
             raise ValueError("an anycast prefix needs at least one origin")
@@ -61,18 +68,21 @@ class AnycastPrefix:
         sites = [o.site for o in origins]
         if len(set(sites)) != len(sites):
             raise ValueError("duplicate site ids among origins")
+        unknown = sorted(set(withdrawn) - set(sites))
+        if unknown:
+            raise ValueError(f"unknown withdrawn sites {unknown}")
         self.graph = graph
         self._origins = {o.site: o for o in origins}
-        self._announced = {o.site: True for o in origins}
-        self._blocked: dict[str, frozenset[int]] = {
-            o.site: o.blocked_neighbors for o in origins
-        }
+        self._initially_withdrawn = frozenset(withdrawn)
+        self._announced: dict[str, bool] = {}
+        self._blocked: dict[str, frozenset[int]] = {}
         self._cache: OrderedDict[tuple, RoutingTable] = OrderedDict()
         self._cache_size = cache_size
         # The current state's key and table, built once per change.
         self._current_key: tuple | None = None
         self._current: RoutingTable | None = None
         self._change_log: list[RouteChangeRecord] = []
+        self.reset()
 
     @property
     def sites(self) -> list[str]:
@@ -106,10 +116,10 @@ class AnycastPrefix:
         """A hashable key of the current announcement state.
 
         Equal keys mean equal announced sites with equal export
-        blocks, hence equal routes.  Callers that number or cache
-        per-state results key on this rather than ``table.version``,
-        which changes when an evicted state is recomputed.  The key
-        object is built once per state change and shared with the
+        blocks, hence equal routes, so anything derived from the
+        announcement state (routing tables, epoch numbers, the
+        deployment's quiet and announced-mask memos) keys on it.  The
+        key object is built once per state change and shared with the
         routing-table cache.
         """
         if self._current_key is None:
@@ -127,10 +137,11 @@ class AnycastPrefix:
         (*cache_size* states), and the current table is additionally
         held until the next announce / withdraw / block change, making
         per-bin ``routing()`` calls O(1).  Recomputing an evicted
-        state yields identical routes under a fresh ``version`` (see
-        :class:`~repro.netsim.bgp.RoutingTable`), so ``version``-keyed
-        caches stay correct and only recompute; anything that reaches
-        outputs keys on :meth:`state_key` instead.
+        state yields equal routes in a new table object, so caches
+        keyed on the table object only recompute; anything that
+        reaches outputs keys on :meth:`state_key` instead.  Every
+        table is computed on the graph as it is when first asked for,
+        so callers finish building the graph before routing.
         """
         if self._current is not None:
             return self._current
@@ -154,8 +165,6 @@ class AnycastPrefix:
             self._origins[s].with_blocked(self._blocked[s])
             for s in sorted(key[0])
         ]
-        if not origins:
-            return RoutingTable({})
         return propagate(self.graph, origins)
 
     def set_announced(self, site: str, up: bool, timestamp: float) -> bool:
@@ -169,16 +178,7 @@ class AnycastPrefix:
             return False
         before = self.routing()
         self._announced[site] = up
-        self._current_key = None
-        self._current = None
-        after = self.routing()
-        changed = after.changes_from(before)
-        if changed:
-            self._change_log.append(
-                RouteChangeRecord(
-                    timestamp=timestamp, changed_asns=frozenset(changed)
-                )
-            )
+        self._log_change(before, timestamp)
         return True
 
     def set_blocked(
@@ -195,17 +195,20 @@ class AnycastPrefix:
             return False
         before = self.routing()
         self._blocked[site] = blocked
+        self._log_change(before, timestamp)
+        return True
+
+    def _log_change(self, before: RoutingTable, timestamp: float) -> None:
+        """Route the just-edited state; log what changed since *before*."""
         self._current_key = None
         self._current = None
-        after = self.routing()
-        changed = after.changes_from(before)
+        changed = self.routing().changes_from(before)
         if changed:
             self._change_log.append(
                 RouteChangeRecord(
                     timestamp=timestamp, changed_asns=frozenset(changed)
                 )
             )
-        return True
 
     def withdraw(self, site: str, timestamp: float) -> bool:
         """Withdraw *site*'s announcement (the §2.2 withdraw policy)."""
@@ -216,17 +219,15 @@ class AnycastPrefix:
         return self.set_announced(site, True, timestamp)
 
     def reset(self) -> None:
-        """Restore the post-construction announcement state.
+        """Restore the initial announcement state.
 
-        Every site returns to announced with its original export
-        policy and the change log empties; the routing-table cache is
-        kept (tables are pure functions of graph + announcement state,
-        and their ``version`` tokens never reach simulated outputs).
-        Callers modelling standby sites must replay their initial
-        withdrawals, as construction does.
+        Every site returns to its original export policy, announced
+        unless constructed as *withdrawn*, and the change log empties.
+        The routing-table cache is kept: tables are pure functions of
+        graph + announcement state.
         """
         for site, origin in self._origins.items():
-            self._announced[site] = True
+            self._announced[site] = site not in self._initially_withdrawn
             self._blocked[site] = origin.blocked_neighbors
         self._current_key = None
         self._current = None

@@ -254,41 +254,21 @@ class ASGraph:
         self._coord_cache = (len(self._nodes), row_of, lats, lons)
         return row_of, lats, lons
 
-    def distance_row(
-        self, cache_key: int, location: Location, scale: float
-    ) -> np.ndarray:
-        """Distances (km × *scale*) from *location* to every AS.
-
-        Rows align with :meth:`coordinate_arrays`; memoized per origin
-        *cache_key* (callers pass the origin ASN, which uniquely
-        identifies ``(location, scale)``).  Nodes are append-only with
-        immutable locations, so a row stays valid until the node count
-        grows -- stale-length rows are recomputed on access, and
-        link-only structure changes keep the memo warm.
-        """
-        n_nodes = len(self._nodes)
-        row = self._distance_cache.get(cache_key)
-        if row is None or row.shape[0] != n_nodes:
-            _, lats, lons = self.coordinate_arrays()
-            row = haversine_km_vec(
-                lats, lons, location.lat, location.lon
-            ) * scale
-            self._distance_cache[cache_key] = row
-        return row
-
     def distance_rows(
         self, specs: list[tuple[int, Location, float]]
     ) -> list[np.ndarray]:
-        """Batched :meth:`distance_row`: one row per ``(cache_key,
-        location, scale)`` spec.
+        """Distances (km × *scale*) from each spec's location to every
+        AS: one row per ``(cache_key, location, scale)`` spec.
 
-        Rows already memoized (and still the right length) are served
-        from the cache; all misses are computed in a single broadcast
-        haversine call instead of one small vectorised call per origin
-        -- with hundreds of origins per letter the per-call numpy
-        overhead dominates the arithmetic.  Broadcasting evaluates the
-        same elementwise operations in the same order as the per-row
-        call, so the cached rows are bit-identical either way.
+        Rows align with :meth:`coordinate_arrays` and are memoized per
+        *cache_key* (callers pass the origin ASN, which uniquely
+        identifies ``(location, scale)``).  Nodes are append-only with
+        immutable locations, so a row stays valid until the node count
+        grows: stale-length rows are recomputed, and link-only
+        structure changes keep the memo warm.  All misses are computed
+        in a single broadcast haversine call instead of one small
+        vectorised call per origin -- with hundreds of origins per
+        letter the per-call numpy overhead dominates the arithmetic.
         """
         n_nodes = len(self._nodes)
         cache = self._distance_cache
@@ -317,7 +297,7 @@ class ASGraph:
         set, keyed by origin cache key (ASN).
 
         Stale-length rows are excluded (they would be recomputed by
-        the next :meth:`distance_row` call anyway).  Used by the
+        the next :meth:`distance_rows` call anyway).  Used by the
         zero-copy sweep layer to ship warm tie-break memos to workers.
         """
         n_nodes = len(self._nodes)

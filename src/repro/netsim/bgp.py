@@ -33,7 +33,6 @@ insertion-order-dependent tie-breaking; the property tests in
 from __future__ import annotations
 
 import enum
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Mapping
@@ -45,11 +44,6 @@ from .asgraph import ASGraph, CompiledGraph
 
 if TYPE_CHECKING:
     from .asgraph import AsNode  # noqa: F401  (doc cross-references)
-
-#: Process-wide monotonic source of :attr:`RoutingTable.version` tokens.
-#: Unlike ``id()``, a version is never reused after garbage collection,
-#: so it is safe to key long-lived caches on it.
-_TABLE_VERSIONS = itertools.count(1)
 
 #: ``best_class`` sentinel for "no route"; larger than every real
 #: :class:`RouteClass`, so lexicographic comparison needs no mask.
@@ -185,43 +179,27 @@ class _TableArrays:
 
 
 class RoutingTable:
-    """Best route per AS for one anycast prefix.
+    """Best route per AS for one anycast prefix, on one compiled graph.
 
-    Every table carries a process-unique, monotonic :attr:`version`
-    token assigned at construction.  Cached tables (see
-    :class:`~repro.netsim.anycast.AnycastPrefix`) keep their version
-    across reuse, so ``version`` is the correct cache key for any
-    derived data (catchment arrays, share vectors) -- unlike
-    ``id(table)``, which can alias once a table is garbage collected.
-
-    Tables come in two backings: the array kernel produces tables over
-    :class:`_TableArrays` (``Route`` objects and the full dict are
-    materialized lazily, only when asked), while the dict constructor
-    remains for hand-built tables and the scalar reference.  All query
-    methods behave identically on both.
+    An immutable value over the kernel's :class:`_TableArrays`: every
+    query reads the best-route arrays, and ``Route`` objects are
+    materialized only when asked for (:meth:`route`, :meth:`routes`).
+    Caches of data derived from a table (catchment arrays, share
+    vectors) key on the table object itself, which they then hold so
+    the key cannot be recycled, or on the announcement state that
+    produced it (:meth:`~repro.netsim.anycast.AnycastPrefix.state_key`).
+    Route a graph only once it is finished: :meth:`changes_from`
+    refuses to diff tables of two compiled graphs.
     """
 
-    def __init__(self, routes: dict[int, Route]) -> None:
-        self._dict: dict[int, Route] | None = routes
-        self._arrays: _TableArrays | None = None
-        self._route_cache: dict[int, Route] = {}
-        self.version = next(_TABLE_VERSIONS)
-
-    @classmethod
-    def _from_arrays(cls, arrays: _TableArrays) -> "RoutingTable":
-        table = cls.__new__(cls)
-        table._dict = None
-        table._arrays = arrays
-        table._route_cache = {}
-        table.version = next(_TABLE_VERSIONS)
-        return table
+    def __init__(self, arrays: _TableArrays) -> None:
+        self._arrays = arrays
 
     # -- lazy materialization -----------------------------------------
 
     def _route_at(self, row: int) -> Route:
         """Materialize the :class:`Route` held at compiled-graph *row*."""
         arrays = self._arrays
-        assert arrays is not None
         hops: list[int] = []
         rec = int(arrays.best_rec[row])
         while rec >= 0:
@@ -237,47 +215,31 @@ class RoutingTable:
             tiebreak=float(arrays.best_tiebreak[row]),
         )
 
-    @property
-    def _routes(self) -> dict[int, Route]:
-        """The full ``asn -> Route`` dict, materialized on first use.
+    def routes(self) -> dict[int, Route]:
+        """Every ``asn -> Route``, freshly materialized.
 
-        Iteration order equals the reference implementation's install
-        order, so dict-based fallbacks stay order-identical.
+        Iteration order is the reference implementation's install
+        order (:func:`repro.netsim.bgp_reference.propagate`).
         """
-        if self._dict is None:
-            arrays = self._arrays
-            assert arrays is not None
-            asn_of = arrays.compiled.asn_of
-            self._dict = {
-                int(asn_of[row]): self._route_at(row)
-                for row in arrays.order.tolist()
-            }
-        return self._dict
+        asn_of = self._arrays.compiled.asn_of
+        return {
+            int(asn_of[row]): self._route_at(row)
+            for row in self._arrays.order.tolist()
+        }
 
     # -- queries ------------------------------------------------------
 
     def route(self, asn: int) -> Route | None:
         """The best route of *asn*, or ``None`` if unreachable."""
-        if self._dict is not None:
-            return self._dict.get(asn)
         arrays = self._arrays
-        assert arrays is not None
         row = arrays.compiled.row_of.get(asn)
         if row is None or arrays.best_class[row] == _UNREACHED:
             return None
-        cached = self._route_cache.get(asn)
-        if cached is None:
-            cached = self._route_at(row)
-            self._route_cache[asn] = cached
-        return cached
+        return self._route_at(row)
 
     def site_of(self, asn: int) -> str | None:
         """The anycast site *asn*'s traffic reaches, or ``None``."""
-        if self._dict is not None:
-            route = self._dict.get(asn)
-            return None if route is None else route.site
         arrays = self._arrays
-        assert arrays is not None
         row = arrays.compiled.row_of.get(asn)
         if row is None or arrays.best_class[row] == _UNREACHED:
             return None
@@ -292,8 +254,6 @@ class RoutingTable:
         with ``-1`` for ASes holding no route.
         """
         arrays = self._arrays
-        if arrays is None:
-            return self._sites_of_dict(asns, site_index)
         asn_arr = np.asarray(asns, dtype=np.int64)
         out = np.full(asn_arr.size, -1, dtype=np.int16)
         rows = arrays.compiled.rows_of(asn_arr)
@@ -316,89 +276,46 @@ class RoutingTable:
         out[valid] = picked
         return out
 
-    def _sites_of_dict(
-        self, asns: Iterable[int], site_index: Mapping[str, int]
-    ) -> np.ndarray:
-        routes = self._routes
-        asn_arr = np.asarray(asns, dtype=np.int64)
-        out = np.full(asn_arr.size, -1, dtype=np.int16)
-        get = routes.get
-        for i, asn in enumerate(asn_arr.tolist()):
-            route = get(asn)
-            if route is not None:
-                out[i] = site_index[route.site]
-        return out
-
     def catchments(self) -> dict[str, set[int]]:
         """Site -> set of ASes routed to it."""
         result: dict[str, set[int]] = defaultdict(set)
         arrays = self._arrays
-        if arrays is not None and self._dict is None:
-            asn_of = arrays.compiled.asn_of
-            best_site = arrays.best_site
-            for row in arrays.order.tolist():
-                site = arrays.site_names[int(best_site[row])]
-                result[site].add(int(asn_of[row]))
-            return dict(result)
-        for asn, route in self._routes.items():
-            result[route.site].add(asn)
+        asn_of = arrays.compiled.asn_of
+        best_site = arrays.best_site
+        for row in arrays.order.tolist():
+            site = arrays.site_names[int(best_site[row])]
+            result[site].add(int(asn_of[row]))
         return dict(result)
 
     def reachable_asns(self) -> set[int]:
         """All ASes holding any route."""
         arrays = self._arrays
-        if arrays is not None:
-            rows = np.flatnonzero(arrays.best_class != _UNREACHED)
-            return set(arrays.compiled.asn_of[rows].tolist())
-        return set(self._routes)
+        rows = np.flatnonzero(arrays.best_class != _UNREACHED)
+        return set(arrays.compiled.asn_of[rows].tolist())
 
     def changes_from(self, previous: "RoutingTable") -> set[int]:
         """ASes whose best route differs from *previous*.
 
         A change of site, of path, or gain/loss of reachability all
         counts -- this mirrors what a BGP collector peer sees as update
-        activity (paper section 3.4.1).  Two array-backed tables over
-        the same compiled graph compare without materializing a single
-        ``Route``: the five best-route arrays are compared elementwise
-        and only key-equal rows fall back to a vectorized walk of both
-        record chains (equal keys imply equal path lengths, so the
-        chains terminate in lockstep).
+        activity (paper section 3.4.1).  Both tables must sit on the
+        same compiled graph (``ValueError`` otherwise).  No ``Route``
+        is materialized: the five best-route arrays are compared
+        elementwise and only key-equal rows fall back to a vectorized
+        walk of both record chains (equal keys imply equal path
+        lengths, so the chains terminate in lockstep).
         """
         mine, theirs = self._arrays, previous._arrays
-        if (
-            mine is not None
-            and theirs is not None
-            and (
-                mine.compiled is theirs.compiled
-                or _rows_prefix_aligned(mine.compiled, theirs.compiled)
+        if mine.compiled is not theirs.compiled:
+            raise ValueError(
+                "changes_from needs two tables on the same compiled graph"
             )
-        ):
-            return self._changes_from_arrays(mine, theirs)
-        changed: set[int] = set()
-        prev = previous._routes
-        for asn, route in self._routes.items():
-            if prev.get(asn) != route:
-                changed.add(asn)
-        for asn in prev:
-            if asn not in self._routes:
-                changed.add(asn)
-        return changed
-
-    @staticmethod
-    def _changes_from_arrays(
-        mine: _TableArrays, theirs: _TableArrays
-    ) -> set[int]:
-        # The two tables may sit on different compiled views of an
-        # append-only graph (the caller verified the shared row
-        # prefix); rows past the shorter table exist on one side only
-        # and count as changed wherever they hold a route.
-        n = min(mine.best_class.shape[0], theirs.best_class.shape[0])
-        reached_a = mine.best_class[:n] != _UNREACHED
-        reached_b = theirs.best_class[:n] != _UNREACHED
+        reached_a = mine.best_class != _UNREACHED
+        reached_b = theirs.best_class != _UNREACHED
         changed = reached_a != reached_b
         both = reached_a & reached_b
         if mine.site_names == theirs.site_names:
-            their_site = theirs.best_site[:n]
+            their_site = theirs.best_site
         else:
             # Map the other table's site indices into this table's
             # space; -2 marks sites this table does not know (always a
@@ -410,20 +327,16 @@ class RoutingTable:
             trans[-1] = -1
             for j, name in enumerate(theirs.site_names):
                 trans[j] = index.get(name, -2)
-            their_site = trans[theirs.best_site[:n]]
+            their_site = trans[theirs.best_site]
         keydiff = (
-            (mine.best_class[:n] != theirs.best_class[:n])
-            | (mine.best_pathlen[:n] != theirs.best_pathlen[:n])
-            | (mine.best_tiebreak[:n] != theirs.best_tiebreak[:n])
-            | (mine.best_site[:n] != their_site)
-            | (mine.best_origin[:n] != theirs.best_origin[:n])
+            (mine.best_class != theirs.best_class)
+            | (mine.best_pathlen != theirs.best_pathlen)
+            | (mine.best_tiebreak != theirs.best_tiebreak)
+            | (mine.best_site != their_site)
+            | (mine.best_origin != theirs.best_origin)
         )
         changed |= both & keydiff
         changed_rows = [np.flatnonzero(changed)]
-        if mine.best_class.shape[0] > n:
-            changed_rows.append(
-                n + np.flatnonzero(mine.best_class[n:] != _UNREACHED)
-            )
         # Key-equal rows can still differ in the path interior; walk
         # both record chains level by level (same length: equal keys
         # imply equal path lengths).
@@ -443,32 +356,10 @@ class RoutingTable:
             alive = rec_a >= 0
             same, rec_a, rec_b = same[alive], rec_a[alive], rec_b[alive]
         rows = np.concatenate(changed_rows)
-        result = set(mine.compiled.asn_of[rows].tolist())
-        if theirs.best_class.shape[0] > n:
-            extra = n + np.flatnonzero(
-                theirs.best_class[n:] != _UNREACHED
-            )
-            result.update(theirs.compiled.asn_of[extra].tolist())
-        return result
+        return set(mine.compiled.asn_of[rows].tolist())
 
     def __len__(self) -> int:
-        arrays = self._arrays
-        if arrays is not None:
-            return int((arrays.best_class != _UNREACHED).sum())
-        return len(self._routes)
-
-
-def _rows_prefix_aligned(a: CompiledGraph, b: CompiledGraph) -> bool:
-    """Whether two compiled views share their leading row order.
-
-    AS nodes are append-only, so two compilations of the *same* graph
-    taken before and after it grew agree on every shared row -- their
-    tables then compare elementwise over the common prefix instead of
-    materializing Route dicts.  Checked against the actual asn rows
-    (not assumed) so unrelated graphs never take the array path.
-    """
-    n = min(a.asn_of.shape[0], b.asn_of.shape[0])
-    return bool(np.array_equal(a.asn_of[:n], b.asn_of[:n]))
+        return int((self._arrays.best_class != _UNREACHED).sum())
 
 
 class _Propagation:
@@ -530,11 +421,6 @@ class _Propagation:
         self.pending_parents: list[int] = []
         self.rec_count = 0
         self.order_chunks: list[np.ndarray] = []
-
-    def site_tb(self, site: int, rows: np.ndarray) -> np.ndarray:
-        """Tie-break floats of *site* at *rows*."""
-        result: np.ndarray = self.tie[site, rows]
-        return result
 
     # -- record forest ------------------------------------------------
 
@@ -759,30 +645,13 @@ class _Propagation:
         )
 
 
-def compiled_graph_from_buffers(
-    version: int, arrays: Mapping[str, np.ndarray]
-) -> CompiledGraph:
-    """Rebuild a :class:`CompiledGraph` from named array buffers.
-
-    The from-buffer constructor used by the zero-copy sweep substrate
-    layer (:mod:`repro.sweep.shm`): *arrays* are typically read-only
-    views over a ``multiprocessing.shared_memory`` segment exported by
-    the sweep parent, one entry per
-    :meth:`CompiledGraph.array_fields` name.  ``row_of`` is derived
-    from ``asn_of``; the result is indistinguishable from the view
-    :meth:`ASGraph.compiled` would build for the same structure
-    version, so every kernel in this module runs on it unchanged.
-    """
-    return CompiledGraph.from_arrays(version, arrays)
-
-
 def propagate(graph: ASGraph, origins: list[Origin]) -> RoutingTable:
     """Compute best routes at every AS for one anycast prefix.
 
-    Withdrawn sites are simply omitted from *origins*.  This is the
-    array kernel; it is bit-identical to
-    :func:`repro.netsim.bgp_reference.propagate` (same winners, same
-    tie-breaks, same table iteration order).
+    Withdrawn sites are simply omitted from *origins*; with none left
+    every AS is unreached.  This is the array kernel; it is
+    bit-identical to :func:`repro.netsim.bgp_reference.propagate`
+    (same winners, same tie-breaks, same install order).
     """
     for origin in origins:
         if origin.asn not in graph:
@@ -844,7 +713,7 @@ def propagate(graph: ASGraph, origins: list[Origin]) -> RoutingTable:
 
     # --- Local sites: host AS and direct neighbors only. --------------
     _local_stage(state, local_origins)
-    return RoutingTable._from_arrays(state.finish())
+    return RoutingTable(state.finish())
 
 
 def _local_stage(
@@ -884,7 +753,7 @@ def _local_stage(
         # provider sees a customer route, our customer a provider one.
         cls = _EXPORT_CLASS[rels]
         plen = np.full(targets.size, 2, dtype=np.int16)
-        tb = state.site_tb(site, targets)
+        tb = state.tie[site, targets]
         site_arr = np.full(targets.size, site, dtype=np.int16)
         origin_arr = np.full(targets.size, origin.asn, dtype=np.int64)
         beats = state.vector_beats(

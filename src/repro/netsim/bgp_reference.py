@@ -8,6 +8,13 @@ it is far easier to audit against the paper's §2.1 routing model than
 the vectorized code, and it is the baseline the routing benchmark
 (``benchmarks/bench_routing.py``) measures speedups over.
 
+:func:`propagate` returns its own format, a plain ``asn -> Route``
+dict in install order; tests compare it with the kernel's
+:meth:`~repro.netsim.bgp.RoutingTable.routes`.  :func:`table` packs
+that dict into a :class:`~repro.netsim.bgp.RoutingTable`, so the whole
+engine can run on reference routes (the routing benchmark's faulted
+end-to-end leg).
+
 Every ordering quirk here is load-bearing: ``min`` is stable (first
 candidate wins full-key ties), candidate dicts iterate in first-
 occurrence order, and the best dict iterates in first-install order.
@@ -21,13 +28,14 @@ from collections import defaultdict
 import numpy as np
 
 from .asgraph import ASGraph, Relationship
-from .bgp import Origin, Route, RouteClass, RoutingTable, Scope
+from .bgp import Origin, Route, RouteClass, RoutingTable, Scope, _Propagation
 
 
-def propagate(graph: ASGraph, origins: list[Origin]) -> RoutingTable:
-    """Compute best routes at every AS for one anycast prefix.
+def propagate(graph: ASGraph, origins: list[Origin]) -> dict[int, Route]:
+    """Compute the best route of every reached AS for one prefix.
 
-    Withdrawn sites are simply omitted from *origins*.
+    Withdrawn sites are simply omitted from *origins*.  The dict
+    iterates in install order (each AS at its first route).
     """
     for origin in origins:
         if origin.asn not in graph:
@@ -38,13 +46,14 @@ def propagate(graph: ASGraph, origins: list[Origin]) -> RoutingTable:
     # (policy loops re-announce the same origins every few bins).  The
     # coordinate arrays are only needed when some origin actually has a
     # location; an unlocated deployment ties everything at 0.0.
-    dist_rows: dict[str, np.ndarray] = {
-        o.site: graph.distance_row(
-            o.asn, o.location, 1.0 - o.preference_discount
-        )
+    located = {
+        o.site: (o.asn, o.location, 1.0 - o.preference_discount)
         for o in origins
         if o.location is not None
     }
+    dist_rows: dict[str, np.ndarray] = dict(
+        zip(located, graph.distance_rows(list(located.values())))
+    )
     row_of: dict[int, int] = {}
     if dist_rows:
         row_of, _, _ = graph.coordinate_arrays()
@@ -189,4 +198,27 @@ def propagate(graph: ASGraph, origins: list[Origin]) -> RoutingTable:
                 ),
             )
 
-    return RoutingTable(best)
+    return best
+
+
+def table(graph: ASGraph, origins: list[Origin]) -> RoutingTable:
+    """:func:`propagate`'s routes packed into a kernel-format table.
+
+    Each route's path becomes a record chain and its AS is installed
+    in the dict's order, so the table answers every query, and diffs
+    against kernel tables on the same graph, exactly as the kernel's
+    own table for *origins* would.
+    """
+    routes = propagate(graph, origins)
+    state = _Propagation(graph, origins)
+    row_of = state.compiled.row_of
+    for asn, route in routes.items():
+        parent = -1
+        for hop in route.path[:-1]:
+            parent = state.new_record(row_of[hop], parent)
+        state.scalar_install(
+            row_of[asn], int(route.route_class), route.path_len,
+            route.tiebreak, state.site_idx[route.site], route.origin_asn,
+            parent,
+        )
+    return RoutingTable(state.finish())

@@ -52,7 +52,7 @@ class LetterDeployment:
         #: Facility labels in site order, precomputed for the engine's
         #: per-bin spillover bookkeeping.
         self.site_labels = [s.label(spec.letter) for s in spec.sites]
-        self.states = {s.code: SiteState.initial(s) for s in spec.sites}
+        self.states = {s.code: SiteState(s) for s in spec.sites}
         self.host_asns: dict[str, int] = {}
         self.policy_log: list[PolicyEvent] = []
         self._capacity_vector = np.array(
@@ -72,8 +72,8 @@ class LetterDeployment:
             ],
             dtype=np.float64,
         )
-        self._quiet_cache: tuple[int, bool] | None = None
-        self._announced_cache: tuple[int, np.ndarray] | None = None
+        self._quiet_cache: tuple[tuple, bool] | None = None
+        self._announced_cache: tuple[tuple, np.ndarray] | None = None
 
         origins = []
         for site in spec.sites:
@@ -112,30 +112,29 @@ class LetterDeployment:
                     site.capacity_qps,
                     site.facility_coupling,
                 )
-        self.prefix = AnycastPrefix(topology.graph, origins)
-        for site in spec.sites:
-            if not site.initially_announced:
-                self.prefix.withdraw(site.code, timestamp=float("-inf"))
+        self.prefix = AnycastPrefix(
+            topology.graph,
+            origins,
+            withdrawn=frozenset(
+                s.code for s in spec.sites if not s.initially_announced
+            ),
+        )
 
     def reset(self) -> None:
         """Restore the post-construction state for a fresh run.
 
         Rebuilds the site policy states, clears the policy log and the
-        memo caches, and resets the prefix -- including replaying the
-        initial withdrawal of standby sites exactly as ``__init__``
-        does, so the change log starts with the same records.  The
+        memo caches, and resets the prefix to its initial state
+        (standby sites withdrawn, empty change log).  The
         routing-table cache inside the prefix survives, which is the
         point: a reused deployment skips every BGP propagation it has
         already done.
         """
-        self.states = {s.code: SiteState.initial(s) for s in self.spec.sites}
+        self.states = {s.code: SiteState(s) for s in self.spec.sites}
         self.policy_log = []
         self._quiet_cache = None
         self._announced_cache = None
         self.prefix.reset()
-        for site in self.spec.sites:
-            if not site.initially_announced:
-                self.prefix.withdraw(site.code, timestamp=float("-inf"))
 
     def snapshot(self) -> "LetterDeployment":
         """A copy whose run state a later :meth:`reset` cannot touch.
@@ -196,17 +195,17 @@ class LetterDeployment:
     def announced_mask(self) -> np.ndarray:
         """Boolean mask over site order: currently announced?
 
-        Memoized per routing-table version (announcement state and
-        routing version change together); treat as read-only.
+        Memoized per :meth:`AnycastPrefix.state_key`; treat as
+        read-only.
         """
-        version = self.prefix.routing().version
+        key = self.prefix.state_key()
         cached = self._announced_cache
-        if cached is not None and cached[0] == version:
+        if cached is not None and cached[0] == key:
             return cached[1]
         mask = np.array(
             [self.prefix.is_announced(c) for c in self.site_order]
         )
-        self._announced_cache = (version, mask)
+        self._announced_cache = (key, mask)
         return mask
 
     def is_quiet(self) -> bool:
@@ -216,11 +215,13 @@ class LetterDeployment:
         standby down.  In that state ``apply_policies`` with sub-
         threshold utilisations is a no-op: it returns at once here and
         the segment-batched engine skips the call in gated bins.
-        Memoized per routing-table version.
+        Memoized per :meth:`AnycastPrefix.state_key` (a site's partial
+        flag and its export block change together, in
+        :meth:`set_partial`).
         """
-        version = self.prefix.routing().version
+        key = self.prefix.state_key()
         cached = self._quiet_cache
-        if cached is not None and cached[0] == version:
+        if cached is not None and cached[0] == key:
             return cached[1]
         quiet = True
         for code in self.site_order:
@@ -233,7 +234,7 @@ class LetterDeployment:
             elif up:
                 quiet = False
                 break
-        self._quiet_cache = (version, quiet)
+        self._quiet_cache = (key, quiet)
         return quiet
 
     def _blocked_set_for_partial(self, code: str) -> frozenset[int]:

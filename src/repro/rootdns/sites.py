@@ -152,20 +152,19 @@ class SiteSpec:
 
 @dataclass(slots=True)
 class SiteState:
-    """Mutable per-site simulation state."""
+    """Mutable per-site policy state.
+
+    Whether the site announces lives in the letter's
+    :class:`~repro.netsim.anycast.AnycastPrefix`, not here.
+    """
 
     spec: SiteSpec
-    announced: bool
     withdrawals: int = 0
     calm_bins: int = 0
     partial: bool = False
     #: Which server currently answers when behaviour is SHED_TO_ONE
     #: (rotates between events, as seen at K-FRA in Fig. 12).
     shed_server: int = 1
-
-    @classmethod
-    def initial(cls, spec: SiteSpec) -> "SiteState":
-        return cls(spec=spec, announced=spec.initially_announced)
 
     def may_reannounce(self) -> bool:
         """Whether the auto-recovery budget allows re-announcing."""

@@ -129,13 +129,14 @@ class _SpanCache:
     """Whole-run arrays shared by every segment.
 
     Workload and attack rates depend only on the bin timestamps, and
-    the share-product matrices only on ``(letter, table.version)`` on
-    top of that; both are computed elementwise, so a slice of the
-    full-span array is bit-identical to computing the same expression
-    on the sliced timestamp vector.  Segments therefore slice instead
-    of recomputing.  ``mat`` keeps only each letter's current routing
-    version: a controller run can visit over a hundred routing tables,
-    and a full-span matrix for each would dominate peak memory.  The
+    the share-product matrices only on the letter's routing epoch
+    (``_EpochData.epoch``, one per announcement state) on top of that;
+    both are computed elementwise, so a slice of the full-span array
+    is bit-identical to computing the same expression on the sliced
+    timestamp vector.  Segments therefore slice instead of
+    recomputing.  ``mat`` keeps only each letter's current epoch: a
+    controller run can visit over a hundred routing states, and a
+    full-span matrix for each would dominate peak memory.  The
     entry also pins the capacity base array: cap-scale faults only act
     inside per-bin fault bins (never within a segment), so the base
     object is stable, but a changed object invalidates the entry
@@ -176,7 +177,7 @@ def _prepare_letter(
     mats = cache.mat.get(letter)
     if (
         mats is None
-        or mats[0] != table.version
+        or mats[0] != ed.epoch
         or mats[5] is not capacity
     ):
         asm_full = vecs[0][:, None] * ed.bot_share[None, :]
@@ -184,7 +185,7 @@ def _prepare_letter(
             asm_full + vecs[1][:, None] * ed.legit_share[None, :]
         )
         mats = (
-            table.version,
+            ed.epoch,
             asm_full,
             base_full,
             (base_full / capacity).max(axis=1),
@@ -352,7 +353,8 @@ def _run_segment(
             nz = np.flatnonzero(~skippable[off:])
             run = int(nz[0]) if nz.size else nb_max - off
             spill = retry_spill(
-                {letter: 0.0 for letter in letters}, letters
+                {letter: 0.0 for letter in letters}, letters,
+                state.retry_targets,
             )
             off += run
             continue
@@ -440,7 +442,8 @@ def _run_segment(
                     )
 
         spill = retry_spill(
-            {letter: losses[letter] for letter in letters}, letters
+            {letter: losses[letter] for letter in letters}, letters,
+            state.retry_targets,
         )
         # The control loop, as at the end of a per-bin pass; policy
         # letters without a row are idle this bin.  Every action

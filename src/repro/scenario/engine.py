@@ -46,6 +46,7 @@ from ..attack.workload import (
     BaselineWorkload,
     legit_share_vector,
     retry_spill,
+    retry_targets,
 )
 from ..bgpmon.collector import BgpCollectors, build_collectors
 from ..datasets.observations import AtlasDataset, VantagePointTable
@@ -293,6 +294,8 @@ class _RunState:
     #: Letter-flip retry feedback: extra legitimate load per letter in
     #: the *next* bin, updated at the end of every bin.
     spill: dict[str, float]
+    #: Each letter's retry targets (:func:`retry_targets`), built once.
+    retry_targets: dict[str, list[str]]
 
 
 def _epoch_for(
@@ -302,10 +305,10 @@ def _epoch_for(
 
     Cache misses append the epoch's stub catchment and assign the next
     epoch index, so epoch numbering follows each letter's first-visit
-    order.  Epochs are keyed on the announcement state, not on
-    ``table.version``: a state the routing-table LRU evicted and
-    recomputed comes back under a new version, and keying on that
-    would number one state twice.  So no cache bound can change
+    order.  Epochs are keyed on the announcement state, not on the
+    table object: a state the routing-table LRU evicted and
+    recomputed comes back as a new table, and keying on that would
+    number one state twice.  So no cache bound can change
     ``epoch_of_bin`` or ``stub_site_by_epoch``.
     """
     dep = state.deployments[letter]
@@ -484,7 +487,9 @@ def _run_bin(state: _RunState, b: int) -> None:
     if nl is not None:
         nl.record_bin(b, facility_extra, offered=nl_offered)
 
-    state.spill = retry_spill(new_spill_sources, letters)
+    state.spill = retry_spill(
+        new_spill_sources, letters, state.retry_targets
+    )
 
 
 #: Config fields that determine the substrate (everything built before
@@ -811,6 +816,7 @@ def simulate(
         },
         qname_sizes={},
         spill={letter: 0.0 for letter in letters},
+        retry_targets=retry_targets(letters),
     )
 
     # Segment-batched execution: contiguous runs of bins with no

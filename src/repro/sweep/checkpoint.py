@@ -33,7 +33,7 @@ import os
 import pickle
 import zlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from ..scenario.engine import substrate_signature
 from .spec import SweepCell, SweepSpec
@@ -315,10 +315,3 @@ def resume_command(
     if jobs is not None and jobs != 1:
         parts.append(f"--jobs {jobs}")
     return " ".join(parts)
-
-
-def checkpoint_summary(
-    results: Mapping[int, object], n_cells: int
-) -> str:
-    """One-line human description of a loaded checkpoint."""
-    return f"{len(results)}/{n_cells} cell(s) restored from checkpoint"

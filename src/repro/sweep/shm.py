@@ -32,7 +32,7 @@ routing table from scratch.  This module removes that tax:
   the mutation site instead of corrupting sibling cells -- and
   unpickles the skeleton with a ``persistent_load`` that resolves
   each token to its zero-copy view.  The compiled graph is rebuilt
-  through :func:`repro.netsim.bgp.compiled_graph_from_buffers`, so
+  through :meth:`repro.netsim.asgraph.CompiledGraph.from_arrays`, so
   its ASN->row index is derived locally instead of pickled.
 
 Lifecycle and ownership: the *parent* owns every segment.  It creates
@@ -67,7 +67,6 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 import numpy as np
 
 from ..netsim.asgraph import CompiledGraph
-from ..netsim.bgp import compiled_graph_from_buffers
 
 if TYPE_CHECKING:
     from ..scenario.engine import Substrate
@@ -163,7 +162,7 @@ def _rebuild_compiled_graph(
     version: int, arrays: tuple[np.ndarray, ...]
 ) -> CompiledGraph:
     names = CompiledGraph.array_fields()
-    return compiled_graph_from_buffers(version, dict(zip(names, arrays)))
+    return CompiledGraph.from_arrays(version, dict(zip(names, arrays)))
 
 
 class _SkeletonUnpickler(pickle.Unpickler):

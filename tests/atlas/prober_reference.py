@@ -44,8 +44,7 @@ def sample_bin_by_bin(
     hijacked = prober.vps.hijacked
     for b in np.flatnonzero(prober._recorded).tolist():
         probed = (b + prober.probe_phase) % prober.bins_per_probe == 0
-        table = prober._tables[int(prober._version_of_bin[b])]
-        vp_site = prober._vp_site_indices(table)
+        vp_site = prober._vp_site_indices(prober._table_of_bin[b])
 
         # Hijacked VPs: a third party's fast bogus answer.
         hij = np.flatnonzero(probed & hijacked)

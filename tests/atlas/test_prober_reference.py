@@ -4,7 +4,7 @@ reference in :mod:`tests.atlas.prober_reference`.
 Each case records random conditions into two probers seeded alike --
 quiet, loaded and saturated segments (loss 1, delays past the 5 s
 timeout), overloaded shed-to-one sites, partial and total withdrawals,
-routing versions that recur, skipped bins, both ``record_bin`` and
+routing tables that recur, skipped bins, both ``record_bin`` and
 ``record_bins`` -- then flushes one and samples the other bin by bin.
 The matrices and the generator state afterwards must match exactly.
 """
@@ -136,8 +136,9 @@ def test_cases_cover_every_outcome(substrate):
             obs = prober.finish()
             codes |= {int(c) for c in np.unique(obs.site_idx)}
             unrouted_bins += sum(
-                bool((prober._vp_site_indices(prober._tables[v]) < 0).all())
-                for v in prober._version_of_bin[prober._recorded].tolist()
+                bool((prober._vp_site_indices(prober._table_of_bin[b]) < 0)
+                     .all())
+                for b in np.flatnonzero(prober._recorded).tolist()
             )
             if letter == "K":
                 fra = prober.site_codes.index("FRA")

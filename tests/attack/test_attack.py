@@ -209,12 +209,15 @@ class TestRetrySpill:
         with pytest.raises(ValueError):
             retry_spill({"A": -1.0}, ["A", "B"])
 
-    def test_memo_hit_is_identical_to_fresh(self):
-        from repro.attack import workload
+    def test_prebuilt_targets_match_fresh(self):
+        # The engine builds the retry targets once per run and passes
+        # them in; that must equal building them per call.
+        from repro.attack.workload import retry_targets
 
         letters = list("ABCDE")
         lost = {"A": 50.0, "C": 10.0}
-        workload._OTHERS_MEMO.clear()
+        targets = retry_targets(letters)
+        assert targets["C"] == ["A", "B", "D", "E"]
         fresh = retry_spill(lost, letters)
-        assert tuple(letters) in workload._OTHERS_MEMO
-        assert retry_spill(lost, letters) == fresh
+        assert retry_spill(lost, letters, targets) == fresh
+        assert retry_spill(lost, letters, targets) == fresh

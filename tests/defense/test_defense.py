@@ -170,6 +170,16 @@ class TestClosedLoop:
         )
         assert outcome.routing_actions == 0
 
+    def test_standby_start_is_not_a_routing_action(self):
+        # H-Root's backup starts withdrawn; that initial state is not
+        # an action the controller took.
+        config = ScenarioConfig(
+            seed=13, n_stubs=80, n_vps=40, letters=("H",),
+            include_nl=False,
+        )
+        outcome = evaluate_controller(config, "H", "absorb", NullController)
+        assert outcome.routing_actions == 0
+
     def test_static_policies_act(self, base_config):
         outcome = evaluate_controller(base_config, "K", "static", None)
         assert outcome.routing_actions > 0

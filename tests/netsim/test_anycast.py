@@ -138,7 +138,7 @@ class TestCacheLru:
     def test_eviction_preserves_routing_outputs(self):
         # A tiny cache forces evictions while a large one never
         # evicts; the observable outputs (catchments, change log) must
-        # be identical -- only version tokens may differ.
+        # be identical -- only the table objects may differ.
         def drive(prefix):
             seen = []
             schedule = [
@@ -156,13 +156,16 @@ class TestCacheLru:
         assert small == large
 
     def test_recomputed_state_gets_fresh_version(self):
+        # An evicted state comes back as a new table object with the
+        # same routes.
         prefix = self._make_prefix(cache_size=1)
-        v_full = prefix.routing().version
+        full = prefix.routing()
         key = prefix.state_key()
         prefix.withdraw("A", timestamp=1.0)   # evicts {A, B}
         prefix.routing()
         prefix.announce("A", timestamp=2.0)   # recompute {A, B}
-        assert prefix.routing().version != v_full
+        assert prefix.routing() is not full
+        assert prefix.routing().routes() == full.routes()
         # ... but the same state key, which epoch numbering uses.
         assert prefix.state_key() == key
 
@@ -171,16 +174,45 @@ class TestCacheLru:
         prefix.routing()                      # {A, B} cached
         prefix.withdraw("A", timestamp=1.0)   # {B} cached
         prefix.announce("A", timestamp=2.0)   # {A, B} hit, refreshed
-        v_full = prefix.routing().version
+        full = prefix.routing()
         prefix.withdraw("B", timestamp=3.0)   # {A} evicts {B}, not {A, B}
         prefix.announce("B", timestamp=4.0)
-        assert prefix.routing().version == v_full
+        assert prefix.routing() is full
 
     def test_rejects_nonpositive_cache_size(self, prefix):
         with pytest.raises(ValueError):
             AnycastPrefix(
                 prefix.graph, [Origin(site="A", asn=1)], cache_size=0
             )
+
+
+class TestInitiallyWithdrawn:
+    def _make_prefix(self, graph, withdrawn):
+        return AnycastPrefix(
+            graph,
+            [Origin(site="A", asn=1), Origin(site="B", asn=2)],
+            withdrawn=withdrawn,
+        )
+
+    def test_starts_withdrawn_without_a_log_record(self, prefix):
+        standby = self._make_prefix(prefix.graph, frozenset({"A"}))
+        assert standby.announced_sites() == {"B"}
+        assert standby.catchment_of(5) == "B"
+        assert standby.change_log() == []
+
+    def test_reset_restores_the_initial_state(self, prefix):
+        standby = self._make_prefix(prefix.graph, frozenset({"A"}))
+        key = standby.state_key()
+        standby.announce("A", timestamp=1.0)
+        standby.withdraw("B", timestamp=2.0)
+        standby.reset()
+        assert standby.announced_sites() == {"B"}
+        assert standby.state_key() == key
+        assert standby.change_log() == []
+
+    def test_rejects_unknown_sites(self, prefix):
+        with pytest.raises(ValueError, match="Z"):
+            self._make_prefix(prefix.graph, frozenset({"Z"}))
 
 
 class TestValidation:

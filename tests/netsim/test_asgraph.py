@@ -130,15 +130,16 @@ class TestCompiledGraph:
         assert compiled.rows_of([3, 1, 99, 2]).tolist() == [2, 0, -1, 1]
 
     def test_distance_cache_keyed_on_node_count(self, triangle):
-        row = triangle.distance_row(1, Location(0, 0), 1.0)
-        assert triangle.distance_row(1, Location(0, 0), 1.0) is row
+        spec = [(1, Location(0, 0), 1.0)]
+        [row] = triangle.distance_rows(spec)
+        assert triangle.distance_rows(spec)[0] is row
         # Distances depend only on node locations, which are immutable
         # and append-only -- a link-only edit keeps the memo warm.
         triangle.add_link(1, 3, Relationship.PROVIDER)
-        assert triangle.distance_row(1, Location(0, 0), 1.0) is row
+        assert triangle.distance_rows(spec)[0] is row
         # Growing the node set invalidates the stale-length row.
         triangle.add_as(_node(4, lat=10.0))
-        fresh = triangle.distance_row(1, Location(0, 0), 1.0)
+        [fresh] = triangle.distance_rows(spec)
         assert fresh is not row
         assert fresh.shape == (4,)
 

@@ -9,20 +9,19 @@ from repro.netsim import (
     AsNode,
     Origin,
     Relationship,
-    Route,
     RouteClass,
-    RoutingTable,
     Scope,
+    bgp_reference,
     propagate,
-    propagate_reference,
 )
 from repro.util import Location
 
-#: Both propagation implementations: the array kernel and the scalar
-#: reference.  Behavior-level tests run against each, so a divergence
-#: shows up as a per-implementation failure, not only in the
-#: bit-equivalence property test.
-IMPLEMENTATIONS = [propagate, propagate_reference]
+#: Both propagation implementations as tables: the array kernel and
+#: the scalar reference's routes packed by ``bgp_reference.table``.
+#: Behavior-level tests run against each, so a divergence shows up as
+#: a per-implementation failure, not only in the bit-equivalence
+#: property test.
+IMPLEMENTATIONS = [propagate, bgp_reference.table]
 IMPL_IDS = ["kernel", "reference"]
 
 
@@ -186,39 +185,51 @@ class TestRoutingTable:
     def test_changes_from_detects_gain_and_loss(self):
         graph = _chain_graph()
         full = propagate(graph, [Origin(site="X", asn=1)])
-        empty = RoutingTable({})
+        empty = propagate(graph, [])
+        assert len(empty) == 0
         assert full.changes_from(empty) == full.reachable_asns()
         assert empty.changes_from(full) == full.reachable_asns()
         assert full.changes_from(full) == set()
 
     def test_changes_from_covers_every_transition_kind(self):
-        # Hand-built tables exercising each delta the lazy union walk
-        # must catch: loss of reachability (ASN only in previous),
-        # gain (only in current), site change, path change, and an
-        # identical route that must NOT count.
-        def route(site, path, cls=RouteClass.CUSTOMER):
-            return Route(
-                site=site,
-                origin_asn=path[0],
-                path=tuple(path),
-                route_class=cls,
-                tiebreak=0.0,
-            )
-
-        previous = RoutingTable({
-            1: route("X", (1,)),            # lost below
-            2: route("X", (1, 2)),          # site change below
-            3: route("X", (1, 2, 3)),       # path change below
-            4: route("X", (1, 4)),          # unchanged
-        })
-        current = RoutingTable({
-            2: route("Y", (6, 2)),
-            3: route("X", (1, 4, 3)),
-            4: route("X", (1, 4)),
-            5: route("Y", (6, 5)),          # gained
-        })
-        assert current.changes_from(previous) == {1, 2, 3, 5}
-        assert previous.changes_from(current) == {1, 2, 3, 5}
+        # Two announcement states exercising each delta changes_from
+        # must catch: loss of reachability, gain, site change, a path
+        # change behind an equal preference key, and identical routes
+        # that must NOT count.
+        graph = ASGraph()
+        for asn in range(1, 9):
+            graph.add_as(_node(asn))
+        graph.add_link(1, 2, Relationship.PROVIDER)
+        graph.add_link(1, 4, Relationship.PROVIDER)
+        graph.add_link(2, 3, Relationship.PROVIDER)
+        graph.add_link(4, 3, Relationship.PROVIDER)
+        graph.add_link(2, 8, Relationship.PEER)
+        graph.add_link(5, 3, Relationship.PROVIDER)
+        graph.add_link(5, 6, Relationship.PROVIDER)
+        graph.add_link(7, 6, Relationship.PROVIDER)
+        previous = propagate(graph, [Origin(site="X", asn=1)])
+        # X stops exporting to 2, and Y appears at 6.
+        current = propagate(
+            graph,
+            [
+                Origin(site="X", asn=1, blocked_neighbors=frozenset({2})),
+                Origin(site="Y", asn=6),
+            ],
+        )
+        # 3's path changes interior hop only: same class, length,
+        # tie-break, site and origin.
+        assert previous.route(3).path == (1, 2, 3)
+        assert current.route(3).path == (1, 4, 3)
+        assert current.route(3).preference_key() == (
+            previous.route(3).preference_key()
+        )
+        assert previous.route(8) is not None and current.route(8) is None
+        assert previous.route(7) is None and current.site_of(7) == "Y"
+        assert (previous.site_of(5), current.site_of(5)) == ("X", "Y")
+        assert current.route(4) == previous.route(4)
+        expected = {2, 3, 5, 6, 7, 8}
+        assert current.changes_from(previous) == expected
+        assert previous.changes_from(current) == expected
 
     def test_sites_of_matches_site_of(self):
         graph = _chain_graph()
@@ -227,24 +238,15 @@ class TestRoutingTable:
         got = table.sites_of([1, 2, 3, 4, 99], site_index)
         assert got.tolist() == [3, 3, 3, 3, -1]
 
-    def test_version_tokens_are_unique_and_monotonic(self):
-        graph = _chain_graph()
-        a = propagate(graph, [Origin(site="X", asn=1)])
-        b = propagate(graph, [Origin(site="X", asn=1)])
-        c = RoutingTable({})
-        versions = [a.version, b.version, c.version]
-        assert len(set(versions)) == 3
-        assert versions == sorted(versions)
 
 
 @pytest.mark.parametrize("impl", IMPLEMENTATIONS, ids=IMPL_IDS)
 class TestChangesFromEdgeCases:
     """changes_from must agree on every transition kind, per backend.
 
-    The kernel compares array-backed tables without materializing
-    routes while the reference walks dicts; both must report the same
-    deltas for reachability gained, reachability lost, and identical
-    states.
+    Kernel tables and the reference's packed tables must report the
+    same deltas for reachability gained, reachability lost, and
+    identical states; an all-withdrawn state is ``impl(graph, [])``.
     """
 
     def _tables(self, impl):
@@ -255,20 +257,20 @@ class TestChangesFromEdgeCases:
             graph, [Origin(site="A", asn=1), Origin(site="B", asn=5)]
         )
         partial = impl(graph, [Origin(site="A", asn=1)])
-        return full, partial
+        return graph, full, partial
 
     def test_gain_of_reachability(self, impl):
-        full, partial = self._tables(impl)
-        empty = RoutingTable({})
+        graph, full, partial = self._tables(impl)
+        empty = impl(graph, [])
         assert full.changes_from(empty) == full.reachable_asns()
 
     def test_loss_of_reachability(self, impl):
-        full, partial = self._tables(impl)
-        empty = RoutingTable({})
+        graph, full, partial = self._tables(impl)
+        empty = impl(graph, [])
         assert empty.changes_from(full) == full.reachable_asns()
 
     def test_site_and_path_shift_between_states(self, impl):
-        full, partial = self._tables(impl)
+        graph, full, partial = self._tables(impl)
         delta = partial.changes_from(full)
         # Withdrawing B moves B's catchment; both directions agree.
         assert delta == full.changes_from(partial)
@@ -285,30 +287,25 @@ class TestChangesFromEdgeCases:
         assert a.changes_from(a) == set()
 
     def test_empty_vs_empty(self, impl):
-        empty_a = RoutingTable({})
-        empty_b = RoutingTable({})
+        graph = _chain_graph()
+        empty_a = impl(graph, [])
+        empty_b = impl(graph, [])
         assert empty_a.changes_from(empty_b) == set()
 
     def test_across_graph_growth(self, impl):
-        # Tables compiled before and after the (append-only) graph
-        # grew must diff like the dict walk: new reached ASes count as
-        # changed, shared rows compare by route.
+        # Tables compiled before and after the graph grew sit on two
+        # compiled graphs; diffing them is a caller error.
         graph = _chain_graph()
         origins = [Origin(site="A", asn=1)]
         before = impl(graph, origins)
         graph.add_as(_node(5))
         graph.add_link(5, 3, Relationship.PROVIDER)
         after = impl(graph, origins)
-        assert after.changes_from(before) == {5}
-        assert before.changes_from(after) == {5}
-        # And against an unrelated state on the grown graph.
-        moved = impl(graph, [Origin(site="B", asn=4)])
-        dict_diff = {
-            asn
-            for asn in moved._routes.keys() | before._routes.keys()
-            if moved._routes.get(asn) != before._routes.get(asn)
-        }
-        assert moved.changes_from(before) == dict_diff
+        with pytest.raises(ValueError, match="same compiled graph"):
+            after.changes_from(before)
+        with pytest.raises(ValueError, match="same compiled graph"):
+            before.changes_from(after)
+        assert after.changes_from(impl(graph, origins)) == set()
 
 
 def _valley_free(graph, path):

@@ -6,7 +6,10 @@ at every AS, the same tie-break floats, the same AS paths (including
 the reference's stale-snapshot quirk, where a route keeps the path its
 predecessor held at export time), and the same table iteration order
 (the reference's dict-insertion order, which downstream consumers can
-observe through ``catchments()``).
+observe through ``catchments()``).  ``RoutingTable.changes_from``
+between two states must report exactly the ASes whose reference route
+differs, on kernel tables and on the reference's packed tables
+(:func:`repro.netsim.bgp_reference.table`) alike.
 
 Topologies, origin subsets, announcement scopes, blocked-neighbor
 sets, locations, and preference discounts are all drawn by hypothesis;
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.netsim import bgp_reference
 from repro.netsim.asgraph import ASGraph, AsNode, Relationship
-from repro.netsim.bgp import Origin, RoutingTable, Scope, propagate
+from repro.netsim.bgp import Origin, Route, RoutingTable, Scope, propagate
 from repro.util import Location
 
 
@@ -89,18 +92,32 @@ def graph_and_origins(draw):
     return graph, origins
 
 
-def assert_tables_identical(kernel: RoutingTable, ref: RoutingTable):
-    kernel_routes = kernel._routes
-    ref_routes = ref._routes
+def assert_tables_identical(table: RoutingTable, ref: dict[int, Route]):
+    """*table* holds exactly the reference's routes, in its order."""
+    routes = table.routes()
     # Same ASes, in the same (install) order -- catchments() and any
     # other dict-order-sensitive consumer sees no difference.
-    assert list(kernel_routes) == list(ref_routes)
-    for asn, expected in ref_routes.items():
-        assert kernel_routes[asn] == expected, asn
-    assert kernel.catchments() == ref.catchments()
-    assert list(kernel.catchments()) == list(ref.catchments())
-    assert kernel.reachable_asns() == ref.reachable_asns()
-    assert len(kernel) == len(ref)
+    assert list(routes) == list(ref)
+    for asn, expected in ref.items():
+        assert routes[asn] == expected, asn
+    catchments: dict[str, set[int]] = {}
+    for asn, route in ref.items():
+        catchments.setdefault(route.site, set()).add(asn)
+    assert table.catchments() == catchments
+    assert list(table.catchments()) == list(catchments)
+    assert table.reachable_asns() == set(ref)
+    assert len(table) == len(ref)
+
+
+def reference_changes(
+    before: dict[int, Route], after: dict[int, Route]
+) -> set[int]:
+    """ASes whose reference route differs between two states."""
+    return {
+        asn
+        for asn in before.keys() | after.keys()
+        if before.get(asn) != after.get(asn)
+    }
 
 
 class TestKernelMatchesReference:
@@ -108,17 +125,16 @@ class TestKernelMatchesReference:
     @given(data=graph_and_origins())
     def test_routes_bit_identical(self, data):
         graph, origins = data
-        assert_tables_identical(
-            propagate(graph, origins),
-            bgp_reference.propagate(graph, origins),
-        )
+        ref = bgp_reference.propagate(graph, origins)
+        assert_tables_identical(propagate(graph, origins), ref)
+        assert_tables_identical(bgp_reference.table(graph, origins), ref)
 
     @settings(max_examples=60, deadline=None)
     @given(data=graph_and_origins(), subset=st.data())
     def test_withdrawal_states_match(self, data, subset):
-        # Origin subsets model withdrawals; the delta between two
-        # announcement states must agree between implementations and
-        # between array-array and dict-dict comparison paths.
+        # Origin subsets model withdrawals, down to none at all; the
+        # delta between two announcement states must be the
+        # reference's.
         graph, origins = data
         keep = subset.draw(
             st.sets(st.sampled_from(range(len(origins)))),
@@ -127,38 +143,62 @@ class TestKernelMatchesReference:
         reduced = [o for i, o in enumerate(origins) if i in keep]
         kernel_full = propagate(graph, origins)
         ref_full = bgp_reference.propagate(graph, origins)
-        if reduced:
-            kernel_part = propagate(graph, reduced)
-            ref_part = bgp_reference.propagate(graph, reduced)
-            assert_tables_identical(kernel_part, ref_part)
-        else:
-            kernel_part = RoutingTable({})
-            ref_part = RoutingTable({})
-        assert kernel_part.changes_from(kernel_full) == ref_part.changes_from(
-            ref_full
+        kernel_part = propagate(graph, reduced)
+        ref_part = bgp_reference.propagate(graph, reduced)
+        assert_tables_identical(kernel_part, ref_part)
+        expected = reference_changes(ref_full, ref_part)
+        assert kernel_part.changes_from(kernel_full) == expected
+        assert kernel_full.changes_from(kernel_part) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=graph_and_origins(), edits=st.data())
+    def test_changes_from_matches_reference(self, data, edits):
+        # One site flap: kernel tables, the reference's packed tables
+        # and every mixed pairing must report the ASes whose reference
+        # route changed, in both directions.
+        graph, origins = data
+        site = edits.draw(
+            st.sampled_from(sorted({o.site for o in origins})),
+            label="flap",
         )
-        assert kernel_full.changes_from(kernel_part) == ref_full.changes_from(
-            ref_part
+        after = [o for o in origins if o.site != site]
+        expected = reference_changes(
+            bgp_reference.propagate(graph, origins),
+            bgp_reference.propagate(graph, after),
         )
+        befores = (
+            propagate(graph, origins), bgp_reference.table(graph, origins)
+        )
+        afters = (propagate(graph, after), bgp_reference.table(graph, after))
+        for before_table in befores:
+            for after_table in afters:
+                assert after_table.changes_from(before_table) == expected
+                assert before_table.changes_from(after_table) == expected
+        assert befores[0].changes_from(befores[1]) == set()
+        assert afters[1].changes_from(afters[0]) == set()
 
     @settings(max_examples=60, deadline=None)
     @given(data=graph_and_origins())
     def test_single_route_queries_match(self, data):
-        # route()/site_of() take the lazy single-row path on the
-        # kernel table; the full-dict path must agree with it.
+        # route()/site_of()/sites_of() take the single-row and gather
+        # paths on the kernel table; each must agree with the
+        # reference's routes.
         graph, origins = data
         kernel = propagate(graph, origins)
         ref = bgp_reference.propagate(graph, origins)
         for asn in graph.asns:
-            assert kernel.route(asn) == ref.route(asn)
-            assert kernel.site_of(asn) == ref.site_of(asn)
+            route = ref.get(asn)
+            assert kernel.route(asn) == route
+            assert kernel.site_of(asn) == (
+                None if route is None else route.site
+            )
         assert kernel.route(10_000) is None
         site_index = {o.site: i for i, o in enumerate(origins)}
         asns = graph.asns + [10_000]
-        assert (
-            kernel.sites_of(asns, site_index)
-            == ref.sites_of(asns, site_index)
-        ).all()
+        expected = [
+            site_index[ref[asn].site] if asn in ref else -1 for asn in asns
+        ]
+        assert kernel.sites_of(asns, site_index).tolist() == expected
 
 
 def valley_free_reach(graph: ASGraph, asns: list[int]) -> set[int]:

@@ -183,6 +183,23 @@ class TestPolicyLoop:
         assert not k.policy_log
 
 
+class TestStandby:
+    def test_initial_respects_standby(self):
+        topo = build_topology(
+            TopologyConfig(n_stubs=100), np.random.default_rng(9)
+        )
+        h = LetterDeployment(LETTERS_SPEC["H"], topo)
+        assert not h.prefix.is_announced("SAN")
+        assert not h.prefix.change_log()
+        h.apply_policies({"BWI": 12.0}, True, 100.0)
+        assert h.prefix.is_announced("SAN")
+        assert h.prefix.change_log()
+        h.reset()
+        assert not h.prefix.is_announced("SAN")
+        assert h.prefix.is_announced("BWI")
+        assert not h.prefix.change_log()
+
+
 class TestSnapshot:
     def test_snapshot_survives_reset(self):
         topo = build_topology(

@@ -44,12 +44,8 @@ class TestSiteSpec:
 
 
 class TestSiteState:
-    def test_initial_respects_standby(self):
-        standby = SiteSpec(code="SAN", initially_announced=False)
-        assert not SiteState.initial(standby).announced
-
     def test_unlimited_recovery(self):
-        state = SiteState.initial(SiteSpec(code="AMS"))
+        state = SiteState(SiteSpec(code="AMS"))
         state.withdrawals = 99
         assert state.may_reannounce()
 
@@ -57,7 +53,7 @@ class TestSiteState:
         spec = SiteSpec(
             code="AMS", policy=SitePolicy.WITHDRAW, reannounce_limit=1
         )
-        state = SiteState.initial(spec)
+        state = SiteState(spec)
         state.withdrawals = 1
         assert state.may_reannounce()
         state.withdrawals = 2

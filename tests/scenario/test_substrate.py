@@ -13,6 +13,9 @@ from pathlib import Path
 import pytest
 
 from repro.faults import FaultPlan, SiteFailure
+from repro.netsim import anycast
+from repro.netsim.anycast import AnycastPrefix
+from repro.netsim.bgp import RoutingTable
 from repro.scenario import (
     ScenarioConfig,
     build_substrate,
@@ -29,8 +32,9 @@ from check_determinism import controlled_config, faulted_config  # noqa: E402
 
 @pytest.fixture(scope="module")
 def config():
-    # H brings a standby site (reset must replay its initial
-    # withdrawal); K brings partial withdrawal churn.
+    # H brings a standby site (reset must restore it withdrawn), and
+    # K's site hosts join the graph after H's; K brings partial
+    # withdrawal churn.
     return ScenarioConfig(
         seed=11, n_stubs=60, n_vps=30, letters=("H", "K"),
         include_nl=True,
@@ -121,8 +125,8 @@ class TestRoutingCacheBound:
     )
     def test_one_entry_routing_caches_change_no_output(self, make_config):
         """Every letter's routing-table LRU cut to one entry: each
-        revisited announcement state is evicted and recomputed under a
-        new table version, and no output array may notice -- routing
+        revisited announcement state is evicted and recomputed as a
+        new table object, and no output array may notice -- routing
         epochs are numbered per announcement state."""
         default = result_arrays(simulate(make_config()))
         substrate = build_substrate(make_config())
@@ -135,6 +139,48 @@ class TestRoutingCacheBound:
             len(d.prefix._cache) == 1
             for d in substrate.deployments.values()
         )
+
+
+class TestRoutingOnFinishedGraph:
+    """Nothing routes while the substrate graph still grows."""
+
+    def test_build_runs_no_propagation(self, config, monkeypatch):
+        calls = []
+        propagate = anycast.propagate
+
+        def counting(graph, origins):
+            calls.append(origins)
+            return propagate(graph, origins)
+
+        monkeypatch.setattr(anycast, "propagate", counting)
+        build_substrate(config)
+        assert calls == []
+
+    def test_every_table_sits_on_the_finished_graph(
+        self, config, monkeypatch
+    ):
+        read, diffed = [], []
+        routing = AnycastPrefix.routing
+        changes_from = RoutingTable.changes_from
+
+        def recording_routing(prefix):
+            table = routing(prefix)
+            read.append(table)
+            return table
+
+        def recording_changes_from(table, previous):
+            diffed.extend((table, previous))
+            return changes_from(table, previous)
+
+        monkeypatch.setattr(AnycastPrefix, "routing", recording_routing)
+        monkeypatch.setattr(
+            RoutingTable, "changes_from", recording_changes_from
+        )
+        result = simulate(config)
+        assert read and diffed
+        compiled = result.topology.graph.compiled()
+        for table in read + diffed:
+            assert table._arrays.compiled is compiled
 
 
 class TestLargeStubCounts:
