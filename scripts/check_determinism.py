@@ -3,7 +3,8 @@ bit for bit.
 
 Runs each of two scenarios twice with the same seed -- one carrying
 every fault type (:func:`faulted_config`), and the same with
-``GreedyShedController`` on A and H (:func:`controlled_config`) -- and
+``GreedyShedController`` on A and H and a three-site
+``OracleController`` search on K (:func:`controlled_config`) -- and
 compares every simulated output array (truth, Atlas, RSSAC, BGPmon,
 .nl) plus the quality report exactly.  Any diff means the fault
 machinery or the controller branch of the batched scan leaked
@@ -24,7 +25,7 @@ import sys
 
 import numpy as np
 
-from repro.defense.controllers import GreedyShedController
+from repro.defense.controllers import GreedyShedController, OracleController
 from repro.scenario.arrays import result_arrays
 from repro.scenario.engine import ScenarioResult
 from repro.faults import (
@@ -73,7 +74,8 @@ def faulted_config() -> ScenarioConfig:
 
 
 def controlled_config() -> ScenarioConfig:
-    """:func:`faulted_config` with ``GreedyShedController`` on A and H.
+    """:func:`faulted_config` with ``GreedyShedController`` on A and H
+    and ``OracleController(max_withdrawals=3)`` on K.
 
     Controllers carry state through a run, so every call builds fresh
     ones.
@@ -81,7 +83,9 @@ def controlled_config() -> ScenarioConfig:
     return dataclasses.replace(
         faulted_config(),
         controllers={
-            letter: GreedyShedController() for letter in ("A", "H")
+            "A": GreedyShedController(),
+            "H": GreedyShedController(),
+            "K": OracleController(max_withdrawals=3),
         },
     )
 

@@ -230,23 +230,18 @@ class LetterProber:
         self._recorded = np.zeros(grid.n_bins, dtype=bool)
         self._flushed = False
 
-        self._catchment_cache: dict[RoutingTable, np.ndarray] = {}
+        # VPs never change AS, so each table lookup reads the distinct
+        # VP ASNs and fans the sites back out to the VPs.
+        self._code_to_idx = {c: i for i, c in enumerate(self.site_codes)}
+        uniq, self._vp_asn_inverse = np.unique(
+            vps.asns, return_inverse=True
+        )
+        self._vp_asns = uniq.astype(np.int64)
 
     def _vp_site_indices(self, table: RoutingTable) -> np.ndarray:
-        """Site index per VP (-1 when the VP's AS has no route).
-
-        Keyed on the table object, which the cache holds, so a key
-        cannot be recycled the way an ``id()`` can.
-        """
-        cached = self._catchment_cache.get(table)
-        if cached is not None:
-            return cached
-        code_to_idx = {c: i for i, c in enumerate(self.site_codes)}
-        uniq, inverse = np.unique(self.vps.asns, return_inverse=True)
-        uniq_sites = table.sites_of(uniq.astype(np.int64), code_to_idx)
-        result = uniq_sites.astype(np.int64)[inverse]
-        self._catchment_cache[table] = result
-        return result
+        """Site index per VP (-1 when the VP's AS has no route)."""
+        sites = table.sites_of(self._vp_asns, self._code_to_idx)
+        return sites.astype(np.int64)[self._vp_asn_inverse]
 
     def record_bin(
         self,

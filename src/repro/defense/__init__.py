@@ -15,7 +15,7 @@ from .evaluate import (
     evaluate_controller,
     served_fractions,
 )
-from .observation import LetterObservation, SiteObservation
+from .observation import LetterObservation
 from .provisioning import (
     ProvisioningPlan,
     SitePlan,
@@ -43,7 +43,6 @@ __all__ = [
     "ProvisioningPlan",
     "ScrubOutcome",
     "ScrubbingService",
-    "SiteObservation",
     "SitePlan",
     "StaticPolicyController",
     "compare_controllers",

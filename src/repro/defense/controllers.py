@@ -6,6 +6,8 @@ overload, an area of future work"* and section 5 asks for managing
 traffic across sites of varying capacity.  This module implements that
 exploration: pluggable controllers that, each bin, observe
 operator-visible state and issue announce/withdraw/partial actions.
+A controller reads that state as the site-order rows of one
+:class:`~repro.defense.observation.LetterObservation`.
 
 Controllers (in increasing information):
 
@@ -19,8 +21,9 @@ Controllers (in increasing information):
   signals, so it can be wrong exactly the way the paper predicts
   (shifted *unobserved* attack load can drown the rescuer);
 * :class:`OracleController` -- cheats with ground-truth per-site
-  offered load to compute the best single-site withdrawal set by
-  exhaustive search; an upper bound on what routing control can do.
+  offered load to compute the best set of up to ``max_withdrawals``
+  withdrawals by exhaustive search; an upper bound on what routing
+  control can do.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ import enum
 import itertools
 from dataclasses import dataclass
 from typing import Protocol
+
+import numpy as np
 
 from .observation import LetterObservation
 
@@ -54,7 +59,7 @@ class Controller(Protocol):
     """Per-bin decision procedure for one letter."""
 
     def decide(self, observation: LetterObservation) -> list[Action]:
-        """Actions to apply before the next bin."""
+        """Actions to apply before the next bin (rows read-only)."""
         ...
 
 
@@ -103,36 +108,40 @@ class GreedyShedController:
 
     def decide(self, observation: LetterObservation) -> list[Action]:
         actions: list[Action] = []
-        announced = [s for s in observation.sites if s.announced]
-        withdrawn = [s for s in observation.sites if not s.announced]
-        attack_ongoing = any(s.overloaded for s in announced)
+        codes = observation.codes
+        announced = observation.announced
+        utilisation = observation.utilisation
+        overloaded = announced & (utilisation > 1.0)
+        attack_ongoing = bool(overloaded.any())
 
         # Re-announce after sustained calm.
-        for site in withdrawn:
+        for i in np.flatnonzero(~announced).tolist():
             if attack_ongoing:
-                self._quiet[site.code] = 0
+                self._quiet[codes[i]] = 0
                 continue
-            quiet = self._quiet.get(site.code, 0) + 1
-            self._quiet[site.code] = quiet
+            quiet = self._quiet.get(codes[i], 0) + 1
+            self._quiet[codes[i]] = quiet
             if quiet >= self.calm_bins:
-                actions.append(Action(ActionKind.ANNOUNCE, site.code))
-                self._quiet[site.code] = 0
+                actions.append(Action(ActionKind.ANNOUNCE, codes[i]))
+                self._quiet[codes[i]] = 0
 
-        if len(announced) <= self.min_announced:
+        if (
+            not attack_ongoing
+            or np.count_nonzero(announced) <= self.min_announced
+        ):
             return actions
-
-        overloaded = [s for s in announced if s.overloaded]
-        if not overloaded:
-            return actions
-        worst = max(overloaded, key=lambda s: s.utilisation)
+        # The first site of maximal utilisation.
+        worst = int(np.argmax(np.where(overloaded, utilisation, -np.inf)))
+        spare = observation.capacity_qps - observation.offered_qps
+        others = announced & (np.arange(len(codes)) != worst)
+        # Python's sum adds left to right in site order; np.sum would
+        # pair the additions differently.
         others_headroom = sum(
-            max(0.0, s.capacity_qps - s.offered_qps)
-            for s in announced
-            if s.code != worst.code
+            np.where(spare > 0.0, spare, 0.0)[others].tolist()
         )
-        if others_headroom >= self.safety * worst.accepted_qps:
-            actions.append(Action(ActionKind.WITHDRAW, worst.code))
-            self._quiet[worst.code] = 0
+        if others_headroom >= self.safety * observation.accepted_qps[worst]:
+            actions.append(Action(ActionKind.WITHDRAW, codes[worst]))
+            self._quiet[codes[worst]] = 0
         return actions
 
 
@@ -140,81 +149,74 @@ class GreedyShedController:
 class OracleController:
     """Exhaustive withdrawal search with ground-truth offered load.
 
-    Receives the *true* per-site offered load each bin (via
-    :meth:`set_truth`, wired by the evaluation harness) and picks the
-    announced set that maximises served legitimate share under the
-    modelling assumption that a withdrawn site's load follows its
-    catchment to the geographically next site.  Search is limited to
+    Receives the *true* per-site offered load each bin (the engine
+    passes the offered row to :meth:`set_truth`) and picks the
+    announced set that maximises the served share of that load under
+    the modelling assumption that a withdrawn site's load moves to the
+    remaining site with the most capacity.  Search is limited to
     withdrawing subsets of currently overloaded sites (the only
     candidates that can help), keeping it tractable.
     """
 
     max_withdrawals: int = 2
-    _true_offered: dict[str, float] = None  # type: ignore[assignment]
+    _true_offered: list[float] = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if self.max_withdrawals < 0:
             raise ValueError("max_withdrawals cannot be negative")
-        self._true_offered = {}
+        self._true_offered = []
 
-    def set_truth(self, offered_by_site: dict[str, float]) -> None:
-        """Provide ground-truth offered load for the coming decision."""
-        self._true_offered = dict(offered_by_site)
+    def set_truth(self, offered: np.ndarray) -> None:
+        """Provide ground-truth offered load for the coming decision,
+        one entry per site in the observation's site order."""
+        self._true_offered = np.asarray(offered, dtype=np.float64).tolist()
 
     def decide(self, observation: LetterObservation) -> list[Action]:
         actions: list[Action] = []
-        announced = [s for s in observation.sites if s.announced]
+        codes = observation.codes
+        offered = self._true_offered or [0.0] * len(codes)
+        if len(offered) != len(codes):
+            raise ValueError("truth row does not match the observed sites")
+        capacity = observation.capacity_qps.tolist()
+        announced = np.flatnonzero(observation.announced).tolist()
         # Oracle knows when the attack is over: re-announce everything.
-        attack = sum(self._true_offered.values()) > 2 * sum(
-            s.capacity_qps for s in observation.sites
-        ) * 0.05
-        if not attack:
-            for site in observation.sites:
-                if not site.announced:
-                    actions.append(Action(ActionKind.ANNOUNCE, site.code))
+        if not sum(offered) > 2 * sum(capacity) * 0.05:
+            for i in np.flatnonzero(~observation.announced).tolist():
+                actions.append(Action(ActionKind.ANNOUNCE, codes[i]))
             return actions
 
-        overloaded = [
-            s for s in announced
-            if self._true_offered.get(s.code, 0.0) > s.capacity_qps
-        ]
+        overloaded = [i for i in announced if offered[i] > capacity[i]]
         if not overloaded or len(announced) <= 1:
             return actions
 
-        def served_fraction(withdrawn: set[str]) -> float:
-            keep = [s for s in announced if s.code not in withdrawn]
+        def served_fraction(withdrawn: tuple[int, ...]) -> float:
+            keep = [i for i in announced if i not in withdrawn]
             if not keep:
                 return 0.0
             # Withdrawn sites' load moves to the remaining site with
             # the most capacity (the dominant-attractor approximation
             # observed in Fig. 10).
-            moved = sum(
-                self._true_offered.get(code, 0.0) for code in withdrawn
-            )
-            attractor = max(keep, key=lambda s: s.capacity_qps)
+            moved = sum(offered[i] for i in withdrawn)
+            attractor = max(keep, key=capacity.__getitem__)
             total_served = 0.0
             total_offered = 0.0
-            for site in keep:
-                offered = self._true_offered.get(site.code, 0.0)
-                if site.code == attractor.code:
-                    offered += moved
-                total_offered += offered
-                total_served += min(offered, site.capacity_qps)
+            for i in keep:
+                load = offered[i] + moved if i == attractor else offered[i]
+                total_offered += load
+                total_served += min(load, capacity[i])
             if total_offered <= 0:
                 return 1.0
             return total_served / total_offered
 
-        best_set: set[str] = set()
+        best_set: tuple[int, ...] = ()
         best = served_fraction(best_set)
-        codes = [s.code for s in overloaded]
-        for k in range(1, self.max_withdrawals + 1):
-            for combo in itertools.combinations(codes, k):
-                candidate = set(combo)
-                if len(candidate) >= len(announced):
-                    continue
-                score = served_fraction(candidate)
+        # Keep at least one site: withdraw at most len(announced) - 1.
+        most = min(self.max_withdrawals, len(announced) - 1)
+        for k in range(1, most + 1):
+            for combo in itertools.combinations(overloaded, k):
+                score = served_fraction(combo)
                 if score > best + 1e-9:
-                    best, best_set = score, candidate
-        for code in sorted(best_set):
+                    best, best_set = score, combo
+        for code in sorted(codes[i] for i in best_set):
             actions.append(Action(ActionKind.WITHDRAW, code))
         return actions

@@ -43,11 +43,12 @@ class DefenseOutcome:
 def served_fractions(
     result: ScenarioResult, letter: str
 ) -> tuple[float, float, float]:
-    """(overall, during-events, worst-bin) legit served fractions."""
+    """(overall, during-events, worst-bin) legit served fractions,
+    "events" being the scenario's own (``result.event_mask()``)."""
     truth = result.truth[letter]
     offered = truth.legit_offered_qps
     served = truth.legit_served_qps
-    mask = result.grid.event_mask()
+    mask = result.event_mask()
     with np.errstate(divide="ignore", invalid="ignore"):
         per_bin = np.where(offered > 0, served / offered, 1.0)
     overall = float(served.sum() / offered.sum())

@@ -11,33 +11,55 @@ A controller therefore receives only *operator-visible* signals:
 * per-site **drop** rate at the ingress (interface counters),
 * the announcement state the operator itself controls.
 
-Everything else must be estimated.
+Everything else must be estimated.  Each signal is one site-order row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
 
-@dataclass(frozen=True, slots=True)
-class SiteObservation:
-    """One site's operator-visible state for one bin."""
+#: The site-order rows of an observation and their dtypes.
+_ROWS = {"capacity_qps": np.float64, "accepted_qps": np.float64,
+         "dropped_qps": np.float64, "announced": bool, "partial": bool}
 
-    code: str
-    capacity_qps: float
-    accepted_qps: float
-    dropped_qps: float
-    announced: bool
-    partial: bool
+
+@dataclass(frozen=True, slots=True, eq=False)
+class LetterObservation:
+    """Operator view of one letter for one bin, as site-order rows.
+
+    Entry *i* of every row belongs to site ``codes[i]``.  Rows are
+    read-only views of the engine's own arrays (the deployment's
+    capacity vector, the memoized announced mask).
+    """
+
+    letter: str
+    bin_index: int
+    codes: tuple[str, ...]
+    capacity_qps: np.ndarray
+    accepted_qps: np.ndarray
+    dropped_qps: np.ndarray
+    announced: np.ndarray
+    partial: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.capacity_qps <= 0:
+        object.__setattr__(self, "codes", tuple(self.codes))
+        shape = (len(self.codes),)
+        for name, dtype in _ROWS.items():
+            row = np.asarray(getattr(self, name), dtype=dtype)
+            if row.shape != shape:
+                raise ValueError(f"{name} has shape {row.shape}, not {shape}")
+            view = row.view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
+        if (self.capacity_qps <= 0).any():
             raise ValueError("capacity must be positive")
-        if self.accepted_qps < 0 or self.dropped_qps < 0:
+        if (self.accepted_qps < 0).any() or (self.dropped_qps < 0).any():
             raise ValueError("rates cannot be negative")
 
     @property
-    def offered_qps(self) -> float:
+    def offered_qps(self) -> np.ndarray:
         """Measured offered load (accepted + locally observed drops).
 
         This *understates* true offered load when drops happen
@@ -47,46 +69,6 @@ class SiteObservation:
         return self.accepted_qps + self.dropped_qps
 
     @property
-    def utilisation(self) -> float:
+    def utilisation(self) -> np.ndarray:
         """Measured offered load over capacity."""
         return self.offered_qps / self.capacity_qps
-
-    @property
-    def overloaded(self) -> bool:
-        return self.utilisation > 1.0
-
-
-@dataclass(frozen=True, slots=True)
-class LetterObservation:
-    """Operator view of one letter for one bin."""
-
-    letter: str
-    bin_index: int
-    sites: tuple[SiteObservation, ...]
-
-    def site(self, code: str) -> SiteObservation:
-        for site in self.sites:
-            if site.code == code:
-                return site
-        raise KeyError(f"no observation for site {code!r}")
-
-    @property
-    def total_accepted_qps(self) -> float:
-        return sum(s.accepted_qps for s in self.sites)
-
-    @property
-    def total_dropped_qps(self) -> float:
-        return sum(s.dropped_qps for s in self.sites)
-
-    @property
-    def announced_codes(self) -> tuple[str, ...]:
-        return tuple(s.code for s in self.sites if s.announced)
-
-    @property
-    def headroom_qps(self) -> float:
-        """Spare capacity across announced, non-overloaded sites."""
-        return sum(
-            max(0.0, s.capacity_qps - s.offered_qps)
-            for s in self.sites
-            if s.announced
-        )

@@ -6,9 +6,10 @@ anycast prefix with one origin per site, and site states track the
 policy machinery (withdrawals, partial withdrawals, recovery budgets).
 
 The per-bin control loop lives in :meth:`LetterDeployment.apply_policies`:
-given each site's utilisation it executes the section-2.2 policy
-space -- absorb, withdraw, partial withdraw -- plus standby activation
-(H-Root's primary/backup pair) and post-event recovery.
+given each site's utilisation (one site-order row) it executes the
+section-2.2 policy space -- absorb, withdraw, partial withdraw -- plus
+standby activation (H-Root's primary/backup pair) and post-event
+recovery.
 """
 
 from __future__ import annotations
@@ -262,52 +263,48 @@ class LetterDeployment:
 
     def apply_policies(
         self,
-        utilisation_by_site: dict[str, float] | np.ndarray,
+        utilisation: np.ndarray,
         letter_under_attack: bool,
         timestamp: float,
     ) -> bool:
-        """Run one control-loop step; returns whether routing changed.
+        """Run one control-loop step; returns whether it logged an
+        action.
 
         Every action taken appends a :class:`PolicyEvent` to
-        :attr:`policy_log`, routing changes included; the
-        segment-batched engine ends its segments on that.
+        :attr:`policy_log` -- each routing change, and a restore that
+        rotates the shed server even when routing stays put -- so the
+        return value is what the segment-batched engine ends its
+        segments on.
 
-        *utilisation_by_site* is each announced site's offered/capacity
-        for the last bin -- either a ``{code: rho}`` dict or an array
-        in site order (the engine's fast path).  Withdrawn sites see no
-        traffic; their recovery is driven by the letter-wide attack
+        *utilisation* is each site's offered/capacity for the last bin,
+        one entry per site in :attr:`site_order`.  Withdrawn sites see
+        no traffic; their recovery is driven by the letter-wide attack
         signal (operators re-enable sites once the event subsides).
         """
-        if isinstance(utilisation_by_site, np.ndarray):
-            rho_vector = utilisation_by_site
-            # Quiet-bin fast path: every site in its normal state and
-            # nobody over a reaction threshold -> the loop below would
-            # be a no-op, so skip it (the common case outside events).
-            if self.is_quiet() and not (
-                rho_vector > self._fastpath_thresholds
-            ).any():
-                return False
-            utilisation_by_site = {
-                code: float(rho_vector[i])
-                for i, code in enumerate(self.site_order)
-            }
-        changed = False
+        # Quiet-bin fast path: every site in its normal state and
+        # nobody over a reaction threshold -> the loop below would be a
+        # no-op, so skip it (the common case outside events).
+        if self.is_quiet() and not (
+            utilisation > self._fastpath_thresholds
+        ).any():
+            return False
+        n_logged = len(self.policy_log)
         any_withdrawn_primary = False
 
-        for code in self.site_order:
+        for code, rho in zip(
+            self.site_order, utilisation.tolist(), strict=True
+        ):
             state = self.states[code]
             spec = state.spec
             if not spec.initially_announced:
                 continue  # standby sites handled below
             announced = self.prefix.is_announced(code)
-            rho = utilisation_by_site.get(code, 0.0)
 
             if announced and rho > spec.withdraw_threshold:
                 if spec.policy is SitePolicy.WITHDRAW:
                     if self.prefix.withdraw(code, timestamp):
                         state.withdrawals += 1
                         state.calm_bins = 0
-                        changed = True
                         self._log(timestamp, code, "withdraw")
                 elif (
                     spec.policy is SitePolicy.PARTIAL_WITHDRAW
@@ -315,7 +312,6 @@ class LetterDeployment:
                 ):
                     if self.set_partial(code, True, timestamp):
                         state.calm_bins = 0
-                        changed = True
                         self._log(timestamp, code, "partial")
             elif not announced:
                 if letter_under_attack:
@@ -328,7 +324,6 @@ class LetterDeployment:
                         and self.prefix.announce(code, timestamp)
                     ):
                         state.calm_bins = 0
-                        changed = True
                         self._log(timestamp, code, "announce")
             elif state.partial:
                 if letter_under_attack:
@@ -336,8 +331,7 @@ class LetterDeployment:
                 else:
                     state.calm_bins += 1
                     if state.calm_bins >= DEFAULT_RECOVERY_BINS:
-                        if self.set_partial(code, False, timestamp):
-                            changed = True
+                        self.set_partial(code, False, timestamp)
                         state.calm_bins = 0
                         # A new event sheds to a different server.
                         state.shed_server = rotate_shed_server(
@@ -360,13 +354,11 @@ class LetterDeployment:
             is_up = self.prefix.is_announced(code)
             if any_withdrawn_primary and not is_up:
                 if self.prefix.announce(code, timestamp):
-                    changed = True
                     self._log(timestamp, code, "announce")
             elif not any_withdrawn_primary and is_up:
                 if self.prefix.withdraw(code, timestamp):
-                    changed = True
                     self._log(timestamp, code, "withdraw")
-        return changed
+        return len(self.policy_log) > n_logged
 
     def _log(self, timestamp: float, site: str, action: str) -> None:
         self.policy_log.append(

@@ -46,8 +46,8 @@ Bit-identity argument (validated by
 * The scan runs the real :meth:`LetterDeployment.apply_policies` for
   every letter after each bin's losses, in letter order as the per-bin
   path does, and ends the segment at the first bin where a call logs a
-  policy event (every action it takes is logged, routing changes
-  included).  A letter is skipped only
+  policy event, which its return value reports (every action it takes
+  is logged, routing changes included).  A letter is skipped only
   when it is *idle*: its deployment is quiet
   (:meth:`LetterDeployment.is_quiet`) and the bin passed the quiet
   gate.  Gated bins keep every utilisation at or below the loss knee
@@ -57,12 +57,13 @@ Bit-identity argument (validated by
   (routing table, announced mask, shed-server rotation) is snapshot
   at segment start.
 * Controller letters call the real ``controller.decide()`` every bin,
-  in the same letter-order loop, with the bin's offered and combined
-  loss rows (all-zero loss in gated bins, as the per-bin path
-  computes it there).  Any action ends the segment, so the announced
-  and partial flags each observation reports are read once per
-  segment.  Controllers observe every bin, so a run with any never
-  skips quiet runs of bins.
+  in the same letter-order loop, on an observation made of the bin's
+  offered and combined loss rows (all-zero loss in gated bins, as the
+  per-bin path computes it there) -- the scan's own site-order
+  arrays, with no per-site objects in between.  Any action ends the
+  segment, so the announced and partial flag rows each observation
+  reports are read once per segment.  Controllers observe every bin,
+  so a run with any never skips quiet runs of bins.
 """
 
 from __future__ import annotations
@@ -118,9 +119,9 @@ class _LetterSegment:
     shed: list[int]               # shed-server snapshot, site order
     unrouted_lost: float          # max(0.0, 1 - legit_total), per bin
     spill_arr: np.ndarray         # (nb_max,) spill entering each bin
-    #: The letter's pluggable controller and the ``_site_flags`` it
-    #: observes all segment long; ``None`` runs ``apply_policies``.
-    controller: tuple[Controller, tuple[list[bool], list[bool]]] | None
+    #: The letter's pluggable controller and the ``_site_flags`` rows
+    #: it observes all segment long; ``None`` runs ``apply_policies``.
+    controller: tuple[Controller, tuple[np.ndarray, np.ndarray]] | None
     extra_rows: dict[int, np.ndarray] = field(default_factory=dict)
 
 
@@ -446,30 +447,26 @@ def _run_segment(
             state.retry_targets,
         )
         # The control loop, as at the end of a per-bin pass; policy
-        # letters without a row are idle this bin.  Every action
-        # ``apply_policies`` takes is logged -- each routing change,
-        # and a restore that rotates the shed server even when routing
-        # stays put -- so a longer log ends the segment here, as does
-        # any controller action.
+        # letters without a row are idle this bin.  Every letter's
+        # step runs, in letter order, and any logged policy action or
+        # controller action ends the segment here.
         b = start + off
         timestamp = float(grid.bin_start(b) + grid.bin_seconds)
         acted = False
         for letter, (rho, offered, combined) in control.items():
             seg = segs[letter]
-            if seg.controller is not None:
+            if seg.controller is None:
+                acted = seg.dep.apply_policies(
+                    rho,
+                    letter_under_attack=bool(seg.attack_vec[off] > 0),
+                    timestamp=timestamp,
+                ) or acted
+            else:
                 controller, flags = seg.controller
                 acted = _run_controller(
                     controller, seg.dep, b, seg.capacity, offered,
                     combined, flags, timestamp,
                 ) or acted
-                continue
-            n_logged = len(seg.dep.policy_log)
-            seg.dep.apply_policies(
-                rho,
-                letter_under_attack=bool(seg.attack_vec[off] > 0),
-                timestamp=timestamp,
-            )
-            acted = acted or len(seg.dep.policy_log) > n_logged
         if acted:
             end_off = off
             break

@@ -79,20 +79,31 @@ class ScenarioConfig:
             raise ValueError(
                 f"bin_seconds must be positive, got {self.bin_seconds}"
             )
+        if self.window_seconds % self.bin_seconds:
+            raise ValueError(
+                f"bin_seconds {self.bin_seconds} does not tile "
+                f"window_seconds {self.window_seconds}"
+            )
         if self.letters is not None and not self.letters:
             raise ValueError("letters subset cannot be empty")
-        if self.letters is not None:
-            registry = (
-                self.custom_letters
-                if self.custom_letters is not None
-                else LETTERS_SPEC
+        registry = (
+            self.custom_letters
+            if self.custom_letters is not None
+            else LETTERS_SPEC
+        )
+        for letter in self.letters or ():
+            if letter not in registry:
+                raise ValueError(
+                    f"unknown letter {letter!r}: not in the effective "
+                    f"letter registry {sorted(registry)}"
+                )
+        simulated = self.letters if self.letters is not None else registry
+        stray = sorted(set(self.controllers or ()) - set(simulated))
+        if stray:
+            raise ValueError(
+                f"controllers for letters {stray} the scenario does not "
+                f"simulate ({sorted(simulated)})"
             )
-            for letter in self.letters:
-                if letter not in registry:
-                    raise ValueError(
-                        f"unknown letter {letter!r}: not in the effective "
-                        f"letter registry {sorted(registry)}"
-                    )
         if not isinstance(self.faults, FaultPlan):
             raise TypeError(
                 f"faults must be a FaultPlan, got {type(self.faults).__name__}"
@@ -100,8 +111,6 @@ class ScenarioConfig:
 
     def grid(self) -> TimeGrid:
         """The analysis grid implied by the window settings."""
-        if self.window_seconds % self.bin_seconds:
-            raise ValueError("bin width must tile the window")
         return TimeGrid(
             start=self.window_start,
             bin_seconds=self.bin_seconds,

@@ -189,13 +189,13 @@ class ScenarioResult:
         return self.grid.event_mask(self.event_intervals())
 
 
-def _site_flags(dep: LetterDeployment) -> tuple[list[bool], list[bool]]:
-    """Each site's ``(announced, partial)`` flags in site order, as a
-    controller observes them; only control actions and faults change
-    them."""
+def _site_flags(dep: LetterDeployment) -> tuple[np.ndarray, np.ndarray]:
+    """Each site's ``(announced, partial)`` flags as site-order rows,
+    as a controller observes them; only control actions and faults
+    change them."""
     return (
-        [dep.prefix.is_announced(code) for code in dep.site_order],
-        [dep.states[code].partial for code in dep.site_order],
+        dep.announced_mask(),
+        np.array([dep.states[code].partial for code in dep.site_order]),
     )
 
 
@@ -206,43 +206,32 @@ def _run_controller(
     capacity: np.ndarray,
     offered: np.ndarray,
     loss: np.ndarray,
-    flags: tuple[list[bool], list[bool]],
+    flags: tuple[np.ndarray, np.ndarray],
     timestamp: float,
 ) -> bool:
     """Drive one defense controller for one letter-bin.
 
     *offered* and *loss* are the bin's per-site rows (site order),
-    *flags* the letter's :func:`_site_flags`.  Returns whether the
-    controller issued any action.
+    *flags* the letter's :func:`_site_flags`; the controller observes
+    these rows themselves, and an oracle gets *offered* as its truth.
+    Returns whether the controller issued any action.
     """
     from ..defense.controllers import Action, ActionKind, OracleController
-    from ..defense.observation import LetterObservation, SiteObservation
+    from ..defense.observation import LetterObservation
 
-    codes = dep.site_order
     announced, partial = flags
-    sites = tuple(
-        SiteObservation(
-            code=code,
-            capacity_qps=cap,
-            accepted_qps=accepted,
-            dropped_qps=dropped,
-            announced=up,
-            partial=part,
-        )
-        for code, cap, accepted, dropped, up, part in zip(
-            codes,
-            capacity.tolist(),
-            (offered * (1.0 - loss)).tolist(),
-            (offered * loss).tolist(),
-            announced,
-            partial,
-        )
-    )
     observation = LetterObservation(
-        letter=dep.letter, bin_index=bin_index, sites=sites
+        letter=dep.letter,
+        bin_index=bin_index,
+        codes=dep.site_order,
+        capacity_qps=capacity,
+        accepted_qps=offered * (1.0 - loss),
+        dropped_qps=offered * loss,
+        announced=announced,
+        partial=partial,
     )
     if isinstance(controller, OracleController):
-        controller.set_truth(dict(zip(codes, offered.tolist())))
+        controller.set_truth(offered)
     acted = False
     for action in controller.decide(observation):
         if not isinstance(action, Action):

@@ -112,7 +112,10 @@ class SweepSpec:
         if not self.points:
             raise ValueError("a sweep needs at least one point")
         for overrides in self.points:
-            _canonical_overrides(dict(overrides))
+            # An invalid point fails here, not each cell when it runs.
+            dataclasses.replace(
+                self.base, **dict(_canonical_overrides(dict(overrides)))
+            )
         if len(frozenset(self.seeds)) != len(self.seeds):
             raise ValueError("duplicate replicate seeds")
 

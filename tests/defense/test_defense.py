@@ -1,5 +1,6 @@
 """Tests for the automated-defense controllers and evaluation."""
 
+import numpy as np
 import pytest
 
 from repro import ScenarioConfig, simulate
@@ -10,51 +11,81 @@ from repro.defense import (
     LetterObservation,
     NullController,
     OracleController,
-    SiteObservation,
     compare_controllers,
     evaluate_controller,
     served_fractions,
 )
+from repro.scenario.presets import june2016_config
+
+#: The observation's site-order rows.
+ROWS = ("capacity_qps", "accepted_qps", "dropped_qps", "announced",
+        "partial")
 
 
 def _obs(code, capacity=100.0, accepted=50.0, dropped=0.0,
          announced=True, partial=False):
-    return SiteObservation(
+    """One site's entries in an observation's rows."""
+    return dict(
         code=code, capacity_qps=capacity, accepted_qps=accepted,
         dropped_qps=dropped, announced=announced, partial=partial,
     )
 
 
 def _letter_obs(*sites):
-    return LetterObservation(letter="K", bin_index=0, sites=sites)
+    """A K-Root observation whose rows hold *sites* in order."""
+    return LetterObservation(
+        letter="K", bin_index=0, codes=[s["code"] for s in sites],
+        **{name: [s[name] for s in sites] for name in ROWS},
+    )
 
 
 class TestObservation:
     def test_derived_quantities(self):
-        obs = _obs("AMS", capacity=100, accepted=80, dropped=120)
-        assert obs.offered_qps == 200
-        assert obs.utilisation == pytest.approx(2.0)
-        assert obs.overloaded
+        obs = _letter_obs(
+            _obs("AMS", capacity=100, accepted=80, dropped=120),
+            _obs("LHR", capacity=200, accepted=50),
+        )
+        assert obs.codes == ("AMS", "LHR")
+        assert obs.offered_qps.tolist() == [200.0, 50.0]
+        assert obs.utilisation.tolist() == pytest.approx([2.0, 0.25])
+        assert obs.announced.dtype == bool
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            _obs("AMS", capacity=0)
+            _letter_obs(_obs("AMS", capacity=0))
         with pytest.raises(ValueError):
-            _obs("AMS", accepted=-1)
+            _letter_obs(_obs("AMS", accepted=-1))
+        with pytest.raises(ValueError):
+            _letter_obs(_obs("AMS", dropped=-1))
+        with pytest.raises(ValueError, match="shape"):
+            LetterObservation(
+                letter="K", bin_index=0, codes=("AMS", "LHR"),
+                capacity_qps=np.ones(2), accepted_qps=np.ones(2),
+                dropped_qps=np.zeros(3), announced=np.ones(2, bool),
+                partial=np.zeros(2, bool),
+            )
 
-    def test_letter_aggregates(self):
-        letter = _letter_obs(
-            _obs("AMS", capacity=100, accepted=40),
-            _obs("LHR", capacity=100, accepted=90, dropped=50),
-            _obs("SAN", announced=False, accepted=0),
+    def test_rows_are_read_only(self):
+        """A controller cannot write into the arrays the engine passed
+        (the deployment's capacity vector, the memoized announced
+        mask), and the engine's own arrays stay writable."""
+        rows = {
+            "capacity_qps": np.full(2, 100.0),
+            "accepted_qps": np.full(2, 50.0),
+            "dropped_qps": np.zeros(2),
+            "announced": np.ones(2, dtype=bool),
+            "partial": np.zeros(2, dtype=bool),
+        }
+        obs = LetterObservation(
+            letter="K", bin_index=0, codes=("AMS", "LHR"), **rows
         )
-        assert letter.total_accepted_qps == 130
-        assert letter.announced_codes == ("AMS", "LHR")
-        # Headroom: AMS 60, LHR 0 (over capacity).
-        assert letter.headroom_qps == pytest.approx(60.0)
-        assert letter.site("AMS").code == "AMS"
-        with pytest.raises(KeyError):
-            letter.site("ZZZ")
+        for name, source in rows.items():
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(obs, name)[0] = 0
+            assert np.shares_memory(getattr(obs, name), source)
+            assert source.flags.writeable
+        assert obs.capacity_qps.tolist() == [100.0, 100.0]
+        assert obs.announced.all() and not obs.partial.any()
 
 
 class TestNullController:
@@ -75,6 +106,17 @@ class TestGreedyShed:
         )
         actions = controller.decide(letter)
         assert Action(ActionKind.WITHDRAW, "LHR") in actions
+
+    def test_ties_withdraw_the_first_site(self):
+        controller = GreedyShedController(safety=1.0)
+        letter = _letter_obs(
+            _obs("AMS", capacity=1000, accepted=10),
+            _obs("LHR", capacity=100, accepted=100, dropped=100),
+            _obs("FRA", capacity=100, accepted=100, dropped=100),
+        )
+        assert controller.decide(letter) == [
+            Action(ActionKind.WITHDRAW, "LHR")
+        ]
 
     def test_keeps_last_site_announced(self):
         controller = GreedyShedController(min_announced=1)
@@ -120,7 +162,7 @@ class TestGreedyShed:
 class TestOracle:
     def test_withdraws_hopeless_small_site(self):
         controller = OracleController()
-        controller.set_truth({"LHR": 500.0, "AMS": 200.0})
+        controller.set_truth(np.array([500.0, 200.0]))
         letter = _letter_obs(
             _obs("LHR", capacity=100, accepted=100, dropped=400),
             _obs("AMS", capacity=1000, accepted=200),
@@ -130,7 +172,7 @@ class TestOracle:
 
     def test_absorbs_when_withdrawal_cannot_help(self):
         controller = OracleController()
-        controller.set_truth({"LHR": 5000.0, "AMS": 5000.0})
+        controller.set_truth(np.array([5000.0, 5000.0]))
         letter = _letter_obs(
             _obs("LHR", capacity=100, accepted=100, dropped=4900),
             _obs("AMS", capacity=100, accepted=100, dropped=4900),
@@ -138,9 +180,16 @@ class TestOracle:
         # Moving LHR's 5000 onto AMS serves no more traffic.
         assert controller.decide(letter) == []
 
+    def test_truth_row_must_match_the_sites(self):
+        controller = OracleController()
+        controller.set_truth(np.array([10.0, 10.0, 10.0]))
+        letter = _letter_obs(_obs("LHR"), _obs("AMS"))
+        with pytest.raises(ValueError, match="truth row"):
+            controller.decide(letter)
+
     def test_reannounces_after_attack(self):
         controller = OracleController()
-        controller.set_truth({"LHR": 10.0, "AMS": 10.0})
+        controller.set_truth(np.array([10.0, 10.0]))
         letter = _letter_obs(
             _obs("LHR", announced=False, accepted=0),
             _obs("AMS", capacity=1000, accepted=10),
@@ -193,6 +242,24 @@ class TestClosedLoop:
         outcome = evaluate_controller(config, "K", "static", None)
         assert outcome.served_during_events == 1.0
         assert 0.0 <= outcome.worst_bin <= outcome.served_overall <= 1.0
+
+    def test_events_are_the_scenario_own(self):
+        """The June 2016 preset scores its own event bins, not the
+        Nov 2015 windows (which it holds none of)."""
+        result = simulate(june2016_config(
+            seed=3, n_stubs=80, n_vps=40, letters=("K",),
+            include_nl=False,
+        ))
+        mask = result.event_mask()
+        assert mask.sum() == 15
+        assert not result.grid.event_mask().any()
+        truth = result.truth["K"]
+        _, during, _ = served_fractions(result, "K")
+        assert during == pytest.approx(
+            truth.legit_served_qps[mask].sum()
+            / truth.legit_offered_qps[mask].sum()
+        )
+        assert during < 0.5
 
     def test_comparison_table(self, base_config):
         table = compare_controllers(

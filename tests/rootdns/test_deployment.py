@@ -12,6 +12,11 @@ from repro.rootdns import (
 )
 
 
+def _rho(dep, by_site):
+    """*dep*'s utilisation row: ``{code: rho}``, 0.0 elsewhere."""
+    return np.array([by_site.get(code, 0.0) for code in dep.site_order])
+
+
 @pytest.fixture(scope="module")
 def topo():
     return build_topology(
@@ -70,24 +75,27 @@ class TestPolicyLoop:
     def test_withdraw_policy_fires_on_overload(self, topo):
         e = self._fresh(topo, "E")
         assert e.prefix.is_announced("AMS")
-        changed = e.apply_policies(
-            {"AMS": 10.0}, letter_under_attack=True, timestamp=100.0
+        logged = e.apply_policies(
+            _rho(e, {"AMS": 10.0}), letter_under_attack=True,
+            timestamp=100.0,
         )
-        assert changed
+        assert logged
         assert not e.prefix.is_announced("AMS")
         assert e.state("AMS").withdrawals == 1
 
     def test_absorber_never_withdraws(self, topo):
         k = self._fresh(topo, "K")
         k.apply_policies(
-            {"AMS": 50.0}, letter_under_attack=True, timestamp=100.0
+            _rho(k, {"AMS": 50.0}), letter_under_attack=True,
+            timestamp=100.0,
         )
         assert k.prefix.is_announced("AMS")
 
     def test_partial_withdraw_blocks_providers_only(self, topo):
         k = self._fresh(topo, "K")
         k.apply_policies(
-            {"LHR": 5.0}, letter_under_attack=True, timestamp=100.0
+            _rho(k, {"LHR": 5.0}), letter_under_attack=True,
+            timestamp=100.0,
         )
         assert k.prefix.is_announced("LHR")
         assert k.state("LHR").partial
@@ -99,60 +107,72 @@ class TestPolicyLoop:
 
     def test_recovery_after_calm(self, topo):
         e = self._fresh(topo, "E")
-        e.apply_policies({"AMS": 10.0}, True, 100.0)
+        e.apply_policies(_rho(e, {"AMS": 10.0}), True, 100.0)
         assert not e.prefix.is_announced("AMS")
         for i in range(10):
-            e.apply_policies({}, letter_under_attack=False,
+            e.apply_policies(_rho(e, {}), letter_under_attack=False,
                              timestamp=200.0 + i)
         assert e.prefix.is_announced("AMS")
 
     def test_no_recovery_while_attack_continues(self, topo):
         e = self._fresh(topo, "E")
-        e.apply_policies({"AMS": 10.0}, True, 100.0)
+        e.apply_policies(_rho(e, {"AMS": 10.0}), True, 100.0)
         for i in range(20):
-            e.apply_policies({}, letter_under_attack=True,
+            e.apply_policies(_rho(e, {}), letter_under_attack=True,
                              timestamp=200.0 + i)
         assert not e.prefix.is_announced("AMS")
 
     def test_reannounce_limit_keeps_site_down_after_second_event(self, topo):
         # The five E-Root sites that "shut down" after Dec 1 (Fig. 6a).
         e = self._fresh(topo, "E")
-        e.apply_policies({"AMS": 10.0}, True, 100.0)  # event 1 withdraw
+        # Event 1 withdraws AMS.
+        e.apply_policies(_rho(e, {"AMS": 10.0}), True, 100.0)
         for i in range(10):  # recovery between events
-            e.apply_policies({}, False, 200.0 + i)
+            e.apply_policies(_rho(e, {}), False, 200.0 + i)
         assert e.prefix.is_announced("AMS")
-        e.apply_policies({"AMS": 10.0}, True, 300.0)  # event 2 withdraw
+        # Event 2 withdraws it again.
+        e.apply_policies(_rho(e, {"AMS": 10.0}), True, 300.0)
         for i in range(50):
-            e.apply_policies({}, False, 400.0 + i)
+            e.apply_policies(_rho(e, {}), False, 400.0 + i)
         assert not e.prefix.is_announced("AMS")
 
     def test_partial_withdraw_restores_after_calm(self, topo):
         k = self._fresh(topo, "K")
-        k.apply_policies({"FRA": 5.0}, True, 100.0)
+        k.apply_policies(_rho(k, {"FRA": 5.0}), True, 100.0)
         assert k.state("FRA").partial
         shed_before = k.state("FRA").shed_server
         for i in range(10):
-            k.apply_policies({}, False, 200.0 + i)
+            k.apply_policies(_rho(k, {}), False, 200.0 + i)
         assert not k.state("FRA").partial
         assert k.prefix.blocked_neighbors("FRA") == frozenset()
         # The shed server rotates for the next event (Fig. 12).
         assert k.state("FRA").shed_server != shed_before
 
+    def test_returns_whether_it_logged(self, topo):
+        k = self._fresh(topo, "K")
+        calm = _rho(k, {})
+        assert not k.apply_policies(calm, False, 50.0)
+        assert k.apply_policies(_rho(k, {"FRA": 5.0}), True, 100.0)
+        steps = [k.apply_policies(calm, False, 200.0 + i) for i in range(6)]
+        # Calm bins log nothing until the restore.
+        assert steps.count(True) == 1 and steps[-1]
+        assert [e.action for e in k.policy_log] == ["partial", "restore"]
+
     def test_standby_activates_and_deactivates(self, topo):
         h = self._fresh(topo, "H")
-        h.apply_policies({"BWI": 12.0}, True, 100.0)
+        h.apply_policies(_rho(h, {"BWI": 12.0}), True, 100.0)
         assert not h.prefix.is_announced("BWI")
         assert h.prefix.is_announced("SAN")
         assert set(h.routing().catchments()) == {"SAN"}
         # Calm: primary returns, standby goes dark again.
         for i in range(10):
-            h.apply_policies({}, False, 200.0 + i)
+            h.apply_policies(_rho(h, {}), False, 200.0 + i)
         assert h.prefix.is_announced("BWI")
         assert not h.prefix.is_announced("SAN")
 
     def test_policy_log_records_actions(self, topo):
         h = self._fresh(topo, "H")
-        h.apply_policies({"BWI": 12.0}, True, 100.0)
+        h.apply_policies(_rho(h, {"BWI": 12.0}), True, 100.0)
         actions = [(e.site, e.action) for e in h.policy_log]
         assert ("BWI", "withdraw") in actions
         assert ("SAN", "announce") in actions
@@ -191,7 +211,7 @@ class TestStandby:
         h = LetterDeployment(LETTERS_SPEC["H"], topo)
         assert not h.prefix.is_announced("SAN")
         assert not h.prefix.change_log()
-        h.apply_policies({"BWI": 12.0}, True, 100.0)
+        h.apply_policies(_rho(h, {"BWI": 12.0}), True, 100.0)
         assert h.prefix.is_announced("SAN")
         assert h.prefix.change_log()
         h.reset()
@@ -206,7 +226,8 @@ class TestSnapshot:
             TopologyConfig(n_stubs=200), np.random.default_rng(9)
         )
         k = LetterDeployment(LETTERS_SPEC["K"], topo)
-        k.apply_policies({"LHR": 5.0}, True, 100.0)  # partial withdraw
+        # A partial withdraw.
+        k.apply_policies(_rho(k, {"LHR": 5.0}), True, 100.0)
         k.prefix.withdraw("AMS", 101.0)
         log, changes = list(k.policy_log), k.prefix.change_log()
         saved = k.snapshot()

@@ -22,6 +22,30 @@ class TestConfig:
         with pytest.raises(ValueError, match="bin_seconds.*-600"):
             ScenarioConfig(bin_seconds=-600)
 
+    def test_bin_width_must_tile_the_window(self):
+        with pytest.raises(ValueError, match="600 does not tile.*10860"):
+            ScenarioConfig(window_seconds=10_860)
+        ScenarioConfig(window_seconds=10_800)
+
+    def test_controllers_only_for_simulated_letters(self):
+        from repro.defense import GreedyShedController
+        from repro.rootdns.letters import LETTERS_SPEC
+
+        with pytest.raises(ValueError, match=r"letters \['E'\]"):
+            ScenarioConfig(
+                letters=("K",), controllers={"E": GreedyShedController()}
+            )
+        ScenarioConfig(
+            letters=("K",), controllers={"K": GreedyShedController()}
+        )
+        # Without a subset every letter of the registry is simulated.
+        ScenarioConfig(controllers={"E": GreedyShedController()})
+        with pytest.raises(ValueError, match=r"letters \['E'\]"):
+            ScenarioConfig(
+                custom_letters={"K": LETTERS_SPEC["K"]},
+                controllers={"E": GreedyShedController()},
+            )
+
     def test_unknown_letter_names_registry(self):
         with pytest.raises(ValueError, match="unknown letter 'ZZ'"):
             ScenarioConfig(letters=("A", "ZZ"))

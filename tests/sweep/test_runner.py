@@ -1,11 +1,14 @@
 """Runner behaviour: index keying, chunk invariance, progress stream."""
 
 import dataclasses
+import os
+from pathlib import Path
 
 import pytest
 
 from repro import ScenarioConfig, simulate
 from repro.attack.events import NOV2015_EVENTS
+from repro.defense.controllers import GreedyShedController, OracleController
 from repro.scenario import diff_arrays, result_arrays
 from repro.scenario.presets import QUIET_WINDOW_START
 from repro.sweep import (
@@ -187,3 +190,34 @@ class TestJobsParity:
         assert len(serial.results) == len(parallel.results)
         for a, b in zip(serial.results, parallel.results):
             assert not diff_arrays(result_arrays(a), result_arrays(b))
+
+    def test_spawned_workers_match_serial(self, monkeypatch):
+        """A spawned worker hashes strings with its own seed; controller
+        decisions must not depend on it (the oracle's three-site search
+        sums in site order, not in set order)."""
+        scripts = Path(__file__).resolve().parents[2] / "scripts"
+        monkeypatch.syspath_prepend(str(scripts))
+        from check_determinism import FAULT_PLAN
+
+        base = ScenarioConfig(
+            seed=7, n_stubs=60, n_vps=30, letters=("A", "H", "K"),
+            include_nl=False, faults=FAULT_PLAN,
+            controllers={
+                "H": GreedyShedController(),
+                "K": OracleController(max_withdrawals=3),
+            },
+        )
+        spec = SweepSpec.from_points(base, [{}, {"baseline_days": 3}])
+        serial = run_sweep(spec, jobs=1)
+        parent_seed = os.environ.get("PYTHONHASHSEED")
+        monkeypatch.setenv(
+            "PYTHONHASHSEED", "2" if parent_seed == "1" else "1"
+        )
+        spawned = run_sweep(spec, jobs=2, start_method="spawn")
+        assert not spawned.failures
+        for a, b in zip(serial.results, spawned.results):
+            assert not diff_arrays(result_arrays(a), result_arrays(b))
+        # The oracle acts: K changes routes beyond the session reset's
+        # two flaps.
+        k_changes = serial.results[0].deployments["K"].prefix.change_log()
+        assert len(k_changes) > 2

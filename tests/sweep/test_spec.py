@@ -39,6 +39,16 @@ class TestGrid:
         with pytest.raises(ValueError, match="may not override 'seed'"):
             SweepSpec.grid(tiny_base, {"seed": [1, 2]})
 
+    def test_invalid_point_rejected_at_build(self, tiny_base):
+        """A point whose config cannot be built fails the spec, not
+        each of its cells when the sweep runs them."""
+        with pytest.raises(ValueError, match="does not tile"):
+            SweepSpec.grid(tiny_base, {"window_seconds": [10_800, 10_860]})
+        with pytest.raises(ValueError, match="does not tile"):
+            SweepSpec(base=tiny_base, points=(
+                (("window_seconds", 10_860),),
+            ), seeds=(1, 2))
+
 
 class TestCells:
     def test_seeds_outermost_indexing(self, tiny_base):

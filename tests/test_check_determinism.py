@@ -90,9 +90,12 @@ def test_ci_config_carries_every_fault_type():
 
 def test_ci_checks_a_controlled_scenario():
     """The gate also covers the batched scan's controller branch: the
-    faulted scenario plus GreedyShed on A and H, fresh per call."""
+    faulted scenario plus GreedyShed on A and H and the oracle's
+    three-site search on K, fresh per call."""
     assert set(SCENARIOS.values()) == {faulted_config, controlled_config}
     first, second = controlled_config(), controlled_config()
     assert first.faults == faulted_config().faults
-    assert sorted(first.controllers) == ["A", "H"]
+    assert sorted(first.controllers) == ["A", "H", "K"]
+    assert first.controllers["K"].max_withdrawals == 3
     assert first.controllers["A"] is not second.controllers["A"]
+    assert first.controllers["K"] is not second.controllers["K"]

@@ -138,6 +138,17 @@ class TestUsageErrors:
         assert line.startswith("anycast-ddos sweep: error:")
         assert "'bogus_field'" in line
 
+    def test_invalid_sweep_point(self, capsys):
+        """A point no config can take is a usage error before any cell
+        runs, not a quarantined cell and exit 0."""
+        line = self._usage_error(
+            ["sweep", "--stubs", "50", "--vps", "30", "--letters", "K",
+             "--seed", "7", "--axis", "window_seconds=10860"],
+            capsys,
+        )
+        assert line.startswith("anycast-ddos sweep: error:")
+        assert "does not tile window_seconds 10860" in line
+
     def test_malformed_sweep_axis(self, capsys):
         line = self._usage_error(["sweep", "--axis", "bogus"], capsys)
         assert "argument --axis" in line
