@@ -112,10 +112,24 @@ def paper_spec(args: argparse.Namespace) -> SweepSpec:
 
 
 def render_all(result, quiet_result, june_result) -> dict[str, str]:
-    """Every figure/table as rendered text, keyed by output name."""
+    """Every figure/table as rendered text, keyed by output name.
+
+    Renders one cell at a time: each cell's Atlas dataset is cleaned,
+    that cell's outputs are rendered, and the cleaned copy is dropped
+    before the next cell is cleaned.  A cleaned dataset copies every
+    observation matrix of the VPs it keeps, so at most one such copy
+    is alive next to the raw results.
+    """
+    return {
+        **_render_nov2015(result),
+        **_render_quiet(quiet_result),
+        **_render_june2016(june_result),
+    }
+
+
+def _render_nov2015(result) -> dict[str, str]:
+    """The 15 outputs of the canonical event cell, Table 2 to Table 3."""
     cleaned, _ = clean_dataset(result.atlas)
-    quiet_cleaned, _ = clean_dataset(quiet_result.atlas)
-    june_cleaned, _ = clean_dataset(june_result.atlas)
     site_counts = {L: s.n_sites for L, s in LETTERS_SPEC.items()}
     rssac_reports = {
         L: result.rssac[L] for L in RSSAC_REPORTING_LETTERS
@@ -190,16 +204,30 @@ def render_all(result, quiet_result, june_result) -> dict[str, str]:
         ).render()
         for date in ("2015-11-30", "2015-12-01")
     )
-    out["quiet_control"] = "\n\n".join(
-        site_minmax_table(quiet_cleaned, letter).render()
-        for letter in ("E", "K")
-    )
-    out["june2016"] = "\n".join(
-        f"{letter} worst/median responsiveness: "
-        f"{worst_responsiveness(june_cleaned, letter):.2f}"
-        for letter in june_result.letters
-    )
     return out
+
+
+def _render_quiet(result) -> dict[str, str]:
+    """The §3.3.1 quiet control: E and K site min/max without events."""
+    cleaned, _ = clean_dataset(result.atlas)
+    return {
+        "quiet_control": "\n\n".join(
+            site_minmax_table(cleaned, letter).render()
+            for letter in ("E", "K")
+        )
+    }
+
+
+def _render_june2016(result) -> dict[str, str]:
+    """The 2016-06-25 follow-up: each letter's worst responsiveness."""
+    cleaned, _ = clean_dataset(result.atlas)
+    return {
+        "june2016": "\n".join(
+            f"{letter} worst/median responsiveness: "
+            f"{worst_responsiveness(cleaned, letter):.2f}"
+            for letter in result.letters
+        )
+    }
 
 
 def main(argv: list[str] | None = None) -> int:

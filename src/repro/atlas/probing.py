@@ -22,8 +22,9 @@ cheap array stores) and all sampling happens in one pass at
 :meth:`LetterProber.flush`.  Recorded bins are grouped by ``(routing
 table, cadence phase)``: every bin of a group probes the same
 hijacked, unrouted and routed VPs, with the same catchment sites,
-hash-balanced servers and baseline RTTs.  Each group then goes through
-three steps:
+hash-balanced servers and baseline RTTs.  A group computes the
+baseline RTT of its own routed (VP, site) pairs only; no VP-by-site
+matrix is built.  Each group then goes through three steps:
 
 * **prepare** -- from the recorded condition matrices, everything the
   draws are compared or combined with: the shed-to-one server choice,
@@ -35,9 +36,14 @@ three steps:
   answers and for RTT jitter, uniforms compared with the failure
   probabilities, and error-vs-timeout uniforms for the failed VPs.
 * **finish** -- block arithmetic: jitter, RTTs, timeouts, outcome
-  codes and dtype casts, then one store per output matrix.  It walks
-  each group's blocks in row chunks of ``_FINISH_CELLS`` cells:
-  temporaries the size of a whole block are fresh allocations whose
+  codes and dtype casts into one narrow block per output, whose
+  columns are the routed VPs, the hijacked VPs, a TIMEOUT column and a
+  NOT_PROBED column.  The group's column map sends every VP to its
+  column, so one ``np.take(..., axis=1)`` per output expands a block
+  to whole rows, and each row is stored contiguously: every recorded
+  bin belongs to exactly one group, which writes all of its row.  It
+  walks each group's rows in chunks of ``_FINISH_CELLS`` output cells:
+  temporaries the size of a whole group are fresh allocations whose
   page faults cost more than the arithmetic on them, while chunk-sized
   ones stay in cache and are recycled by the allocator.
 
@@ -88,7 +94,8 @@ HIJACK_RTT_MS = 3.0
 #: Lognormal RTT jitter sigma.
 RTT_JITTER_SIGMA = 0.12
 
-#: Cells per row chunk of the finish step (see the module docstring).
+#: Output cells (bins x VPs) per row chunk of the finish step (see the
+#: module docstring).
 _FINISH_CELLS = 1 << 15
 
 
@@ -117,9 +124,11 @@ class _Group:
     """
 
     bins: np.ndarray           # ascending recorded bins
-    hijacked_idx: np.ndarray   # VPs probed this phase and hijacked
-    unrouted_idx: np.ndarray   # probed, healthy, no route -> timeout
-    routed_idx: np.ndarray     # probed, healthy, routed
+    #: Per VP, its column in the finish blocks: routed VPs first (VP
+    #: order), then hijacked VPs, then the TIMEOUT column (probed,
+    #: healthy, no route) and the NOT_PROBED column (other phases).
+    columns: np.ndarray
+    n_hijacked: int            # VPs probed this phase and hijacked
     sites: np.ndarray          # site per routed VP
     balanced: np.ndarray       # hash-balanced server per routed VP
     base_rtt: np.ndarray       # baseline RTT per routed VP
@@ -157,18 +166,13 @@ class LetterProber:
         n_vps = len(vps)
         n_sites = len(self.site_codes)
 
-        # Baseline RTT from each VP to each site.
-        site_lats = np.array(
+        # Site coordinates for the groups' baseline RTTs.
+        self._site_lats = np.array(
             [s.location.lat for s in deployment.spec.sites]
         )
-        site_lons = np.array(
+        self._site_lons = np.array(
             [s.location.lon for s in deployment.spec.sites]
         )
-        distances = haversine_km_vec(
-            vps.lats[:, None], vps.lons[:, None],
-            site_lats[None, :], site_lons[None, :],
-        )
-        self.base_rtt = propagation_rtt_ms_vec(distances)
 
         # Source hashes for load balancing; stable per VP.
         self.vp_hashes = (vps.ids * np.int64(2654435761)) & np.int64(
@@ -305,17 +309,27 @@ class LetterProber:
         if not probed.any():
             return None
         vp_site = self._vp_site_indices(table)
-        active = probed & ~self.vps.hijacked
+        hijacked = self.vps.hijacked
+        active = probed & ~hijacked
         routed_idx = np.flatnonzero(active & (vp_site >= 0))
+        hijacked_idx = np.flatnonzero(probed & hijacked)
+        n_routed, n_hijacked = routed_idx.size, hijacked_idx.size
+        timeout_col = n_routed + n_hijacked
+        columns = np.where(active, timeout_col, timeout_col + 1)
+        columns[routed_idx] = np.arange(n_routed)
+        columns[hijacked_idx] = np.arange(n_routed, timeout_col)
         sites = vp_site[routed_idx]
+        distances = haversine_km_vec(
+            self.vps.lats[routed_idx], self.vps.lons[routed_idx],
+            self._site_lats[sites], self._site_lons[sites],
+        )
         return _Group(
             bins=np.asarray(bins),
-            hijacked_idx=np.flatnonzero(probed & self.vps.hijacked),
-            unrouted_idx=np.flatnonzero(active & (vp_site < 0)),
-            routed_idx=routed_idx,
+            columns=columns,
+            n_hijacked=n_hijacked,
             sites=sites,
             balanced=self.vp_hashes[routed_idx] % self.n_servers[sites] + 1,
-            base_rtt=self.base_rtt[routed_idx, sites],
+            base_rtt=propagation_rtt_ms_vec(distances),
         )
 
     def _check_shed(self, groups: list[_Group]) -> None:
@@ -354,9 +368,9 @@ class LetterProber:
     ) -> None:
         """Server choice, multipliers and failure probabilities of *g*,
         plus the empty blocks the draw loop fills."""
-        n_bins, n_routed = g.bins.size, g.routed_idx.size
-        if g.hijacked_idx.size:
-            g.hijack = np.empty((n_bins, g.hijacked_idx.size))
+        n_bins, n_routed = g.bins.size, g.sites.size
+        if g.n_hijacked:
+            g.hijack = np.empty((n_bins, g.n_hijacked))
         if n_routed == 0:
             return
         g.jitter = np.empty((n_bins, n_routed))
@@ -392,71 +406,75 @@ class LetterProber:
             g.fail_prob[row] = probs
 
     @staticmethod
-    def _block_index(bins: np.ndarray, cols: np.ndarray) -> tuple:
-        """An outer ``(rows, cols)`` indexer for one group's block.
+    def _block_index(bins: np.ndarray) -> slice | np.ndarray:
+        """The rows of one group's bins in the output matrices.
 
         Probe phases stride the bin axis evenly, so a group's bins are
-        almost always an arithmetic progression; a basic row slice plus
-        one fancy column index assigns several times faster than the
-        double fancy index ``np.ix_`` builds.  Both address exactly the
-        same cells; irregular bins (a recurring routing table) keep
-        ``np.ix_``.
+        almost always an arithmetic progression, which a basic row
+        slice addresses without a fancy index; irregular bins (a
+        recurring routing table) keep the index array.
         """
         steps = np.diff(bins)
         step = int(steps[0]) if steps.size else 1
         if bool((steps == step).all()):
-            return (slice(int(bins[0]), int(bins[-1]) + 1, step), cols)
-        return np.ix_(bins, cols)
+            return slice(int(bins[0]), int(bins[-1]) + 1, step)
+        return bins
 
     def _finish_group(self, g: _Group) -> None:
-        """Turn *g*'s drawn blocks into outcomes and store them."""
-        if g.hijack is not None:
-            ix = self._block_index(g.bins, g.hijacked_idx)
-            self.site_idx[ix] = RESP_BOGUS
-            self.rtt_ms[ix] = HIJACK_RTT_MS * (
-                1.0 + (0.1 * g.hijack).clip(-0.3, 0.3)
-            )
-        if g.unrouted_idx.size:
-            self.site_idx[
-                self._block_index(g.bins, g.unrouted_idx)
-            ] = RESP_TIMEOUT
-        if g.jitter is not None:
-            step = max(1, _FINISH_CELLS // g.routed_idx.size)
-            for lo in range(0, g.bins.size, step):
-                self._finish_rows(g, lo, min(lo + step, g.bins.size))
+        """Turn *g*'s drawn blocks into outcomes and store its rows."""
+        step = max(1, _FINISH_CELLS // len(self.vps))
+        for lo in range(0, g.bins.size, step):
+            self._finish_rows(g, lo, min(lo + step, g.bins.size))
 
     def _finish_rows(self, g: _Group, lo: int, hi: int) -> None:
-        """Outcomes of *g*'s routed VPs on rows ``lo:hi``."""
-        bins = g.bins[lo:hi]
-        delay = self._cond_delay[self._block_index(bins, g.sites)]
-        chosen = np.broadcast_to(
-            g.balanced.astype(np.int16), delay.shape
-        )
-        first, stop = np.searchsorted(g.noisy, (lo, hi)).tolist()
-        if first < stop:
-            noisy = g.noisy[first:stop] - lo
-            delay[noisy] *= g.delay_mult[first:stop]
-            chosen = chosen.copy()
-            chosen[noisy] = g.chosen[first:stop]
-        rtts = (
-            g.base_rtt * np.exp(RTT_JITTER_SIGMA * g.jitter[lo:hi]) + delay
-        )
-        failed = g.failed[lo:hi]
-        codes = np.empty(rtts.shape, dtype=np.int16)
-        codes[:] = g.sites
-        errors = [e for e in g.errors[lo:hi] if e is not None]
-        if errors:
-            codes[failed] = np.where(
-                np.concatenate(errors) < ERROR_GIVEN_FAILURE,
-                RESP_ERROR,
-                RESP_TIMEOUT,
+        """Whole output rows of *g*'s bins ``lo:hi``."""
+        rows = self._block_index(g.bins[lo:hi])
+        n_routed = g.sites.size
+        timeout_col = n_routed + g.n_hijacked
+        shape = (hi - lo, timeout_col + 2)
+        codes = np.empty(shape, dtype=np.int16)
+        rtt_ms = np.empty(shape, dtype=np.float32)
+        server = np.zeros(shape, dtype=np.int16)
+        codes[:, timeout_col] = RESP_TIMEOUT
+        codes[:, timeout_col + 1] = RESP_NOT_PROBED
+        rtt_ms[:, timeout_col:] = np.nan
+        if g.hijack is not None:
+            codes[:, n_routed:timeout_col] = RESP_BOGUS
+            rtt_ms[:, n_routed:timeout_col] = HIJACK_RTT_MS * (
+                1.0 + (0.1 * g.hijack[lo:hi]).clip(-0.3, 0.3)
             )
-        codes[(rtts > ATLAS_TIMEOUT_MS) & ~failed] = RESP_TIMEOUT
-        ok = codes >= 0
-        ix = self._block_index(bins, g.routed_idx)
-        self.site_idx[ix] = codes
-        self.rtt_ms[ix] = np.where(ok, rtts, np.nan)
-        self.server[ix] = np.where(ok, chosen, 0)
+        if g.jitter is not None:
+            delay = np.take(self._cond_delay[rows], g.sites, axis=1)
+            chosen = np.broadcast_to(
+                g.balanced.astype(np.int16), delay.shape
+            )
+            first, stop = np.searchsorted(g.noisy, (lo, hi)).tolist()
+            if first < stop:
+                noisy = g.noisy[first:stop] - lo
+                delay[noisy] *= g.delay_mult[first:stop]
+                chosen = chosen.copy()
+                chosen[noisy] = g.chosen[first:stop]
+            rtts = (
+                g.base_rtt * np.exp(RTT_JITTER_SIGMA * g.jitter[lo:hi])
+                + delay
+            )
+            failed = g.failed[lo:hi]
+            routed = codes[:, :n_routed]
+            routed[:] = g.sites
+            errors = [e for e in g.errors[lo:hi] if e is not None]
+            if errors:
+                routed[failed] = np.where(
+                    np.concatenate(errors) < ERROR_GIVEN_FAILURE,
+                    RESP_ERROR,
+                    RESP_TIMEOUT,
+                )
+            routed[(rtts > ATLAS_TIMEOUT_MS) & ~failed] = RESP_TIMEOUT
+            ok = routed >= 0
+            rtt_ms[:, :n_routed] = np.where(ok, rtts, np.nan)
+            server[:, :n_routed] = np.where(ok, chosen, 0)
+        self.site_idx[rows] = np.take(codes, g.columns, axis=1)
+        self.rtt_ms[rows] = np.take(rtt_ms, g.columns, axis=1)
+        self.server[rows] = np.take(server, g.columns, axis=1)
 
     def flush(self) -> None:
         """Sample every recorded bin: prepare, draw, finish.

@@ -105,7 +105,11 @@ class LetterObservations:
         return self.site_idx != RESP_NOT_PROBED
 
     def select_vps(self, keep: np.ndarray) -> "LetterObservations":
-        """A view restricted to the VPs selected by boolean mask *keep*."""
+        """A copy restricted to the VPs selected by boolean mask *keep*.
+
+        Boolean column indexing copies every matrix, so the result
+        holds its own ``(n_bins, n_kept)`` matrices beside this one's.
+        """
         keep = np.asarray(keep, dtype=bool)
         if keep.shape != (self.n_vps,):
             raise ValueError("mask must match VP count")
@@ -140,7 +144,9 @@ class AtlasDataset:
             raise KeyError(f"no observations for letter {letter!r}") from None
 
     def select_vps(self, keep: np.ndarray) -> "AtlasDataset":
-        """Dataset restricted to the VPs selected by *keep*."""
+        """A copy restricted to the VPs selected by *keep*: every
+        letter's matrices are copied (see
+        :meth:`LetterObservations.select_vps`)."""
         keep = np.asarray(keep, dtype=bool)
         vps = VantagePointTable(
             ids=self.vps.ids[keep],

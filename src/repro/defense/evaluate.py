@@ -73,7 +73,9 @@ def evaluate_controller(
     """Run the scenario under one controller and score it.
 
     ``controller_factory=None`` keeps the deployment's built-in static
-    policies (the historical behaviour).
+    policies (the historical behaviour).  ``routing_actions`` counts
+    the route changes the letter's control loop made; routes a fault
+    flaps are in the change log BGPmon reads but are not counted.
     """
     controllers = (
         None
@@ -83,14 +85,13 @@ def evaluate_controller(
     config = dataclasses.replace(base_config, controllers=controllers)
     result = simulate(config)
     overall, during, worst = served_fractions(result, letter)
-    actions = len(result.deployments[letter].prefix.change_log())
     return DefenseOutcome(
         name=name,
         letter=letter,
         served_overall=overall,
         served_during_events=during,
         worst_bin=worst,
-        routing_actions=actions,
+        routing_actions=result.deployments[letter].control_route_changes,
     )
 
 

@@ -56,6 +56,10 @@ class LetterDeployment:
         self.states = {s.code: SiteState(s) for s in spec.sites}
         self.host_asns: dict[str, int] = {}
         self.policy_log: list[PolicyEvent] = []
+        #: Route changes made by this letter's control loop -- its
+        #: static policies or its controller -- out of the prefix's
+        #: change log, which also holds fault flaps.
+        self.control_route_changes = 0
         self._capacity_vector = np.array(
             [s.capacity_qps for s in spec.sites], dtype=np.float64
         )
@@ -124,15 +128,16 @@ class LetterDeployment:
     def reset(self) -> None:
         """Restore the post-construction state for a fresh run.
 
-        Rebuilds the site policy states, clears the policy log and the
-        memo caches, and resets the prefix to its initial state
-        (standby sites withdrawn, empty change log).  The
-        routing-table cache inside the prefix survives, which is the
-        point: a reused deployment skips every BGP propagation it has
-        already done.
+        Rebuilds the site policy states, clears the policy log, the
+        control-loop route-change count and the memo caches, and resets
+        the prefix to its initial state (standby sites withdrawn, empty
+        change log).  The routing-table cache inside the prefix
+        survives, which is the point: a reused deployment skips every
+        BGP propagation it has already done.
         """
         self.states = {s.code: SiteState(s) for s in self.spec.sites}
         self.policy_log = []
+        self.control_route_changes = 0
         self._quiet_cache = None
         self._announced_cache = None
         self.prefix.reset()
@@ -274,7 +279,8 @@ class LetterDeployment:
         :attr:`policy_log` -- each routing change, and a restore that
         rotates the shed server even when routing stays put -- so the
         return value is what the segment-batched engine ends its
-        segments on.
+        segments on.  The route changes the step made are added to
+        :attr:`control_route_changes`.
 
         *utilisation* is each site's offered/capacity for the last bin,
         one entry per site in :attr:`site_order`.  Withdrawn sites see
@@ -289,6 +295,7 @@ class LetterDeployment:
         ).any():
             return False
         n_logged = len(self.policy_log)
+        n_changes = len(self.prefix.change_log())
         any_withdrawn_primary = False
 
         for code, rho in zip(
@@ -358,6 +365,9 @@ class LetterDeployment:
             elif not any_withdrawn_primary and is_up:
                 if self.prefix.withdraw(code, timestamp):
                     self._log(timestamp, code, "withdraw")
+        self.control_route_changes += (
+            len(self.prefix.change_log()) - n_changes
+        )
         return len(self.policy_log) > n_logged
 
     def _log(self, timestamp: float, site: str, action: str) -> None:

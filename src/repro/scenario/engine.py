@@ -214,7 +214,8 @@ def _run_controller(
     *offered* and *loss* are the bin's per-site rows (site order),
     *flags* the letter's :func:`_site_flags`; the controller observes
     these rows themselves, and an oracle gets *offered* as its truth.
-    Returns whether the controller issued any action.
+    Returns whether the controller issued any action, and adds the
+    route changes its actions made to ``dep.control_route_changes``.
     """
     from ..defense.controllers import Action, ActionKind, OracleController
     from ..defense.observation import LetterObservation
@@ -233,6 +234,7 @@ def _run_controller(
     if isinstance(controller, OracleController):
         controller.set_truth(offered)
     acted = False
+    n_changes = len(dep.prefix.change_log())
     for action in controller.decide(observation):
         if not isinstance(action, Action):
             raise TypeError(f"controller returned {action!r}")
@@ -245,6 +247,7 @@ def _run_controller(
             dep.set_partial(action.site, True, timestamp)
         elif action.kind is ActionKind.RESTORE:
             dep.set_partial(action.site, False, timestamp)
+    dep.control_route_changes += len(dep.prefix.change_log()) - n_changes
     return acted
 
 

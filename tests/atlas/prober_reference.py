@@ -9,7 +9,10 @@ bit, the way ``repro.netsim.bgp_reference`` pins the routing kernel.
 
 It reads the prober's static set-up and recorded conditions and draws
 from the prober's own generator, so run it on a prober that recorded
-the same bins as the one under test but was never flushed.
+the same bins as the one under test but was never flushed.  The
+baseline RTTs come from the full VP-by-site matrix, built here from
+the VP table and the site locations, where the prober computes only
+the (VP, site) pairs its groups route.
 """
 
 from __future__ import annotations
@@ -29,7 +32,21 @@ from repro.datasets import (
     RESP_NOT_PROBED,
     RESP_TIMEOUT,
 )
+from repro.util.geo import haversine_km_vec, propagation_rtt_ms_vec
 from repro.util.timegrid import ATLAS_TIMEOUT_MS
+
+
+def baseline_rtt_matrix(prober: LetterProber) -> np.ndarray:
+    """Baseline RTT from every VP to every site, ``(n_vps, n_sites)``."""
+    vps, sites = prober.vps, prober.deployment.spec.sites
+    site_lats = np.array([s.location.lat for s in sites])
+    site_lons = np.array([s.location.lon for s in sites])
+    return propagation_rtt_ms_vec(
+        haversine_km_vec(
+            vps.lats[:, None], vps.lons[:, None],
+            site_lats[None, :], site_lons[None, :],
+        )
+    )
 
 
 def sample_bin_by_bin(
@@ -42,6 +59,7 @@ def sample_bin_by_bin(
     server = np.zeros(shape, dtype=np.int16)
     rng = prober.rng
     hijacked = prober.vps.hijacked
+    base_rtt = baseline_rtt_matrix(prober)
     for b in np.flatnonzero(prober._recorded).tolist():
         probed = (b + prober.probe_phase) % prober.bins_per_probe == 0
         vp_site = prober._vp_site_indices(prober._table_of_bin[b])
@@ -89,7 +107,7 @@ def sample_bin_by_bin(
         )
         failed = rng.random(routed.size) < fail_prob
         jitter = np.exp(rng.normal(0.0, RTT_JITTER_SIGMA, routed.size))
-        rtts = prober.base_rtt[routed, sites] * jitter + delay
+        rtts = base_rtt[routed, sites] * jitter + delay
 
         codes = sites.astype(np.int16)
         n_failed = int(np.count_nonzero(failed))

@@ -7,6 +7,9 @@ timeout), overloaded shed-to-one sites, partial and total withdrawals,
 routing tables that recur, skipped bins, both ``record_bin`` and
 ``record_bins`` -- then flushes one and samples the other bin by bin.
 The matrices and the generator state afterwards must match exactly.
+The float32 RTT outputs can hide a last-bit difference in the float64
+baselines, so each group's per-pair baselines are also compared with
+the reference's VP-by-site matrix directly.
 """
 
 import numpy as np
@@ -24,7 +27,7 @@ from repro.datasets import (
 from repro.scenario.engine import build_substrate
 from repro.util.timegrid import TimeGrid
 
-from .prober_reference import sample_bin_by_bin
+from .prober_reference import baseline_rtt_matrix, sample_bin_by_bin
 
 GRID = TimeGrid(start=0, bin_seconds=600, n_bins=96)
 
@@ -124,15 +127,48 @@ def test_flush_matches_bin_by_bin_reference(substrate, letter, seed):
     )
 
 
+@pytest.mark.parametrize("letter", ["A", "K"])
+def test_group_baselines_match_the_matrix(substrate, letter):
+    dep = substrate.deployments[letter]
+    prober = LetterProber(
+        dep, substrate.vps, GRID, np.random.default_rng(0)
+    )
+    matrix = baseline_rtt_matrix(prober)
+    n_groups = 0
+    for table in _tables(dep, np.random.default_rng(0)):
+        for phase in range(prober.bins_per_probe):
+            g = prober._group(table, phase, [phase])
+            if g is None:
+                continue
+            n_groups += 1
+            routed = np.flatnonzero(g.columns < g.sites.size)
+            np.testing.assert_array_equal(
+                g.base_rtt, matrix[routed, g.sites]
+            )
+    assert n_groups == 3 * prober.bins_per_probe
+
+
 def test_cases_cover_every_outcome(substrate):
     # The random recordings above must exercise what they claim to:
     # A-Root's unprobed bins, hijacked answers, timeouts, error codes,
-    # bins where no probed VP has a route, and K-FRA's shed-to-one
-    # answers (from a server other than the VP's hash-balanced one).
+    # bins where no probed VP has a route, K-FRA's shed-to-one
+    # answers (from a server other than the VP's hash-balanced one),
+    # skipped bins, and groups whose recurring table makes their bins
+    # irregular (stored through an index array, not a row slice).
     codes, unrouted_bins, shed_bins = set(), 0, 0
+    skipped_bins, irregular_groups = 0, 0
     for letter in ("A", "K"):
         for seed in range(6):
             prober, _ = _pair(substrate, letter, seed)
+            by_key = {}
+            for b in np.flatnonzero(prober._recorded).tolist():
+                key = (prober._table_of_bin[b], b % prober.bins_per_probe)
+                by_key.setdefault(key, []).append(b)
+            irregular_groups += sum(
+                not isinstance(prober._block_index(np.asarray(bins)), slice)
+                for bins in by_key.values()
+            )
+            skipped_bins += int((~prober._recorded).sum())
             obs = prober.finish()
             codes |= {int(c) for c in np.unique(obs.site_idx)}
             unrouted_bins += sum(
@@ -150,6 +186,8 @@ def test_cases_cover_every_outcome(substrate):
     assert {RESP_TIMEOUT, RESP_ERROR, RESP_BOGUS, RESP_NOT_PROBED} <= codes
     assert unrouted_bins > 0
     assert shed_bins > 0
+    assert skipped_bins > 0
+    assert irregular_groups > 0
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -1,6 +1,6 @@
 """``scripts/run_paper.py``'s 17 renders, end to end.
 
-Two guards on what users actually read:
+Three guards on what users actually read:
 
 * at seed 7, 120 stubs and 150 VPs, every render's text hashes to the
   SHA-256 recorded below.  The literals are regenerated only for an
@@ -9,15 +9,19 @@ Two guards on what users actually read:
   performance change that moves any of them changed what the paper
   figures say;
 * at 12 VPs several series are NaN in every bin, and rendering them
-  must still be quiet: no warning of any kind.
+  must still be quiet: no warning of any kind;
+* ``render_all`` renders one cell at a time, so no two cleaned
+  datasets are ever alive together.
 """
 
 import argparse
+import gc
 import hashlib
 import importlib
 import pathlib
 import sys
 import warnings
+import weakref
 
 import pytest
 
@@ -93,6 +97,30 @@ def test_renders_match_recorded_digests(run_paper):
         for name, text in rendered.items()
     }
     assert digests == RENDER_SHA256
+
+
+def test_one_cleaned_cell_at_a_time(run_paper, monkeypatch):
+    # AtlasDataset has slots and takes no weakref, so each cleaned
+    # dataset is tracked through one of its observation matrices.
+    clean = run_paper.clean_dataset
+    earlier: list[weakref.ref] = []
+
+    def clean_tracked(dataset):
+        gc.collect()
+        alive = sum(ref() is not None for ref in earlier)
+        assert not alive, f"{alive} earlier cleaned dataset still alive"
+        cleaned, report = clean(dataset)
+        matrix = next(iter(cleaned.letters.values())).site_idx
+        earlier.append(weakref.ref(matrix))
+        return cleaned, report
+
+    monkeypatch.setattr(run_paper, "clean_dataset", clean_tracked)
+    rendered = _render(run_paper, seed=7, stubs=120, vps=150)
+    assert len(earlier) == 3
+    assert {
+        name: hashlib.sha256(text.encode("utf-8")).hexdigest()
+        for name, text in rendered.items()
+    } == RENDER_SHA256
 
 
 def test_all_nan_series_render_without_warnings(run_paper):

@@ -1,5 +1,9 @@
 """Tests for the automated-defense controllers and evaluation."""
 
+import dataclasses
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,10 @@ from repro.defense import (
     served_fractions,
 )
 from repro.scenario.presets import june2016_config
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[2] / "scripts"))
+
+from check_determinism import FAULT_PLAN  # noqa: E402
 
 #: The observation's site-order rows.
 ROWS = ("capacity_qps", "accepted_qps", "dropped_qps", "announced",
@@ -228,6 +236,21 @@ class TestClosedLoop:
         )
         outcome = evaluate_controller(config, "H", "absorb", NullController)
         assert outcome.routing_actions == 0
+
+    def test_fault_flaps_are_not_routing_actions(self):
+        # The plan's BgpSessionReset flaps K-LHR; those route changes
+        # stay in the change log BGPmon reads, but the controller never
+        # acted, so none of them is its routing action.
+        config = ScenarioConfig(
+            seed=7, n_stubs=60, n_vps=30, letters=("K",),
+            include_nl=False, faults=FAULT_PLAN,
+        )
+        outcome = evaluate_controller(config, "K", "absorb", NullController)
+        assert outcome.routing_actions == 0
+        result = simulate(dataclasses.replace(
+            config, controllers={"K": NullController()}
+        ))
+        assert len(result.deployments["K"].prefix.change_log()) == 2
 
     def test_static_policies_act(self, base_config):
         outcome = evaluate_controller(base_config, "K", "static", None)
