@@ -3,10 +3,11 @@
 from repro.core import collateral_figure, collateral_sites
 
 
-def test_fig14_droot_collateral(benchmark, cleaned):
-    flagged = benchmark(collateral_sites, cleaned, "D")
+def test_fig14_droot_collateral(benchmark, scenario, cleaned):
+    events = scenario.event_intervals()
+    flagged = benchmark(collateral_sites, cleaned, "D", events)
     print()
-    print(collateral_figure(cleaned, "D").render())
+    print(collateral_figure(cleaned, "D", events).render())
     for site in flagged:
         print(
             f"  {site.site}: median {site.median_vps:.0f} VPs, "

@@ -10,7 +10,7 @@ def test_fig9_route_changes(benchmark, scenario):
     print()
     print(figure.render())
     churners = letters_with_event_churn(
-        scenario.route_changes, scenario.grid
+        scenario.route_changes, scenario.grid, scenario.event_intervals()
     )
     print("  letters with event-driven churn:", churners)
     print("  paper: C, E, F, G, H, J, K show event-driven route changes")

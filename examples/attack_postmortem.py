@@ -36,6 +36,7 @@ def main() -> None:
     print("simulating (600 stubs, 1200 VPs, all 13 letters) ...")
     result = simulate(ScenarioConfig(seed=42, n_stubs=600, n_vps=1200))
     dataset, cleaning = clean_dataset(result.atlas)
+    events = result.event_intervals()
     print(f"cleaning kept {cleaning.kept_fraction:.1%} of VPs")
 
     sections = []
@@ -95,7 +96,7 @@ def main() -> None:
     for site in ("FRA", "NRT"):
         sections.append(server_reachability(dataset, "K", site).render())
 
-    damage = collateral_sites(dataset, "D")
+    damage = collateral_sites(dataset, "D", events)
     lines = ["Fig. 14: unattacked D-Root sites dipping with the events"]
     for site in damage:
         lines.append(
@@ -107,7 +108,7 @@ def main() -> None:
     lines = ["Fig. 15: .nl nodes, event minimum vs median"]
     for node in result.nl.node_labels:
         lines.append(
-            f"  {node}: {nl_event_minimum(result.nl, node):.2f}"
+            f"  {node}: {nl_event_minimum(result.nl, node, events):.2f}"
         )
     sections.append("\n".join(lines))
 

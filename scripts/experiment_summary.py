@@ -33,6 +33,7 @@ from repro.util import EVENT_1
 def main() -> None:
     result = simulate(ScenarioConfig(seed=42, n_stubs=600, n_vps=1500))
     ds, cleaning = clean_dataset(result.atlas)
+    events = result.event_intervals()
 
     print("== cleaning ==")
     print(f"kept {cleaning.kept_fraction:.3f}; hijacked {cleaning.n_hijacked}"
@@ -75,15 +76,15 @@ def main() -> None:
               f"peak {float(np.nanmax(s.values)):.0f} ms")
 
     print("== fig8 ==")
+    mask = result.event_mask()
     for L in "CEHIJK":
         flips = count_flips(ds, L)
-        mask = ds.grid.event_mask()
         print(f"{L} event-bin flips {flips.values[mask].sum():.0f} "
               f"quiet {flips.values[~mask].sum():.0f}")
 
     print("== fig9 ==")
     print("churners:", letters_with_event_churn(result.route_changes,
-                                                result.grid))
+                                                result.grid, events))
 
     print("== fig10 ==")
     for origin in ("LHR", "FRA"):
@@ -103,12 +104,13 @@ def main() -> None:
               f"event {s.at_hour(8):.0f}")
 
     print("== fig14 ==")
-    for c in collateral_sites(ds, "D"):
+    for c in collateral_sites(ds, "D", events):
         print(f"{c.site} dip {c.dip_fraction:.2f} median {c.median_vps:.0f}")
 
     print("== fig15 ==")
     for node in result.nl.node_labels:
-        print(f"{node} event-min {nl_event_minimum(result.nl, node):.2f}")
+        print(f"{node} event-min "
+              f"{nl_event_minimum(result.nl, node, events):.2f}")
 
     print("== extension: whole root ==")
     from repro.resolver import WholeRootConfig, run_whole_root

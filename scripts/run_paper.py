@@ -190,11 +190,12 @@ def _render_nov2015(result) -> dict[str, str]:
         server_rtt_series(cleaned, "K", site).render()
         for site in ("FRA", "NRT")
     )
+    events = result.event_intervals()
     out["fig14_collateral"] = "\n".join(
-        [collateral_figure(cleaned, "D").render()]
+        [collateral_figure(cleaned, "D", events).render()]
         + [
             f"{site.site}: median {site.median_vps:.0f} VPs"
-            for site in collateral_sites(cleaned, "D")
+            for site in collateral_sites(cleaned, "D", events)
         ]
     )
     out["fig15_nl"] = nl_figure(result.nl).render()

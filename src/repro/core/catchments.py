@@ -34,7 +34,7 @@ def vps_per_site(dataset: AtlasDataset, letter: str) -> np.ndarray:
     obs = dataset.letter(letter)
     n_sites = len(obs.site_codes)
     counts = np.zeros((obs.n_bins, n_sites), dtype=np.int64)
-    valid = obs.site_idx >= 0
+    valid = obs.success_mask()
     for b in range(obs.n_bins):
         sites = obs.site_idx[b][valid[b]]
         if sites.size:
@@ -98,10 +98,11 @@ def site_minmax(
     """Fig. 5: per-site min/median/max, ordered by median descending."""
     obs = dataset.letter(letter)
     counts = vps_per_site(dataset, letter)
+    medians = np.median(counts, axis=0)
     stats = [
         SiteCatchmentStats(
             site=f"{letter}-{code}",
-            median=float(np.median(counts[:, i])),
+            median=float(medians[i]),
             minimum=int(counts[:, i].min()),
             maximum=int(counts[:, i].max()),
         )
@@ -177,10 +178,9 @@ def critical_episodes(
     """
     obs = dataset.letter(letter)
     counts = vps_per_site(dataset, letter)
-    result: dict[str, np.ndarray] = {}
-    for i, code in enumerate(obs.site_codes):
-        median = float(np.median(counts[:, i]))
-        if median < STABILITY_THRESHOLD:
-            continue
-        result[f"{letter}-{code}"] = counts[:, i] < threshold * median
-    return result
+    medians = np.median(counts, axis=0)
+    return {
+        f"{letter}-{code}": counts[:, i] < threshold * medians[i]
+        for i, code in enumerate(obs.site_codes)
+        if medians[i] >= STABILITY_THRESHOLD
+    }

@@ -67,7 +67,7 @@ def detect_hijacked(dataset: AtlasDataset) -> np.ndarray:
     fast_bogus = np.zeros(n_vps)
     for obs in dataset.letters.values():
         is_bogus = obs.site_idx == RESP_BOGUS
-        has_reply = (obs.site_idx >= 0) | is_bogus
+        has_reply = obs.success_mask() | is_bogus
         bogus_counts += is_bogus.sum(axis=0)
         reply_counts += has_reply.sum(axis=0)
         with np.errstate(invalid="ignore"):

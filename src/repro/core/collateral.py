@@ -20,7 +20,7 @@ import numpy as np
 
 from ..datasets.observations import AtlasDataset
 from ..scenario.nl import NlService
-from ..util.timegrid import EVENTS, Interval, TimeGrid
+from ..util.timegrid import Interval, TimeGrid
 from .catchments import STABILITY_THRESHOLD, vps_per_site
 from .results import Series, SeriesBundle
 
@@ -41,19 +41,21 @@ class CollateralSite:
 def collateral_sites(
     dataset: AtlasDataset,
     letter: str,
+    events: tuple[Interval, ...],
     min_dip: float = MIN_DIP_FRACTION,
     min_vps: int = STABILITY_THRESHOLD,
-    events: tuple[Interval, ...] = EVENTS,
 ) -> list[CollateralSite]:
-    """Fig. 14 candidates: sites of *letter* dipping during events."""
+    """Fig. 14 candidates: sites of *letter* dipping during *events*,
+    the run's own attack windows (``ScenarioResult.event_intervals``)."""
     obs = dataset.letter(letter)
     counts = vps_per_site(dataset, letter)
     event_mask = dataset.grid.event_mask(events)
     if not event_mask.any():
         raise ValueError("grid does not cover the event windows")
+    medians = np.median(counts, axis=0)
     flagged: list[CollateralSite] = []
     for i, code in enumerate(obs.site_codes):
-        median = float(np.median(counts[:, i]))
+        median = float(medians[i])
         if median < min_vps:
             continue
         event_min = int(counts[event_mask, i].min())
@@ -72,17 +74,17 @@ def collateral_sites(
 
 
 def collateral_figure(
-    dataset: AtlasDataset, letter: str = "D"
+    dataset: AtlasDataset, letter: str, events: tuple[Interval, ...]
 ) -> SeriesBundle:
-    """Fig. 14: reachability series of the flagged sites."""
-    flagged = collateral_sites(dataset, letter)
+    """Fig. 14: reachability series of the sites flagged over
+    *events* (see :func:`collateral_sites`)."""
+    flagged = collateral_sites(dataset, letter, events)
     counts = vps_per_site(dataset, letter)
     obs = dataset.letter(letter)
     hours = dataset.grid.hours()
     series: list[Series] = []
     for site in flagged:
-        code = site.site.split("-", 1)[1]
-        index = obs.site_codes.index(code)
+        index = obs.site_index(site.site.split("-", 1)[1])
         series.append(
             Series(
                 name=site.site,
@@ -111,9 +113,9 @@ def nl_figure(nl: NlService) -> SeriesBundle:
 
 
 def nl_event_minimum(
-    nl: NlService, node: str, events: tuple[Interval, ...] = EVENTS
+    nl: NlService, node: str, events: tuple[Interval, ...]
 ) -> float:
-    """A node's lowest normalised rate inside the event windows."""
+    """A node's lowest normalised rate inside the *events* windows."""
     try:
         index = nl.node_labels.index(node)
     except ValueError:
@@ -123,9 +125,9 @@ def nl_event_minimum(
 
 
 def silence_score(
-    series: Series, grid: TimeGrid, events: tuple[Interval, ...] = EVENTS
+    series: Series, grid: TimeGrid, events: tuple[Interval, ...]
 ) -> float:
-    """How silent a service went during the events (0 = unaffected,
+    """How silent a service went during *events* (0 = unaffected,
     1 = completely silent): one minus the event-window minimum of the
     normalised series."""
     mask = grid.event_mask(events)

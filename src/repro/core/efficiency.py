@@ -23,6 +23,7 @@ from ..datasets.observations import AtlasDataset
 from ..rootdns.deployment import LetterDeployment
 from ..util.geo import haversine_km_vec
 from .results import Series, TableResult
+from .rtt import _median_ignoring_empty
 
 
 @dataclass(frozen=True, slots=True)
@@ -57,6 +58,21 @@ def _distances(
     )
 
 
+def _answer_distances(
+    dataset: AtlasDataset, deployment: LetterDeployment
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per cell: the distance to the answering site, its inflation
+    over the VP's nearest site (site 0 stands in where none answered)
+    and the success mask that tells the two apart."""
+    obs = dataset.letter(deployment.letter)
+    distances = _distances(dataset, deployment)
+    success = obs.success_mask()
+    actual = distances[
+        np.arange(obs.n_vps), np.where(success, obs.site_idx, 0)
+    ]
+    return actual, actual - distances.min(axis=1), success
+
+
 def catchment_efficiency(
     dataset: AtlasDataset,
     deployment: LetterDeployment,
@@ -69,25 +85,14 @@ def catchment_efficiency(
     within *nearest_tolerance_km* of its true nearest site's distance.
     """
     letter = deployment.letter
-    obs = dataset.letter(letter)
-    distances = _distances(dataset, deployment)
-    nearest = distances.min(axis=1)
-
-    if bins is None:
-        bins = np.arange(obs.n_bins)
-    site_idx = obs.site_idx[bins]
-    success = site_idx >= 0
+    actual, inflation, success = _answer_distances(dataset, deployment)
+    if bins is not None:
+        actual, inflation, success = (
+            actual[bins], inflation[bins], success[bins]
+        )
     if not success.any():
         raise ValueError(f"no successful observations for {letter}")
-
-    vp_index = np.broadcast_to(
-        np.arange(obs.n_vps), site_idx.shape
-    )[success]
-    sites = site_idx[success].astype(np.int64)
-    actual = distances[vp_index, sites]
-    baseline = nearest[vp_index]
-    inflation = actual - baseline
-
+    actual, inflation = actual[success], inflation[success]
     return EfficiencyStats(
         letter=letter,
         nearest_fraction=float(
@@ -133,22 +138,13 @@ def inflation_series(
 ) -> Series:
     """Per-bin median distance inflation for one letter.
 
-    Rises when withdrawals push catchments to farther sites.
+    Rises when withdrawals push catchments to farther sites.  The
+    medians come from the RTT figures' masked-median kernel: NaN in a
+    bin where no site answered.
     """
-    letter = deployment.letter
-    obs = dataset.letter(letter)
-    distances = _distances(dataset, deployment)
-    nearest = distances.min(axis=1)
-    values = np.full(obs.n_bins, np.nan)
-    for b in range(obs.n_bins):
-        row = obs.site_idx[b]
-        mask = row >= 0
-        if not mask.any():
-            continue
-        actual = distances[np.flatnonzero(mask), row[mask].astype(int)]
-        values[b] = np.median(actual - nearest[mask])
+    _, inflation, success = _answer_distances(dataset, deployment)
     return Series(
-        name=f"{letter} inflation (km)",
+        name=f"{deployment.letter} inflation (km)",
         hours=dataset.grid.hours(),
-        values=values,
+        values=_median_ignoring_empty(inflation, success),
     )

@@ -8,6 +8,11 @@ specific origin sites reveals where their catchments went (Fig. 10:
 and per-VP timelines expose the behaviour classes of Fig. 11: VPs
 "stuck" on a degraded site, VPs that shift and return, VPs that shift
 permanently, and VPs that simply fail.
+
+Figs. 10 and 11 both start from each VP's modal site before the
+event: one bincount over every VP finds it (``_modal_sites``), and
+only the VPs whose modal site is an origin are visited, in column
+order.
 """
 
 from __future__ import annotations
@@ -18,15 +23,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datasets.observations import AtlasDataset
-from ..util.timegrid import EVENTS, Interval
+from ..util.timegrid import Interval
 from .results import Series, SeriesBundle
 
 
 def _site_track(obs_site_idx: np.ndarray) -> np.ndarray:
     """Per-VP site track with non-site bins carried as -1."""
-    track = obs_site_idx.astype(np.int64).copy()
-    track[track < 0] = -1
-    return track
+    return np.maximum(obs_site_idx, -1, dtype=np.int64)
+
+
+def _modal_sites(track: np.ndarray, n_sites: int) -> np.ndarray:
+    """Each VP's (column's) most frequent site in *track*, the lowest
+    index on ties as ``np.bincount(...).argmax()`` takes it; -1 for a
+    VP with no site in *track*."""
+    n_vps = track.shape[1]
+    # One row of n_sites + 1 counters per VP; counter 0 takes the
+    # non-site (-1) bins and is dropped.
+    keys = track + 1 + np.arange(n_vps) * (n_sites + 1)
+    counts = np.bincount(
+        keys.ravel(), minlength=n_vps * (n_sites + 1)
+    ).reshape(n_vps, n_sites + 1)[:, 1:]
+    return np.where(counts.any(axis=1), counts.argmax(axis=1), -1)
 
 
 def count_flips(dataset: AtlasDataset, letter: str) -> Series:
@@ -79,12 +96,7 @@ def flip_destinations(
     ``"(no reply)"``.
     """
     obs = dataset.letter(letter)
-    try:
-        origin_idx = obs.site_codes.index(origin_site)
-    except ValueError:
-        raise KeyError(
-            f"{letter}-Root has no site {origin_site!r}"
-        ) from None
+    origin_idx = obs.site_index(origin_site)
     hours = dataset.grid.hours()
     before = hours < interval_hours[0]
     during = (hours >= interval_hours[0]) & (hours < interval_hours[1])
@@ -92,16 +104,11 @@ def flip_destinations(
         raise ValueError("interval leaves no before/during bins")
 
     track = _site_track(obs.site_idx)
+    modal = _modal_sites(track[before], len(obs.site_codes))
+    seen_during = track[during]
     destinations: Counter = Counter()
-    for vp in range(obs.n_vps):
-        pre = track[before, vp]
-        pre_sites = pre[pre >= 0]
-        if pre_sites.size == 0:
-            continue
-        modal = np.bincount(pre_sites).argmax()
-        if modal != origin_idx:
-            continue
-        seen = track[during, vp]
+    for vp in np.flatnonzero(modal == origin_idx):
+        seen = seen_during[:, vp]
         answered = seen[seen >= 0]
         moved = answered[answered != origin_idx]
         if moved.size:
@@ -154,22 +161,18 @@ def vp_timelines(
     dataset: AtlasDataset,
     letter: str,
     origin_sites: list[str],
-    event: Interval = EVENTS[0],
+    event: Interval,
     sample: int | None = None,
     rng: np.random.Generator | None = None,
 ) -> list[VpTimeline]:
     """Fig. 11: per-VP site timelines for VPs starting at given sites.
 
-    Returns one timeline per VP whose pre-event modal site is one of
-    *origin_sites*, optionally down-sampled to *sample* VPs.
+    Returns one timeline per VP whose modal site before *event* (one
+    of the run's own attack windows) is one of *origin_sites*, in VP
+    column order, optionally down-sampled to *sample* VPs.
     """
     obs = dataset.letter(letter)
-    origin_idx: dict[int, str] = {}
-    for site in origin_sites:
-        try:
-            origin_idx[obs.site_codes.index(site)] = site
-        except ValueError:
-            raise KeyError(f"{letter}-Root has no site {site!r}") from None
+    origin_idx = {obs.site_index(site): site for site in origin_sites}
 
     hours = dataset.grid.hours()
     ev_start, ev_end = event.hours_after(dataset.grid.start)
@@ -178,27 +181,20 @@ def vp_timelines(
     after = hours >= ev_end
 
     track = _site_track(obs.site_idx)
+    modal = _modal_sites(track[before], len(obs.site_codes))
+    # Track value -1 picks the trailing None.
+    codes = np.array([*obs.site_codes, None], dtype=object)
     timelines: list[VpTimeline] = []
-    for vp in range(obs.n_vps):
-        pre = track[before, vp]
-        pre_sites = pre[pre >= 0]
-        if pre_sites.size == 0:
-            continue
-        modal = int(np.bincount(pre_sites).argmax())
-        if modal not in origin_idx:
-            continue
-        behavior = classify_behaviour(
-            modal, track[during, vp], track[after, vp]
-        )
-        sites = tuple(
-            obs.site_codes[s] if s >= 0 else None for s in track[:, vp]
-        )
+    for vp in np.flatnonzero(np.isin(modal, list(origin_idx))):
+        origin = int(modal[vp])
         timelines.append(
             VpTimeline(
                 vp_id=int(dataset.vps.ids[vp]),
-                origin_site=origin_idx[modal],
-                behavior=behavior,
-                sites=sites,
+                origin_site=origin_idx[origin],
+                behavior=classify_behaviour(
+                    origin, track[during, vp], track[after, vp]
+                ),
+                sites=tuple(codes[track[:, vp]]),
             )
         )
     if sample is not None and len(timelines) > sample:

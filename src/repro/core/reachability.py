@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..datasets.observations import AtlasDataset, RESP_NOT_PROBED
+from ..datasets.observations import AtlasDataset
 from ..faults.quality import probe_gap_flags
 from .results import Series, SeriesBundle
 
@@ -21,9 +21,9 @@ def letter_reachability(
 ) -> Series:
     """VPs with successful queries per bin for one letter."""
     obs = dataset.letter(letter)
-    successes = (obs.site_idx >= 0).sum(axis=1).astype(np.float64)
+    successes = obs.success_mask().sum(axis=1).astype(np.float64)
     if scale_undersampled:
-        probed = (obs.site_idx != RESP_NOT_PROBED).sum(axis=1)
+        probed = obs.probed_mask().sum(axis=1)
         with np.errstate(divide="ignore", invalid="ignore"):
             scale = np.where(probed > 0, obs.n_vps / probed, 0.0)
         successes = successes * scale

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..util.timegrid import EVENTS, Interval, TimeGrid
+from ..util.timegrid import Interval, TimeGrid
 from .results import Series, SeriesBundle
 
 
@@ -35,9 +35,10 @@ def route_change_series(
 def event_concentration(
     counts: np.ndarray,
     grid: TimeGrid,
-    events: tuple[Interval, ...] = EVENTS,
+    events: tuple[Interval, ...],
 ) -> float:
-    """Fraction of all route churn that falls inside event bins.
+    """Fraction of all route churn that falls inside the bins of
+    *events*, the run's own attack windows.
 
     1.0 means every update happened during an event; the expected
     value under uniform churn is the events' share of the window
@@ -54,9 +55,10 @@ def event_concentration(
 def letters_with_event_churn(
     route_changes: dict[str, np.ndarray],
     grid: TimeGrid,
+    events: tuple[Interval, ...],
     min_concentration: float = 0.35,
 ) -> list[str]:
-    """Letters whose churn clearly concentrates in the events.
+    """Letters whose churn clearly concentrates in *events*.
 
     The paper reads Fig. 9 as event-driven route changes for letters
     C, E, F, G, H, J and K.  Post-event re-announcements land just
@@ -66,7 +68,7 @@ def letters_with_event_churn(
     return [
         letter
         for letter in sorted(route_changes)
-        if event_concentration(route_changes[letter], grid)
+        if event_concentration(route_changes[letter], grid, events)
         >= min_concentration
         and route_changes[letter].sum() > 0
     ]

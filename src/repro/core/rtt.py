@@ -57,8 +57,7 @@ def _median_ignoring_empty(
 def letter_rtt_series(dataset: AtlasDataset, letter: str) -> Series:
     """Per-bin median RTT of successful queries for one letter."""
     obs = dataset.letter(letter)
-    success = obs.site_idx >= 0
-    medians = _median_ignoring_empty(obs.rtt_ms, success)
+    medians = _median_ignoring_empty(obs.rtt_ms, obs.success_mask())
     return Series(name=letter, hours=dataset.grid.hours(), values=medians)
 
 
@@ -89,8 +88,9 @@ def rtt_significantly_changed(
     omits letters with no significant change from Fig. 4.
     """
     obs = dataset.letter(letter)
-    success = obs.site_idx >= 0
-    medians = _median_ignoring_empty(obs.rtt_ms, success, min_samples)
+    medians = _median_ignoring_empty(
+        obs.rtt_ms, obs.success_mask(), min_samples
+    )
     if np.isnan(medians).all():
         return False
     baseline = float(np.nanmedian(medians))
@@ -103,11 +103,7 @@ def rtt_significantly_changed(
 def site_rtt_series(dataset: AtlasDataset, letter: str, site: str) -> Series:
     """Figure 7: per-bin median RTT of one site's successful queries."""
     obs = dataset.letter(letter)
-    try:
-        index = obs.site_codes.index(site)
-    except ValueError:
-        raise KeyError(f"{letter}-Root has no site {site!r}") from None
-    at_site = obs.site_idx == index
+    at_site = obs.site_idx == obs.site_index(site)
     medians = _median_ignoring_empty(obs.rtt_ms, at_site)
     return Series(
         name=f"{letter}-{site}",
@@ -131,26 +127,15 @@ def server_rtt_series(
 ) -> SeriesBundle:
     """Figure 13: per-server median RTT at one site."""
     obs = dataset.letter(letter)
-    try:
-        index = obs.site_codes.index(site)
-    except ValueError:
-        raise KeyError(f"{letter}-Root has no site {site!r}") from None
-    at_site = obs.site_idx == index
-    servers = sorted(
-        int(s) for s in np.unique(obs.server[at_site]) if s > 0
-    )
-    series: list[Series] = []
-    for srv in servers:
-        mask = at_site & (obs.server == srv)
-        medians = _median_ignoring_empty(obs.rtt_ms, mask)
-        series.append(
-            Series(
-                name=f"{letter}-{site}-S{srv}",
-                hours=dataset.grid.hours(),
-                values=medians,
-            )
-        )
+    hours = dataset.grid.hours()
     return SeriesBundle(
         title=f"Fig. 13: per-server median RTT at {letter}-{site} (ms)",
-        series=tuple(series),
+        series=tuple(
+            Series(
+                name=f"{letter}-{site}-S{srv}",
+                hours=hours,
+                values=_median_ignoring_empty(obs.rtt_ms, replies),
+            )
+            for srv, replies in obs.server_masks(site)
+        ),
     )

@@ -1,8 +1,9 @@
 """Per-server analysis within a site (paper Figure 12, section 3.5).
 
 CHAOS identities name the individual server behind a site's load
-balancer, so we can count how many VPs each server answers per bin.
-The paper's observation: per-server visibility under stress differs
+balancer, so we can count how many VPs each server answers per bin
+(``LetterObservations.server_masks`` splits a site's replies by
+server).  The paper's observation: per-server visibility under stress differs
 per site (K-FRA collapsed onto one server per event; K-NRT's three
 servers all kept answering, degraded), so measurement studies must
 look at *all* servers of a site.
@@ -20,29 +21,17 @@ def server_reachability(
     dataset: AtlasDataset, letter: str, site: str
 ) -> SeriesBundle:
     """Fig. 12: VPs answered by each server of one site, per bin."""
-    obs = dataset.letter(letter)
-    try:
-        site_index = obs.site_codes.index(site)
-    except ValueError:
-        raise KeyError(f"{letter}-Root has no site {site!r}") from None
-    at_site = obs.site_idx == site_index
-    servers = sorted(
-        int(s) for s in np.unique(obs.server[at_site]) if s > 0
-    )
     hours = dataset.grid.hours()
-    series: list[Series] = []
-    for srv in servers:
-        counts = (at_site & (obs.server == srv)).sum(axis=1)
-        series.append(
+    return SeriesBundle(
+        title=f"Fig. 12: per-server reachability at {letter}-{site}",
+        series=tuple(
             Series(
                 name=f"{letter}-{site}-S{srv}",
                 hours=hours,
-                values=counts.astype(np.float64),
+                values=replies.sum(axis=1).astype(np.float64),
             )
-        )
-    return SeriesBundle(
-        title=f"Fig. 12: per-server reachability at {letter}-{site}",
-        series=tuple(series),
+            for srv, replies in dataset.letter(letter).server_masks(site)
+        ),
     )
 
 
@@ -51,15 +40,9 @@ def answering_servers_per_bin(
 ) -> Series:
     """How many distinct servers answered per bin at one site."""
     obs = dataset.letter(letter)
-    try:
-        site_index = obs.site_codes.index(site)
-    except ValueError:
-        raise KeyError(f"{letter}-Root has no site {site!r}") from None
-    at_site = obs.site_idx == site_index
     counts = np.zeros(obs.n_bins, dtype=np.float64)
-    for b in range(obs.n_bins):
-        servers = obs.server[b][at_site[b]]
-        counts[b] = np.unique(servers[servers > 0]).size
+    for _, replies in obs.server_masks(site):
+        counts += replies.any(axis=1)
     return Series(
         name=f"{letter}-{site} servers answering",
         hours=dataset.grid.hours(),

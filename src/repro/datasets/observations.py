@@ -66,7 +66,12 @@ class VantagePointTable:
 
 @dataclass(slots=True)
 class LetterObservations:
-    """Binned observations of one letter from all VPs."""
+    """Binned observations of one letter from all VPs.
+
+    The analyses decode the matrices through :meth:`success_mask`,
+    :meth:`probed_mask`, :meth:`site_index` and :meth:`server_masks`
+    rather than reading the sentinels or the code list themselves.
+    """
 
     letter: str
     site_codes: list[str]
@@ -96,6 +101,16 @@ class LetterObservations:
             raise ValueError(f"sentinel response {index} has no site")
         return self.site_codes[index]
 
+    def site_index(self, code: str) -> int:
+        """Index of site *code* in ``site_codes``; ``KeyError`` naming
+        the letter and the code when the letter has no such site."""
+        try:
+            return self.site_codes.index(code)
+        except ValueError:
+            raise KeyError(
+                f"{self.letter}-Root has no site {code!r}"
+            ) from None
+
     def success_mask(self) -> np.ndarray:
         """Boolean matrix: a site answered with RCODE 0."""
         return self.site_idx >= 0
@@ -103,6 +118,16 @@ class LetterObservations:
     def probed_mask(self) -> np.ndarray:
         """Boolean matrix: the VP actually probed this bin."""
         return self.site_idx != RESP_NOT_PROBED
+
+    def server_masks(self, site: str) -> list[tuple[int, np.ndarray]]:
+        """``(server, replies)`` per known server (> 0) that answered at
+        *site*, ascending; *replies* marks the cells it answered."""
+        at_site = self.site_idx == self.site_index(site)
+        servers = np.unique(self.server[at_site])
+        return [
+            (int(srv), at_site & (self.server == srv))
+            for srv in servers[servers > 0]
+        ]
 
     def select_vps(self, keep: np.ndarray) -> "LetterObservations":
         """A copy restricted to the VPs selected by boolean mask *keep*.

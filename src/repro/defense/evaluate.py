@@ -18,7 +18,12 @@ import numpy as np
 
 from ..core.results import TableResult
 from ..scenario.config import ScenarioConfig
-from ..scenario.engine import ScenarioResult, simulate
+from ..scenario.engine import (
+    ScenarioResult,
+    Substrate,
+    build_substrate,
+    simulate,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,13 +74,15 @@ def evaluate_controller(
     letter: str,
     name: str,
     controller_factory: Callable[[], object] | None,
+    substrate: Substrate | None = None,
 ) -> DefenseOutcome:
     """Run the scenario under one controller and score it.
 
     ``controller_factory=None`` keeps the deployment's built-in static
     policies (the historical behaviour).  ``routing_actions`` counts
     the route changes the letter's control loop made; routes a fault
-    flaps are in the change log BGPmon reads but are not counted.
+    flaps are in the change log BGPmon reads but are not counted.  A
+    *substrate* built for *base_config* is reused.
     """
     controllers = (
         None
@@ -83,7 +90,7 @@ def evaluate_controller(
         else {letter: controller_factory()}
     )
     config = dataclasses.replace(base_config, controllers=controllers)
-    result = simulate(config)
+    result = simulate(config, substrate)
     overall, during, worst = served_fractions(result, letter)
     return DefenseOutcome(
         name=name,
@@ -100,9 +107,10 @@ def compare_controllers(
     letter: str,
     controllers: dict[str, Callable[[], object] | None],
 ) -> TableResult:
-    """Score every controller on the same scenario; render a table."""
+    """Score every controller on one built scenario; render a table."""
+    substrate = build_substrate(base_config)
     outcomes = [
-        evaluate_controller(base_config, letter, name, factory)
+        evaluate_controller(base_config, letter, name, factory, substrate)
         for name, factory in controllers.items()
     ]
     rows = tuple(

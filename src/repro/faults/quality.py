@@ -160,15 +160,14 @@ def probe_gap_flags(
     """Flags for bins in which no VP probed a letter at all.
 
     Whole-fleet measurement gaps (controller outages, mass probe
-    dropout) surface as all-``RESP_NOT_PROBED`` bins; analyses over
-    such a dataset are only partial, and flag it with these.
+    dropout) surface as bins with an empty ``probed_mask()`` row;
+    analyses over such a dataset are only partial, and flag it with
+    these.
     """
-    from ..datasets.observations import RESP_NOT_PROBED
-
     flags: list[QualityFlag] = []
     for letter in letters:
         obs = dataset.letter(letter)
-        probed = (obs.site_idx != RESP_NOT_PROBED).sum(axis=1)
+        probed = obs.probed_mask().sum(axis=1)
         gaps = np.flatnonzero(probed == 0)
         if gaps.size == 0:
             continue

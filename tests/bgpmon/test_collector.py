@@ -87,7 +87,9 @@ class TestScenarioIntegration:
         for letter in ("E", "H", "K"):
             counts = scenario.route_changes[letter]
             assert counts.sum() > 0, letter
-            assert event_concentration(counts, scenario.grid) > 0.4, letter
+            assert event_concentration(
+                counts, scenario.grid, scenario.event_intervals()
+            ) > 0.4, letter
 
     def test_unattacked_letters_quiet(self, scenario):
         for letter in ("D", "L", "M"):

@@ -27,53 +27,63 @@ def cleaned(dataset):
     return ds
 
 
+@pytest.fixture(scope="module")
+def events(scenario):
+    """The scenario's own attack windows."""
+    return scenario.event_intervals()
+
+
 class TestCollateralSites:
-    def test_d_fra_and_d_syd_flagged(self, cleaned):
+    def test_d_fra_and_d_syd_flagged(self, cleaned, events):
         # Fig. 14: D was not attacked yet its Frankfurt and Sydney
         # sites dipped with the events.
-        flagged = {c.site for c in collateral_sites(cleaned, "D")}
+        flagged = {c.site for c in collateral_sites(cleaned, "D", events)}
         assert "D-FRA" in flagged
         assert "D-SYD" in flagged
 
-    def test_dips_meet_threshold(self, cleaned):
-        for site in collateral_sites(cleaned, "D"):
+    def test_dips_meet_threshold(self, cleaned, events):
+        for site in collateral_sites(cleaned, "D", events):
             assert site.dip_fraction >= 0.10
             assert site.median_vps >= 20
 
-    def test_most_d_sites_unaffected(self, cleaned):
+    def test_most_d_sites_unaffected(self, cleaned, events):
         obs = cleaned.letter("D")
-        flagged = collateral_sites(cleaned, "D")
+        flagged = collateral_sites(cleaned, "D", events)
         assert len(flagged) < 0.2 * len(obs.site_codes)
 
-    def test_figure(self, cleaned):
-        fig = collateral_figure(cleaned, "D")
+    def test_figure(self, cleaned, events):
+        fig = collateral_figure(cleaned, "D", events)
         assert fig.names == [
-            c.site for c in collateral_sites(cleaned, "D")
+            c.site for c in collateral_sites(cleaned, "D", events)
         ]
 
 
 class TestNlCollateral:
-    def test_colocated_nodes_nearly_silent(self, scenario):
+    def test_colocated_nodes_nearly_silent(self, scenario, events):
         # Fig. 15: the two co-located .nl nodes show nearly no
         # queries during both events.
         for node in ("nl-anycast-1", "nl-anycast-2"):
-            assert nl_event_minimum(scenario.nl, node) < 0.25
+            assert nl_event_minimum(scenario.nl, node, events) < 0.25
 
-    def test_standalone_nodes_keep_serving(self, scenario):
+    def test_standalone_nodes_keep_serving(self, scenario, events):
         for node in ("nl-uni-1", "nl-uni-4"):
-            assert nl_event_minimum(scenario.nl, node) > 0.6
+            assert nl_event_minimum(scenario.nl, node, events) > 0.6
 
     def test_figure_has_six_nodes(self, scenario):
         assert len(nl_figure(scenario.nl).series) == 6
 
-    def test_unknown_node_raises(self, scenario):
+    def test_unknown_node_raises(self, scenario, events):
         with pytest.raises(KeyError):
-            nl_event_minimum(scenario.nl, "nl-zz")
+            nl_event_minimum(scenario.nl, "nl-zz", events)
 
-    def test_silence_score(self, scenario):
+    def test_silence_score(self, scenario, events):
         fig = nl_figure(scenario.nl)
-        colocated = silence_score(fig.get("nl-anycast-1"), scenario.grid)
-        standalone = silence_score(fig.get("nl-uni-1"), scenario.grid)
+        colocated = silence_score(
+            fig.get("nl-anycast-1"), scenario.grid, events
+        )
+        standalone = silence_score(
+            fig.get("nl-uni-1"), scenario.grid, events
+        )
         assert colocated > 0.7
         assert standalone < 0.4
 

@@ -101,10 +101,6 @@ class TestSiteRtt:
         assert quiet < 150.0
         assert peak > 800.0
 
-    def test_unknown_site_raises(self, cleaned):
-        with pytest.raises(KeyError):
-            site_rtt_series(cleaned, "K", "ZZZ")
-
     def test_site_figure(self, cleaned):
         fig = site_rtt_figure(cleaned, "K", ["AMS", "NRT"])
         assert fig.names == ["K-AMS", "K-NRT"]
@@ -123,7 +119,3 @@ class TestServerRtt:
         cool = fig.get("K-NRT-S1")
         hour = 8.0
         assert hot.at_hour(hour) > cool.at_hour(hour)
-
-    def test_unknown_site_raises(self, cleaned):
-        with pytest.raises(KeyError):
-            server_rtt_series(cleaned, "K", "ZZZ")

@@ -86,6 +86,7 @@ class TestLetterObservations:
     def test_site_code_lookup(self):
         obs = _obs()
         assert obs.site_code(1) == "LHR"
+        assert obs.site_index("LHR") == 1
         with pytest.raises(ValueError):
             obs.site_code(RESP_TIMEOUT)
 

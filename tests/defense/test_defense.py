@@ -284,6 +284,51 @@ class TestClosedLoop:
         )
         assert during < 0.5
 
+    def test_comparison_builds_one_substrate(self, base_config, monkeypatch):
+        """Controllers are not part of the substrate, so one build
+        serves every controller, and each scores as on a fresh run."""
+        from repro.defense import evaluate
+        from repro.scenario import engine
+
+        controllers = {
+            "static": None,
+            "absorb": NullController,
+            "greedy": GreedyShedController,
+            "oracle": OracleController,
+        }
+        fresh = [
+            evaluate_controller(base_config, "K", name, factory)
+            for name, factory in controllers.items()
+        ]
+        builds = []
+        build = engine.build_substrate
+
+        def counting_build(config):
+            builds.append(config)
+            return build(config)
+
+        monkeypatch.setattr(engine, "build_substrate", counting_build)
+        monkeypatch.setattr(
+            evaluate, "build_substrate", counting_build, raising=False
+        )
+        table = compare_controllers(base_config, "K", controllers)
+        assert len(builds) == 1
+        assert table.rows == tuple(
+            (
+                o.name,
+                round(o.served_overall, 3),
+                round(o.served_during_events, 3),
+                round(o.worst_bin, 3),
+                o.routing_actions,
+            )
+            for o in fresh
+        )
+        shared = build(base_config)
+        assert [
+            evaluate_controller(base_config, "K", name, factory, shared)
+            for name, factory in controllers.items()
+        ] == fresh
+
     def test_comparison_table(self, base_config):
         table = compare_controllers(
             base_config,

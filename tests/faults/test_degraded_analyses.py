@@ -92,7 +92,7 @@ class TestPipelineSurvives:
 
     def test_collateral(self, degraded):
         cleaned, _ = clean_dataset(degraded.atlas)
-        sites = collateral_sites(cleaned, "D")
+        sites = collateral_sites(cleaned, "D", degraded.event_intervals())
         assert isinstance(sites, list)
 
     def test_correlation(self, degraded):

@@ -131,6 +131,7 @@ class TestSection36:
     directly under attack'"""
 
     def test_unattacked_services_suffer(self, cleaned, scenario):
-        flagged = {c.site for c in collateral_sites(cleaned, "D")}
+        events = scenario.event_intervals()
+        flagged = {c.site for c in collateral_sites(cleaned, "D", events)}
         assert flagged  # D was never attacked
-        assert nl_event_minimum(scenario.nl, "nl-anycast-1") < 0.3
+        assert nl_event_minimum(scenario.nl, "nl-anycast-1", events) < 0.3
