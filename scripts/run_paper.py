@@ -115,10 +115,12 @@ def render_all(result, quiet_result, june_result) -> dict[str, str]:
     """Every figure/table as rendered text, keyed by output name.
 
     Renders one cell at a time: each cell's Atlas dataset is cleaned,
-    that cell's outputs are rendered, and the cleaned copy is dropped
-    before the next cell is cleaned.  A cleaned dataset copies every
-    observation matrix of the VPs it keeps, so at most one such copy
-    is alive next to the raw results.
+    that cell's outputs are rendered, and the cleaned dataset is
+    dropped before the next cell is cleaned.  Cleaning copies no
+    matrix: the cleaned dataset reads the cell's matrices through the
+    kept VPs' columns, and holds the per-letter aggregates the figures
+    share (per-site VP counts, response counts, RTT medians, flips),
+    each built once from one letter's kept columns.
     """
     return {
         **_render_nov2015(result),

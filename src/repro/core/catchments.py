@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..datasets.observations import AtlasDataset
+from ..datasets.observations import AtlasDataset, LetterObservations
 from ..faults.quality import probe_gap_flags
 from .results import Series, SeriesBundle, TableResult
 
@@ -29,9 +29,8 @@ from .results import Series, SeriesBundle, TableResult
 STABILITY_THRESHOLD = 20
 
 
-def vps_per_site(dataset: AtlasDataset, letter: str) -> np.ndarray:
+def _site_vps(obs: LetterObservations) -> np.ndarray:
     """Matrix ``(n_bins, n_sites)``: VPs answered by each site."""
-    obs = dataset.letter(letter)
     n_sites = len(obs.site_codes)
     counts = np.zeros((obs.n_bins, n_sites), dtype=np.int64)
     valid = obs.success_mask()
@@ -40,6 +39,12 @@ def vps_per_site(dataset: AtlasDataset, letter: str) -> np.ndarray:
         if sites.size:
             counts[b] = np.bincount(sites, minlength=n_sites)
     return counts
+
+
+def vps_per_site(dataset: AtlasDataset, letter: str) -> np.ndarray:
+    """Matrix ``(n_bins, n_sites)``: VPs answered by each site, one of
+    the dataset's per-letter aggregates (read-only)."""
+    return dataset.aggregate(letter, _site_vps)
 
 
 def observed_site_count(dataset: AtlasDataset, letter: str) -> int:

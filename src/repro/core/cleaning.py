@@ -11,7 +11,9 @@ Two classes of vantage points are removed before analysis:
   in this class.
 
 Cleaning preserves nearly all VPs; the report records exactly what was
-dropped and why.
+dropped and why.  It copies no observation matrix: the cleaned dataset
+reads the raw matrices through the kept VPs' columns
+(:meth:`~repro.datasets.observations.AtlasDataset.select_vps`).
 """
 
 from __future__ import annotations
@@ -88,7 +90,12 @@ def detect_hijacked(dataset: AtlasDataset) -> np.ndarray:
 def clean_dataset(
     dataset: AtlasDataset, min_firmware: int = MIN_FIRMWARE
 ) -> tuple[AtlasDataset, CleaningReport]:
-    """Apply the section-2.4.1 cleaning; returns (cleaned, report)."""
+    """Apply the section-2.4.1 cleaning; returns (cleaned, report).
+
+    *cleaned* shares *dataset*'s matrices read-only and keeps the
+    columns of the VPs that pass; its analyses gather one letter's kept
+    columns at a time.
+    """
     old = dataset.vps.firmware < min_firmware
     hijacked = detect_hijacked(dataset) & ~old
     keep = ~(old | hijacked)

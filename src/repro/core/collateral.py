@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..datasets.observations import AtlasDataset
+from ..faults.quality import QualityFlag
 from ..scenario.nl import NlService
 from ..util.timegrid import Interval, TimeGrid
 from .catchments import STABILITY_THRESHOLD, vps_per_site
@@ -46,12 +47,18 @@ def collateral_sites(
     min_vps: int = STABILITY_THRESHOLD,
 ) -> list[CollateralSite]:
     """Fig. 14 candidates: sites of *letter* dipping during *events*,
-    the run's own attack windows (``ScenarioResult.event_intervals``)."""
+    the run's own attack windows (``ScenarioResult.event_intervals``).
+
+    A run without events has no window to dip in, so nothing is
+    flagged; windows that miss the grid are another run's and raise.
+    """
     obs = dataset.letter(letter)
-    counts = vps_per_site(dataset, letter)
+    if not events:
+        return []
     event_mask = dataset.grid.event_mask(events)
     if not event_mask.any():
         raise ValueError("grid does not cover the event windows")
+    counts = vps_per_site(dataset, letter)
     medians = np.median(counts, axis=0)
     flagged: list[CollateralSite] = []
     for i, code in enumerate(obs.site_codes):
@@ -77,8 +84,22 @@ def collateral_figure(
     dataset: AtlasDataset, letter: str, events: tuple[Interval, ...]
 ) -> SeriesBundle:
     """Fig. 14: reachability series of the sites flagged over
-    *events* (see :func:`collateral_sites`)."""
+    *events* (see :func:`collateral_sites`); empty and flagged for a
+    run without events."""
+    title = f"Fig. 14: affected {letter}-Root sites (absolute VPs)"
     flagged = collateral_sites(dataset, letter, events)
+    if not events:
+        return SeriesBundle(
+            title=title,
+            series=(),
+            quality=(
+                QualityFlag(
+                    metric="collateral",
+                    letter=letter,
+                    detail="run has no event windows to dip in",
+                ),
+            ),
+        )
     counts = vps_per_site(dataset, letter)
     obs = dataset.letter(letter)
     hours = dataset.grid.hours()
@@ -92,10 +113,7 @@ def collateral_figure(
                 values=counts[:, index].astype(np.float64),
             )
         )
-    return SeriesBundle(
-        title=f"Fig. 14: affected {letter}-Root sites (absolute VPs)",
-        series=tuple(series),
-    )
+    return SeriesBundle(title=title, series=tuple(series))
 
 
 def nl_figure(nl: NlService) -> SeriesBundle:
@@ -115,11 +133,14 @@ def nl_figure(nl: NlService) -> SeriesBundle:
 def nl_event_minimum(
     nl: NlService, node: str, events: tuple[Interval, ...]
 ) -> float:
-    """A node's lowest normalised rate inside the *events* windows."""
+    """A node's lowest normalised rate inside the *events* windows;
+    NaN for a run without events."""
     try:
         index = nl.node_labels.index(node)
     except ValueError:
         raise KeyError(f"unknown .nl node {node!r}") from None
+    if not events:
+        return np.nan
     mask = nl.grid.event_mask(events)
     return float(nl.normalized_series()[mask, index].min())
 
@@ -129,8 +150,10 @@ def silence_score(
 ) -> float:
     """How silent a service went during *events* (0 = unaffected,
     1 = completely silent): one minus the event-window minimum of the
-    normalised series."""
-    mask = grid.event_mask(events)
+    normalised series; NaN for a run without events."""
     if series.values.shape[0] != grid.n_bins:
         raise ValueError("series does not match grid")
+    if not events:
+        return np.nan
+    mask = grid.event_mask(events)
     return float(1.0 - np.nanmin(series.values[mask]))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..datasets.observations import AtlasDataset
+from ..datasets.observations import AtlasDataset, LetterObservations
 from ..util.timegrid import Interval
 from .results import Series, SeriesBundle
 
@@ -46,13 +46,9 @@ def _modal_sites(track: np.ndarray, n_sites: int) -> np.ndarray:
     return np.where(counts.any(axis=1), counts.argmax(axis=1), -1)
 
 
-def count_flips(dataset: AtlasDataset, letter: str) -> Series:
-    """Fig. 8: number of site flips per bin for one letter.
-
-    A flip is counted in bin *b* when a VP's site in *b* differs from
-    the site of its most recent prior successful observation.
-    """
-    obs = dataset.letter(letter)
+def _flips_per_bin(obs: LetterObservations) -> np.ndarray:
+    """Site flips per bin: VPs whose site differs from the site of
+    their most recent prior successful observation."""
     track = _site_track(obs.site_idx)
     n_bins, n_vps = track.shape
     flips = np.zeros(n_bins, dtype=np.int64)
@@ -63,10 +59,19 @@ def count_flips(dataset: AtlasDataset, letter: str) -> Series:
         flipped = have_site & (last_site >= 0) & (current != last_site)
         flips[b] = int(flipped.sum())
         last_site[have_site] = current[have_site]
+    return flips
+
+
+def count_flips(dataset: AtlasDataset, letter: str) -> Series:
+    """Fig. 8: number of site flips per bin for one letter.
+
+    A flip is counted in bin *b* when a VP's site in *b* differs from
+    the site of its most recent prior successful observation.
+    """
     return Series(
         name=letter,
         hours=dataset.grid.hours(),
-        values=flips.astype(np.float64),
+        values=dataset.aggregate(letter, _flips_per_bin).astype(np.float64),
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..datasets.observations import AtlasDataset
+from ..datasets.observations import AtlasDataset, LetterObservations
 from ..faults.quality import probe_gap_flags
 from .results import Series, SeriesBundle
 
@@ -20,16 +20,15 @@ def letter_reachability(
     dataset: AtlasDataset, letter: str, scale_undersampled: bool = True
 ) -> Series:
     """VPs with successful queries per bin for one letter."""
-    obs = dataset.letter(letter)
-    successes = obs.success_mask().sum(axis=1).astype(np.float64)
-    if scale_undersampled:
-        probed = obs.probed_mask().sum(axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            scale = np.where(probed > 0, obs.n_vps / probed, 0.0)
-        successes = successes * scale
-    return Series(
-        name=letter, hours=dataset.grid.hours(), values=successes
+    successes, probed = dataset.aggregate(
+        letter, LetterObservations.response_counts
     )
+    values = successes.astype(np.float64)
+    if scale_undersampled:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            scale = np.where(probed > 0, len(dataset.vps) / probed, 0.0)
+        values = values * scale
+    return Series(name=letter, hours=dataset.grid.hours(), values=values)
 
 
 def reachability_figure(

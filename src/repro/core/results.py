@@ -18,6 +18,21 @@ from ..faults.quality import QualityFlag
 _SPARK = " .:-=+*#%@"
 
 
+def _bucket_means(values: np.ndarray, width: int) -> np.ndarray:
+    """Means of *values* (more than *width*) over *width* consecutive
+    buckets: one row mean per bucket length, which sums each bucket as
+    its slice ``mean()`` does (``np.add.reduceat`` does not)."""
+    edges = np.linspace(0, values.size, width + 1, dtype=int)
+    starts, lengths = edges[:-1], np.diff(edges)
+    means = np.empty(width)
+    for length in np.unique(lengths):
+        rows = lengths == length
+        means[rows] = values[starts[rows, None] + np.arange(length)].mean(
+            axis=1
+        )
+    return means
+
+
 @dataclass(frozen=True, slots=True)
 class Series:
     """One named time series over the observation window."""
@@ -63,13 +78,7 @@ class Series:
             return ""
         values = np.nan_to_num(self.values, nan=0.0)
         if values.size > width:
-            edges = np.linspace(0, values.size, width + 1, dtype=int)
-            values = np.array(
-                [
-                    values[a:b].mean() if b > a else 0.0
-                    for a, b in zip(edges, edges[1:])
-                ]
-            )
+            values = _bucket_means(values, width)
         low, high = values.min(), values.max()
         span = high - low if high > low else 1.0
         levels = ((values - low) / span * (len(_SPARK) - 1)).astype(int)

@@ -15,19 +15,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..datasets.observations import AtlasDataset
+from ..datasets.observations import AtlasDataset, LetterObservations
 from .results import Series, SeriesBundle
 
 
 def _median_ignoring_empty(
-    values: np.ndarray, mask: np.ndarray, min_samples: int = 1
+    values: np.ndarray, mask: np.ndarray
 ) -> np.ndarray:
-    """Per-bin median of *values* where *mask*; NaN for sparse bins.
+    """Per-bin median of *values* where *mask*; NaN for empty bins.
 
-    Bins with fewer than *min_samples* observations yield NaN --
-    medians over a handful of probes (A-Root's 30-minute cadence) are
-    too noisy to interpret.  A bin with a NaN among its selected values
-    is NaN too, as ``np.median`` would give.
+    A bin with a NaN among its selected values is NaN too, as
+    ``np.median`` would give.
 
     One masked row sort replaces a ``np.median`` call per bin:
     unselected cells become +inf in the input dtype and sort last, so
@@ -43,9 +41,7 @@ def _median_ignoring_empty(
     rows = np.where(mask, values, np.array(np.inf, dtype=values.dtype))
     rows.sort(axis=1)
     # Selected NaNs sort after the +inf fill, to the end of their row.
-    bins = np.flatnonzero(
-        (counts >= max(min_samples, 1)) & ~np.isnan(rows[:, -1])
-    )
+    bins = np.flatnonzero((counts > 0) & ~np.isnan(rows[:, -1]))
     c = counts[bins]
     medians = rows[bins, c // 2]
     even = c % 2 == 0
@@ -54,10 +50,19 @@ def _median_ignoring_empty(
     return out
 
 
+def _letter_medians(obs: LetterObservations) -> tuple[np.ndarray, np.ndarray]:
+    """Per bin: the median RTT of successful queries (NaN without one)
+    and how many there were."""
+    success = obs.success_mask()
+    return (
+        _median_ignoring_empty(obs.rtt_ms, success),
+        np.count_nonzero(success, axis=1),
+    )
+
+
 def letter_rtt_series(dataset: AtlasDataset, letter: str) -> Series:
     """Per-bin median RTT of successful queries for one letter."""
-    obs = dataset.letter(letter)
-    medians = _median_ignoring_empty(obs.rtt_ms, obs.success_mask())
+    medians, _ = dataset.aggregate(letter, _letter_medians)
     return Series(name=letter, hours=dataset.grid.hours(), values=medians)
 
 
@@ -84,13 +89,13 @@ def rtt_significantly_changed(
 
     Requires both a relative (*factor*) and an absolute
     (*min_delta_ms*) excursion over the letter's own baseline, over
-    bins with at least *min_samples* successful probes.  The paper
-    omits letters with no significant change from Fig. 4.
+    bins with at least *min_samples* successful probes: medians over a
+    handful of probes (A-Root's 30-minute cadence) are too noisy to
+    interpret.  The paper omits letters with no significant change
+    from Fig. 4.
     """
-    obs = dataset.letter(letter)
-    medians = _median_ignoring_empty(
-        obs.rtt_ms, obs.success_mask(), min_samples
-    )
+    medians, counts = dataset.aggregate(letter, _letter_medians)
+    medians = np.where(counts >= min_samples, medians, np.nan)
     if np.isnan(medians).all():
         return False
     baseline = float(np.nanmedian(medians))

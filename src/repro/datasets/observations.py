@@ -13,11 +13,15 @@ The analysis pipeline consumes per-letter matrices of shape
 
 The vantage-point table carries the metadata the cleaning stage needs
 (firmware version) plus ground truth used only by validation tests.
+Cleaning keeps VPs without copying a matrix
+(:meth:`AtlasDataset.select_vps`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass
+from typing import Any, TypeVar
 
 import numpy as np
 
@@ -31,6 +35,8 @@ RESP_NOT_PROBED = -4
 
 #: Firmware threshold the paper cleans on (section 2.4.1).
 MIN_FIRMWARE = 4570
+
+T = TypeVar("T")
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,8 +75,9 @@ class LetterObservations:
     """Binned observations of one letter from all VPs.
 
     The analyses decode the matrices through :meth:`success_mask`,
-    :meth:`probed_mask`, :meth:`site_index` and :meth:`server_masks`
-    rather than reading the sentinels or the code list themselves.
+    :meth:`probed_mask`, :meth:`response_counts`, :meth:`site_index`
+    and :meth:`server_masks` rather than reading the sentinels or the
+    code list themselves.
     """
 
     letter: str
@@ -119,6 +126,13 @@ class LetterObservations:
         """Boolean matrix: the VP actually probed this bin."""
         return self.site_idx != RESP_NOT_PROBED
 
+    def response_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per bin: the VPs a site answered with RCODE 0, and the VPs
+        that probed."""
+        return (
+            self.success_mask().sum(axis=1), self.probed_mask().sum(axis=1)
+        )
+
     def server_masks(self, site: str) -> list[tuple[int, np.ndarray]]:
         """``(server, replies)`` per known server (> 0) that answered at
         *site*, ascending; *replies* marks the cells it answered."""
@@ -129,64 +143,146 @@ class LetterObservations:
             for srv in servers[servers > 0]
         ]
 
-    def select_vps(self, keep: np.ndarray) -> "LetterObservations":
-        """A copy restricted to the VPs selected by boolean mask *keep*.
 
-        Boolean column indexing copies every matrix, so the result
-        holds its own ``(n_bins, n_kept)`` matrices beside this one's.
-        """
-        keep = np.asarray(keep, dtype=bool)
-        if keep.shape != (self.n_vps,):
-            raise ValueError("mask must match VP count")
-        return LetterObservations(
-            letter=self.letter,
-            site_codes=self.site_codes,
-            site_idx=self.site_idx[:, keep],
-            rtt_ms=self.rtt_ms[:, keep],
-            server=self.server[:, keep],
-        )
-
-
-@dataclass(slots=True)
 class AtlasDataset:
-    """The full two-day measurement dataset."""
+    """The two-day measurement dataset: a VP table and each letter's
+    observations of those VPs.
 
-    grid: TimeGrid
-    vps: VantagePointTable
-    letters: dict[str, LetterObservations] = field(default_factory=dict)
+    A dataset built from matrices reads them as they are.  One made by
+    :meth:`select_vps` shares its parent's matrices, read-only, and
+    holds the raw column of each VP it keeps in ``columns``, ascending:
+    a matrix of one of its letters is gathered from the kept columns
+    when a caller reads it, and nothing else is copied.
 
-    def __post_init__(self) -> None:
-        for letter, obs in self.letters.items():
-            if obs.n_bins != self.grid.n_bins:
+    :meth:`aggregate` holds what the analyses read per letter instead
+    of the matrices (per-site VP counts, response counts, RTT medians,
+    flips): each is built from one letter's observations on first use
+    and lives as long as the dataset.
+    """
+
+    __slots__ = ("grid", "vps", "columns", "_matrices", "_aggregates")
+
+    def __init__(
+        self,
+        grid: TimeGrid,
+        vps: VantagePointTable,
+        letters: dict[str, LetterObservations] | None = None,
+    ) -> None:
+        self.grid = grid
+        self.vps = vps
+        #: Raw column of each VP in ``vps``; None when the matrices hold
+        #: exactly ``vps``' columns.
+        self.columns: np.ndarray | None = None
+        self._matrices = dict(letters or {})
+        self._aggregates: dict[tuple[str, Callable[..., Any]], Any] = {}
+        for letter, obs in self._matrices.items():
+            if obs.n_bins != grid.n_bins:
                 raise ValueError(f"{letter}: bin count mismatch")
-            if obs.n_vps != len(self.vps):
+            if obs.n_vps != len(vps):
                 raise ValueError(f"{letter}: VP count mismatch")
 
+    # Pickles hold the three fields a dataset had before kept columns
+    # existed, so sweep checkpoints written then still load; aggregates
+    # are never pickled.
+    def __getstate__(self) -> tuple[None, dict[str, Any]]:
+        return None, {
+            "grid": self.grid, "vps": self.vps, "letters": self.letters
+        }
+
+    def __setstate__(self, state: tuple[None, dict[str, Any]]) -> None:
+        AtlasDataset.__init__(self, **state[1])
+
+    @property
+    def letters(self) -> dict[str, LetterObservations]:
+        """Each letter's observations, as :meth:`letter` returns them."""
+        return {letter: self.letter(letter) for letter in self._matrices}
+
     def letter(self, letter: str) -> LetterObservations:
+        """*letter*'s observations by the VPs of ``vps``.  With
+        ``columns`` set, each matrix the caller reads is gathered from
+        the kept columns for this call only."""
         try:
-            return self.letters[letter]
+            obs = self._matrices[letter]
         except KeyError:
             raise KeyError(f"no observations for letter {letter!r}") from None
+        if self.columns is None:
+            return obs
+        return _KeptObservations(obs, self.columns)
+
+    def aggregate(
+        self, letter: str, build: Callable[[LetterObservations], T]
+    ) -> T:
+        """``build(self.letter(letter))``, built on first use and held
+        by this dataset.  Its arrays are shared by every caller, so they
+        come back read-only."""
+        key = (letter, build)
+        if key not in self._aggregates:
+            value = build(self.letter(letter))
+            for array in value if isinstance(value, tuple) else (value,):
+                array.setflags(write=False)
+            self._aggregates[key] = value
+        return self._aggregates[key]
 
     def select_vps(self, keep: np.ndarray) -> "AtlasDataset":
-        """A copy restricted to the VPs selected by *keep*: every
-        letter's matrices are copied (see
-        :meth:`LetterObservations.select_vps`)."""
+        """The VPs selected by boolean mask *keep*, in column order.
+
+        No matrix is copied: the result shares this dataset's matrices
+        through read-only views and records the kept columns.
+        """
         keep = np.asarray(keep, dtype=bool)
-        vps = VantagePointTable(
-            ids=self.vps.ids[keep],
-            asns=self.vps.asns[keep],
-            lats=self.vps.lats[keep],
-            lons=self.vps.lons[keep],
-            regions=self.vps.regions[keep],
-            firmware=self.vps.firmware[keep],
-            hijacked=self.vps.hijacked[keep],
+        if keep.shape != (len(self.vps),):
+            raise ValueError("mask must match VP count")
+        vps = self.vps
+        selected = AtlasDataset(
+            self.grid,
+            VantagePointTable(
+                ids=vps.ids[keep],
+                asns=vps.asns[keep],
+                lats=vps.lats[keep],
+                lons=vps.lons[keep],
+                regions=vps.regions[keep],
+                firmware=vps.firmware[keep],
+                hijacked=vps.hijacked[keep],
+            ),
         )
-        return AtlasDataset(
-            grid=self.grid,
-            vps=vps,
-            letters={
-                letter: obs.select_vps(keep)
-                for letter, obs in self.letters.items()
-            },
-        )
+        selected._matrices = {
+            letter: _read_only(obs) for letter, obs in self._matrices.items()
+        }
+        kept = np.flatnonzero(keep)
+        selected.columns = kept if self.columns is None else self.columns[kept]
+        return selected
+
+
+class _KeptObservations(LetterObservations):
+    """One letter's observations of a selected dataset's VPs.
+
+    Each matrix is gathered from *source* through the kept *columns*
+    when first read, and held from then on: an analysis that reads
+    only ``site_idx`` copies only that matrix.
+    """
+
+    __slots__ = ("_source", "_columns")
+
+    def __init__(
+        self, source: LetterObservations, columns: np.ndarray
+    ) -> None:
+        self.letter = source.letter
+        self.site_codes = source.site_codes
+        self._source = source
+        self._columns = columns
+
+    def __getattr__(self, name: str) -> np.ndarray:
+        # Reached only while a matrix slot is still unset.
+        if name not in ("site_idx", "rtt_ms", "server"):
+            raise AttributeError(name)
+        matrix = getattr(self._source, name)[:, self._columns]
+        setattr(self, name, matrix)
+        return matrix
+
+
+def _read_only(obs: LetterObservations) -> LetterObservations:
+    """*obs* over read-only views of its matrices."""
+    views = [m.view() for m in (obs.site_idx, obs.rtt_ms, obs.server)]
+    for view in views:
+        view.setflags(write=False)
+    return LetterObservations(obs.letter, obs.site_codes, *views)

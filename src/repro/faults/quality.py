@@ -25,12 +25,11 @@ Conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from ..datasets.observations import AtlasDataset
+from ..datasets.observations import AtlasDataset, LetterObservations
 
 #: Metric name carried by sweep-level quarantine flags: a cell that
 #: exhausted its retries is excluded from its point's summary and
@@ -160,14 +159,15 @@ def probe_gap_flags(
     """Flags for bins in which no VP probed a letter at all.
 
     Whole-fleet measurement gaps (controller outages, mass probe
-    dropout) surface as bins with an empty ``probed_mask()`` row;
-    analyses over such a dataset are only partial, and flag it with
-    these.
+    dropout) surface as bins in which the dataset's per-letter
+    response counts hold no probing VP; analyses over such a dataset
+    are only partial, and flag it with these.
     """
     flags: list[QualityFlag] = []
     for letter in letters:
-        obs = dataset.letter(letter)
-        probed = obs.probed_mask().sum(axis=1)
+        _, probed = dataset.aggregate(
+            letter, LetterObservations.response_counts
+        )
         gaps = np.flatnonzero(probed == 0)
         if gaps.size == 0:
             continue

@@ -1,5 +1,7 @@
 """Tests for the section-2.4.1 cleaning pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,28 @@ class TestCleanScenario:
         assert len(report.hijacked_ids) == report.n_hijacked
 
 
+class TestNoCopy:
+    def test_cleaning_copies_no_matrix(self, dataset):
+        # The hijack scan's temporaries are the only allocations: less
+        # than the matrices of one letter, where a copy of the kept
+        # VPs would take about those of every letter.
+        obs = dataset.letter("K")
+        one_letter = sum(
+            m.nbytes for m in (obs.site_idx, obs.rtt_ms, obs.server)
+        )
+        tracemalloc.start()
+        try:
+            cleaned, report = clean_dataset(dataset)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < one_letter, (peak, one_letter)
+        assert report.n_kept < len(dataset.vps)
+        assert np.array_equal(
+            cleaned.vps.ids, dataset.vps.ids[cleaned.columns]
+        )
+
+
 class TestReport:
     def test_empty_report(self):
         report = CleaningReport(0, 0, 0, (), ())
@@ -61,17 +85,17 @@ class TestHijackHeuristics:
         """A VP with unparseable replies at normal RTT (e.g. a broken
         middlebox far away) must NOT be flagged: the paper requires
         BOTH the pattern mismatch and the short RTT."""
-        from repro.datasets import RESP_BOGUS
+        from repro.datasets import RESP_BOGUS, AtlasDataset, LetterObservations
 
-        modified = dataset.select_vps(
-            np.ones(len(dataset.vps), dtype=bool)
-        )
-        letter = sorted(modified.letters)[0]
-        obs = modified.letter(letter)
         victim = 0
-        for letter_obs in modified.letters.values():
-            letter_obs.site_idx[:, victim] = RESP_BOGUS
-            letter_obs.rtt_ms[:, victim] = 80.0  # slow: not local
+        letters = {}
+        for letter, obs in dataset.letters.items():
+            site_idx, rtt_ms = obs.site_idx.copy(), obs.rtt_ms.copy()
+            site_idx[:, victim] = RESP_BOGUS
+            rtt_ms[:, victim] = 80.0  # slow: not local
+            letters[letter] = LetterObservations(
+                letter, obs.site_codes, site_idx, rtt_ms, obs.server
+            )
+        modified = AtlasDataset(dataset.grid, dataset.vps, letters)
         detected = detect_hijacked(modified)
         assert not detected[victim]
-        del obs

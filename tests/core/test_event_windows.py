@@ -3,7 +3,9 @@
 The Nov 2015 windows are the paper's, not every scenario's: the June
 2016 follow-up holds none of their bins.  So every analysis that reads
 event windows takes them as a required argument, and callers pass
-``ScenarioResult.event_intervals()``.
+``ScenarioResult.event_intervals()``.  A run without events, such as
+the section 3.3.1 quiet control, has no window at all: its analyses
+return empty, flagged or NaN results instead of raising.
 """
 
 import inspect
@@ -11,7 +13,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro import simulate
+from repro import ScenarioConfig, simulate
 from repro.core import (
     clean_dataset,
     collateral_figure,
@@ -23,7 +25,8 @@ from repro.core import (
     silence_score,
     vp_timelines,
 )
-from repro.scenario.presets import june2016_config
+from repro.scenario.presets import QUIET_WINDOW_START, june2016_config
+from repro.util import EVENT_1
 
 WINDOW_ANALYSES = {
     collateral_sites: "events",
@@ -90,3 +93,49 @@ class TestJune2016Windows:
         (event,) = june.event_intervals()
         sites = cleaned.letter("K").site_codes
         assert vp_timelines(cleaned, "K", sites, event)
+
+
+@pytest.fixture(scope="module")
+def quiet():
+    return simulate(ScenarioConfig(
+        seed=3, n_stubs=60, n_vps=30, letters=("D", "K"), events=(),
+        window_start=QUIET_WINDOW_START,
+    ))
+
+
+class TestRunWithoutEvents:
+    def test_has_no_windows(self, quiet):
+        assert quiet.event_intervals() == ()
+
+    def test_collateral_flags_nothing(self, quiet):
+        cleaned, _ = clean_dataset(quiet.atlas)
+        events = quiet.event_intervals()
+        assert collateral_sites(cleaned, "D", events) == []
+        fig = collateral_figure(cleaned, "D", events)
+        assert fig.series == ()
+        (flag,) = fig.quality
+        assert flag.letter == "D"
+        assert "no event windows" in flag.detail
+        with pytest.raises(KeyError, match="letter 'Z'"):
+            collateral_sites(cleaned, "Z", events)
+
+    def test_nl_scores_are_nan(self, quiet):
+        events = quiet.event_intervals()
+        fig = nl_figure(quiet.nl)
+        for node in quiet.nl.node_labels:
+            assert np.isnan(nl_event_minimum(quiet.nl, node, events))
+            assert np.isnan(silence_score(fig.get(node), quiet.grid, events))
+
+    def test_another_runs_windows_still_raise(self, quiet):
+        cleaned, _ = clean_dataset(quiet.atlas)
+        node = quiet.nl.node_labels[0]
+        with pytest.raises(ValueError, match="does not cover"):
+            collateral_sites(cleaned, "D", (EVENT_1,))
+        with pytest.raises(ValueError):
+            collateral_figure(cleaned, "D", (EVENT_1,))
+        with pytest.raises(ValueError):
+            nl_event_minimum(quiet.nl, node, (EVENT_1,))
+        with pytest.raises(ValueError):
+            silence_score(
+                nl_figure(quiet.nl).get(node), quiet.grid, (EVENT_1,)
+            )

@@ -11,7 +11,11 @@ Three guards on what users actually read:
 * at 12 VPs several series are NaN in every bin, and rendering them
   must still be quiet: no warning of any kind;
 * ``render_all`` renders one cell at a time, so no two cleaned
-  datasets are ever alive together.
+  datasets are ever alive together;
+* cleaning copies no matrix: each cleaned dataset reads its cell
+  through read-only views, so rendering leaves the cells' output
+  arrays unchanged, and each of its per-letter aggregates is built at
+  most once.
 """
 
 import argparse
@@ -22,9 +26,14 @@ import pathlib
 import sys
 import warnings
 import weakref
+from collections import Counter
 
+import numpy as np
 import pytest
 
+from repro.core import catchments, flips, rtt
+from repro.datasets import LetterObservations
+from repro.scenario.arrays import result_arrays
 from repro.sweep import run_sweep
 
 SCRIPTS = str(
@@ -101,7 +110,9 @@ def test_renders_match_recorded_digests(run_paper):
 
 def test_one_cleaned_cell_at_a_time(run_paper, monkeypatch):
     # AtlasDataset has slots and takes no weakref, so each cleaned
-    # dataset is tracked through one of its observation matrices.
+    # dataset is tracked through its kept-column index.  It holds its
+    # aggregates, so an earlier cell's must be gone before the next
+    # cell is cleaned.
     clean = run_paper.clean_dataset
     earlier: list[weakref.ref] = []
 
@@ -110,8 +121,7 @@ def test_one_cleaned_cell_at_a_time(run_paper, monkeypatch):
         alive = sum(ref() is not None for ref in earlier)
         assert not alive, f"{alive} earlier cleaned dataset still alive"
         cleaned, report = clean(dataset)
-        matrix = next(iter(cleaned.letters.values())).site_idx
-        earlier.append(weakref.ref(matrix))
+        earlier.append(weakref.ref(cleaned.columns))
         return cleaned, report
 
     monkeypatch.setattr(run_paper, "clean_dataset", clean_tracked)
@@ -121,6 +131,84 @@ def test_one_cleaned_cell_at_a_time(run_paper, monkeypatch):
         name: hashlib.sha256(text.encode("utf-8")).hexdigest()
         for name, text in rendered.items()
     } == RENDER_SHA256
+
+
+def _cell_digest(result):
+    """SHA-256 of a cell's output arrays: names, dtypes, shapes, bytes."""
+    h = hashlib.sha256()
+    for name, array in sorted(result_arrays(result).items()):
+        array = np.ascontiguousarray(array)
+        h.update(f"{name}|{array.dtype.str}|{array.shape}|".encode())
+        h.update(array.tobytes())
+    return h.hexdigest()
+
+
+def test_cleaning_shares_the_cells_read_only(run_paper, monkeypatch):
+    # Each cleaned dataset reads its cell's matrices through read-only
+    # views, so rendering leaves every cell's output arrays as they
+    # were (the benchmark digests the cells before it renders).
+    spec = run_paper.paper_spec(
+        argparse.Namespace(seed=7, stubs=120, vps=150, replicates=1)
+    )
+    results = run_sweep(spec, jobs=1).results
+    before = [_cell_digest(r) for r in results]
+    clean = run_paper.clean_dataset
+    shared = []
+
+    def clean_checked(dataset):
+        cleaned, report = clean(dataset)
+        for letter, raw in dataset.letters.items():
+            view = cleaned._matrices[letter]
+            for name in ("site_idx", "rtt_ms", "server"):
+                matrix = getattr(view, name)
+                assert np.shares_memory(matrix, getattr(raw, name))
+                assert not matrix.flags.writeable
+            shared.append(letter)
+        return cleaned, report
+
+    monkeypatch.setattr(run_paper, "clean_dataset", clean_checked)
+    run_paper.render_all(*results)
+    assert shared
+    assert [_cell_digest(r) for r in results] == before
+
+
+def test_each_aggregate_is_built_once_per_cell(run_paper, monkeypatch):
+    builds: list[Counter] = []
+
+    def counting(name, build):
+        def counted(obs):
+            builds[-1][name, obs.letter] += 1
+            return build(obs)
+        return counted
+
+    clean = run_paper.clean_dataset
+
+    def clean_counted(dataset):
+        builds.append(Counter())
+        return clean(dataset)
+
+    monkeypatch.setattr(run_paper, "clean_dataset", clean_counted)
+    for module, name in (
+        (catchments, "_site_vps"), (rtt, "_letter_medians"),
+        (flips, "_flips_per_bin"), (LetterObservations, "response_counts"),
+    ):
+        monkeypatch.setattr(
+            module, name, counting(name, getattr(module, name))
+        )
+    rendered = _render(run_paper, seed=7, stubs=120, vps=150)
+    assert set(rendered) == set(RENDER_SHA256)
+    nov2015, quiet, june2016 = builds
+    assert {n for n, _ in nov2015} == {
+        "_site_vps", "_letter_medians", "_flips_per_bin", "response_counts"
+    }
+    assert set(quiet) == {
+        (name, letter)
+        for name in ("_site_vps", "response_counts")
+        for letter in "EK"
+    }
+    assert set(june2016) == {("response_counts", L) for L in "BHKL"}
+    for cell in builds:
+        assert max(cell.values()) == 1, cell.most_common(3)
 
 
 def test_all_nan_series_render_without_warnings(run_paper):

@@ -4,8 +4,9 @@
 ``np.median`` call per bin with one masked row sort.  The per-row loop
 it replaced is kept below as the reference; Hypothesis draws float32
 and float64 matrices with tied values, NaN cells inside and outside
-the mask, all-masked rows, zero-VP matrices and every ``min_samples``
-from 1 to 12, and the two must agree exactly.
+the mask, all-masked rows and zero-VP matrices, and the two must agree
+exactly.  ``rtt_significantly_changed``'s *min_samples* cut-off is
+checked in ``test_kept_columns.py``.
 """
 
 import numpy as np
@@ -16,14 +17,12 @@ from hypothesis.extra.numpy import arrays
 from repro.core.rtt import _median_ignoring_empty
 
 
-def reference_median(
-    values: np.ndarray, mask: np.ndarray, min_samples: int
-) -> np.ndarray:
+def reference_median(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """The per-bin loop: ``np.median`` of each row's selected cells."""
     out = np.full(values.shape[0], np.nan)
     for b in range(values.shape[0]):
         selected = values[b][mask[b]]
-        if selected.size >= min_samples:
+        if selected.size:
             out[b] = np.median(selected)
     return out
 
@@ -43,14 +42,14 @@ def median_inputs(draw):
     for row in draw(st.sets(st.integers(0, max(shape[0] - 1, 0)))):
         if row < shape[0]:
             mask[row] = False
-    return values, mask, draw(st.integers(1, 12))
+    return values, mask
 
 
 @settings(max_examples=300)
 @given(median_inputs())
 def test_kernel_matches_per_row_np_median(inputs):
-    values, mask, min_samples = inputs
-    got = _median_ignoring_empty(values, mask, min_samples)
-    want = reference_median(values, mask, min_samples)
+    values, mask = inputs
+    got = _median_ignoring_empty(values, mask)
+    want = reference_median(values, mask)
     assert got.dtype == want.dtype
     assert np.array_equal(got, want, equal_nan=True), (got, want)
