@@ -57,4 +57,4 @@ def test_ablation_absorb_only(benchmark):
     print(f"  K site flips: {flips_with:.0f} with policies, "
           f"{flips_without:.0f} absorb-only")
     assert flips_without < flips_with
-    assert not absorb.deployments["K"].policy_log
+    assert not absorb.deployments["K"].actions

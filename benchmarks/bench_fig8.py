@@ -3,7 +3,7 @@
 from repro.core import count_flips, flips_figure
 
 
-def test_fig8_site_flips(benchmark, cleaned):
+def test_fig8_site_flips(benchmark, scenario, cleaned):
     letters = [L for L in sorted(cleaned.letters) if L not in "AB"]
     figure = benchmark(flips_figure, cleaned, letters)
     print()
@@ -14,7 +14,7 @@ def test_fig8_site_flips(benchmark, cleaned):
     # a two-hour tail after each event window.
     import numpy as np
 
-    event_mask = cleaned.grid.event_mask()
+    event_mask = scenario.event_mask()
     dilated = event_mask.copy()
     for shift in range(1, 13):
         dilated[shift:] |= event_mask[:-shift]

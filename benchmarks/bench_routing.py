@@ -129,14 +129,12 @@ def bench_propagations(
     # flap one site), so routing() serves LRU hits after the first lap.
     flapped = sorted(deployment.prefix.announced_sites())[0]
     deployment.prefix.routing()
-    deployment.prefix.withdraw(flapped, timestamp=0.0)
+    deployment.prefix.set_announced(flapped, False)
     deployment.prefix.routing()
-    deployment.prefix.announce(flapped, timestamp=1.0)
+    deployment.prefix.set_announced(flapped, True)
     started = time.perf_counter()
     for step in range(propagations):
-        deployment.prefix.set_announced(
-            flapped, up=bool(step % 2), timestamp=float(step + 2)
-        )
+        deployment.prefix.set_announced(flapped, up=bool(step % 2))
         deployment.prefix.routing()
     cache_wall = time.perf_counter() - started
 

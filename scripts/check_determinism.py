@@ -6,7 +6,8 @@ every fault type (:func:`faulted_config`), and the same with
 ``GreedyShedController`` on A and H and a three-site
 ``OracleController`` search on K (:func:`controlled_config`) -- and
 compares every simulated output array (truth, Atlas, RSSAC, BGPmon,
-.nl) plus the quality report exactly.  Any diff means the fault
+.nl), every letter's routing-action records and the quality report
+exactly.  Any diff means the fault
 machinery or the controller branch of the batched scan leaked
 nondeterminism into the engine -- the CI determinism job fails on it.
 ``tests/scenario/test_engine_batch.py`` also runs both configs through
@@ -98,9 +99,11 @@ def compare_runs(first: ScenarioResult, second: ScenarioResult) -> list[str]:
     """Names of every output that differs between two runs.
 
     Empty means the runs are bit-identical across all simulated
-    arrays (truth, Atlas, RSSAC, BGPmon, .nl), the quality report,
-    and the published RSSAC report dates.  This is the diff logic the
-    CI determinism gate and ``tests/test_check_determinism.py`` share.
+    arrays (truth, Atlas, RSSAC, BGPmon, .nl), every letter's
+    routing-action records (``LetterDeployment.actions``), the quality
+    report, and the published RSSAC report dates.  This is the diff
+    logic the CI determinism gate and
+    ``tests/test_check_determinism.py`` share.
     """
     a, b = result_arrays(first), result_arrays(second)
     mismatches = []
@@ -110,6 +113,12 @@ def compare_runs(first: ScenarioResult, second: ScenarioResult) -> list[str]:
         ):
             mismatches.append(name)
     mismatches.extend(sorted(set(b) - set(a)))
+    for letter in first.letters:
+        if (
+            first.deployments[letter].actions
+            != second.deployments[letter].actions
+        ):
+            mismatches.append(f"deployments/{letter}/actions")
     if first.quality != second.quality:
         mismatches.append("quality")
     if [r.date for L in first.letters for r in first.rssac[L]] != [

@@ -71,6 +71,7 @@ from repro.scenario.presets import (
     QUIET_WINDOW_START,
 )
 from repro.sweep import (
+    CheckpointError,
     SweepInterrupted,
     SweepSpec,
     run_sweep,
@@ -295,6 +296,9 @@ def main(argv: list[str] | None = None) -> int:
                 file=sys.stderr,
             )
         return 130
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

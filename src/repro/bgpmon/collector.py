@@ -11,13 +11,17 @@ best-path change at a peer surfaces as a small burst of updates
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..netsim.anycast import AnycastPrefix
 from ..netsim.topology import Topology
 from ..util.timegrid import Interval, TimeGrid
+
+if TYPE_CHECKING:
+    from ..rootdns.deployment import RoutingAction
 
 #: Mean BGP updates a collector peer logs per best-path change
 #: (path exploration / MRAI batching).
@@ -53,21 +57,23 @@ class BgpCollectors:
 
     def route_changes_per_bin(
         self,
-        prefix: AnycastPrefix,
+        actions: Sequence[RoutingAction],
         grid: TimeGrid,
         rng: np.random.Generator,
         peer_outages: tuple[tuple[Interval, frozenset[int]], ...] = (),
     ) -> np.ndarray:
-        """Updates observed per bin for one letter's prefix (Fig. 9).
+        """Updates observed per bin for one letter's routing *actions*
+        (``LetterDeployment.actions``; Fig. 9).
 
-        Routing transitions outside the grid are ignored.
+        Actions outside the grid, and those that moved no route, are
+        ignored; neither draws from *rng*.
         *peer_outages* lists ``(interval, down_peer_asns)`` windows
         (collector-peer churn, ``repro.faults``): a peer that is down
         when a transition happens does not observe it, so the counted
         churn is partial exactly as a real collector fleet's would be.
         """
         counts = np.zeros(grid.n_bins, dtype=np.float64)
-        for record in prefix.change_log():
+        for record in actions:
             if not grid.start <= record.timestamp < grid.end:
                 continue
             peers = self._peer_set

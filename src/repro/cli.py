@@ -188,6 +188,7 @@ def _parse_axis(spec_str: str) -> tuple[str, list[Any]]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .sweep import (
+        CheckpointError,
         SweepInterrupted,
         SweepSpec,
         load_checkpoint,
@@ -201,7 +202,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # The checkpoint header carries the full pickled spec, so a
         # resume needs no re-typed --axis/--replicates flags (and
         # cannot accidentally run with different ones).
-        data = load_checkpoint(args.resume)
+        try:
+            data = load_checkpoint(args.resume)
+        except CheckpointError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         spec = data.spec
         checkpoint = args.resume
         print(
@@ -246,6 +251,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         return 130
+    except CheckpointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     payload: dict[str, Any] = {
         "n_points": spec.n_points,
         "n_seeds": spec.n_seeds,

@@ -28,23 +28,14 @@ Controllers (in increasing information):
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from typing import Protocol
 
 import numpy as np
 
+from ..rootdns.deployment import ActionKind
 from .observation import LetterObservation
-
-
-class ActionKind(enum.Enum):
-    """What a controller asks the routing layer to do."""
-
-    WITHDRAW = "withdraw"
-    ANNOUNCE = "announce"
-    PARTIAL = "partial"
-    RESTORE = "restore"
 
 
 @dataclass(frozen=True, slots=True)

@@ -80,9 +80,9 @@ def evaluate_controller(
 
     ``controller_factory=None`` keeps the deployment's built-in static
     policies (the historical behaviour).  ``routing_actions`` counts
-    the route changes the letter's control loop made; routes a fault
-    flaps are in the change log BGPmon reads but are not counted.  A
-    *substrate* built for *base_config* is reused.
+    the letter's recorded actions that moved a route, except those a
+    fault caused, which BGPmon still observes.  A *substrate* built
+    for *base_config* is reused.
     """
     controllers = (
         None
@@ -98,7 +98,11 @@ def evaluate_controller(
         served_overall=overall,
         served_during_events=during,
         worst_bin=worst,
-        routing_actions=result.deployments[letter].control_route_changes,
+        routing_actions=sum(
+            1
+            for record in result.deployments[letter].actions
+            if record.cause != "fault" and record.changed_asns
+        ),
     )
 
 

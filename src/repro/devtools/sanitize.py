@@ -73,8 +73,8 @@ def freeze_substrate(substrate: "Substrate") -> None:
     deployment's capacity/threshold vectors.
 
     Called by :func:`repro.scenario.engine.build_substrate` when the
-    sanitizer is on.  Deployment *state* (announcements, change logs)
-    stays mutable -- it is reset per run by design; only the arrays
+    sanitizer is on.  Deployment *state* (announcements, records)
+    stays mutable -- each run works on its own copy; only the arrays
     whose silent mutation would leak between sweep cells are locked.
     """
     if not enabled():

@@ -112,8 +112,9 @@ class BgpSessionReset:
 
     The site's announcement is withdrawn for *duration_s* seconds --
     the reset itself plus any route-flap damping suppression -- and
-    re-announced afterwards.  Both transitions land in the prefix's
-    change log, so BGPmon collectors observe the churn.
+    re-announced afterwards.  Both transitions are recorded as the
+    letter's routing actions (cause ``"fault"``), so BGPmon collectors
+    observe the churn.
     """
 
     letter: str

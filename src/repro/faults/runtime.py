@@ -9,8 +9,9 @@ the same seed and plan reproduce the same faults exactly.  The engine
 then consults it at four well-defined points:
 
 * :meth:`apply_routing` at the top of each bin (session resets flap
-  announcements through the normal :class:`AnycastPrefix` machinery,
-  so epoch caching and BGPmon observation keep working unchanged);
+  announcements through :meth:`LetterDeployment.act`, like policies
+  and controllers, so epoch caching and BGPmon observation keep
+  working unchanged);
 * :meth:`capacity` when evaluating each letter's overload (hardware
   failures scale the site capacity vector for the covered bins);
 * :meth:`mask_atlas` after probing finishes (VP dropout and controller
@@ -34,6 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..datasets.observations import RESP_NOT_PROBED
+from ..rootdns.deployment import ActionKind
 from ..util.timegrid import Interval, TimeGrid
 from .plan import (
     BgpSessionReset,
@@ -266,14 +268,14 @@ class FaultRuntime:
         for letter, site in self._reset_end.get(bin_index, ()):
             key = (letter, site)
             if key in self._reset_down:
-                prefix = self.deployments[letter].prefix
-                if not prefix.is_announced(site):
-                    prefix.announce(site, timestamp)
+                self.deployments[letter].act(
+                    site, ActionKind.ANNOUNCE, timestamp, "fault"
+                )
                 self._reset_down.discard(key)
         for letter, site in self._reset_begin.get(bin_index, ()):
-            prefix = self.deployments[letter].prefix
-            if prefix.is_announced(site):
-                prefix.withdraw(site, timestamp)
+            if self.deployments[letter].act(
+                site, ActionKind.WITHDRAW, timestamp, "fault"
+            ):
                 self._reset_down.add((letter, site))
 
     def capacity(

@@ -1,6 +1,6 @@
 """Network substrate: AS graph, BGP propagation, topology, overload."""
 
-from .anycast import AnycastPrefix, RouteChangeRecord
+from .anycast import AnycastPrefix
 from .asgraph import ASGraph, AsNode, AsRole, CompiledGraph, Relationship
 from .bgp import Origin, Route, RouteClass, RoutingTable, Scope, propagate
 from .queueing import OverloadModel
@@ -30,7 +30,6 @@ __all__ = [
     "OverloadModel",
     "Relationship",
     "Route",
-    "RouteChangeRecord",
     "RouteClass",
     "RoutingTable",
     "Scope",

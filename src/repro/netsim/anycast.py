@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import copy
 from collections import OrderedDict
-from dataclasses import dataclass
 
 from .asgraph import ASGraph
 from .bgp import Origin, RoutingTable, propagate
@@ -37,21 +36,14 @@ PREFIX_CACHE_STATS: dict[str, int] = {
 }
 
 
-@dataclass(frozen=True, slots=True)
-class RouteChangeRecord:
-    """One routing transition, for BGP collectors to observe."""
-
-    timestamp: float
-    changed_asns: frozenset[int]
-
-
 class AnycastPrefix:
     """The announcement state of one anycast service (one letter).
 
     Every site starts announced with its origin's export policy,
     except the sites named in *withdrawn* (standby sites such as
-    H-Root's backup), which start withdrawn without a change-log
-    record.
+    H-Root's backup), which start withdrawn.  The prefix keeps no
+    history: :meth:`repro.rootdns.deployment.LetterDeployment.act`
+    records every change it makes.
     """
 
     def __init__(
@@ -73,16 +65,15 @@ class AnycastPrefix:
             raise ValueError(f"unknown withdrawn sites {unknown}")
         self.graph = graph
         self._origins = {o.site: o for o in origins}
-        self._initially_withdrawn = frozenset(withdrawn)
-        self._announced: dict[str, bool] = {}
-        self._blocked: dict[str, frozenset[int]] = {}
+        self._announced = {s: s not in withdrawn for s in self._origins}
+        self._blocked = {
+            s: o.blocked_neighbors for s, o in self._origins.items()
+        }
         self._cache: OrderedDict[tuple, RoutingTable] = OrderedDict()
         self._cache_size = cache_size
         # The current state's key and table, built once per change.
         self._current_key: tuple | None = None
         self._current: RoutingTable | None = None
-        self._change_log: list[RouteChangeRecord] = []
-        self.reset()
 
     @property
     def sites(self) -> list[str]:
@@ -167,74 +158,45 @@ class AnycastPrefix:
         ]
         return propagate(self.graph, origins)
 
-    def set_announced(self, site: str, up: bool, timestamp: float) -> bool:
-        """Announce or withdraw *site*; log the routing delta.
+    def set_announced(self, site: str, up: bool) -> frozenset[int] | None:
+        """Announce or withdraw *site*.
 
-        Returns ``True`` if the state actually changed.
+        Returns the ASes whose best route moved (possibly none), or
+        ``None`` if *site* already was in that state.
         """
         if site not in self._origins:
             raise KeyError(f"unknown site {site!r}")
         if self._announced[site] == up:
-            return False
+            return None
         before = self.routing()
         self._announced[site] = up
-        self._log_change(before, timestamp)
-        return True
+        return self._changes_from(before)
 
     def set_blocked(
-        self, site: str, blocked: frozenset[int], timestamp: float
-    ) -> bool:
-        """Partially withdraw: stop exporting to *blocked* neighbors.
+        self, site: str, blocked: frozenset[int]
+    ) -> frozenset[int] | None:
+        """Stop exporting *site*'s announcement to *blocked* neighbors
+        (an empty set restores full export).
 
-        Returns ``True`` if the routing actually changed.  Passing an
-        empty set restores full export.
+        Returns the ASes whose best route moved (possibly none), or
+        ``None`` if *site* already blocked exactly *blocked*.
         """
         if site not in self._origins:
             raise KeyError(f"unknown site {site!r}")
         if self._blocked[site] == blocked:
-            return False
+            return None
         before = self.routing()
         self._blocked[site] = blocked
-        self._log_change(before, timestamp)
-        return True
+        return self._changes_from(before)
 
-    def _log_change(self, before: RoutingTable, timestamp: float) -> None:
-        """Route the just-edited state; log what changed since *before*."""
+    def _changes_from(self, before: RoutingTable) -> frozenset[int]:
+        """Route the just-edited state; the ASes moved since *before*."""
         self._current_key = None
         self._current = None
-        changed = self.routing().changes_from(before)
-        if changed:
-            self._change_log.append(
-                RouteChangeRecord(
-                    timestamp=timestamp, changed_asns=frozenset(changed)
-                )
-            )
-
-    def withdraw(self, site: str, timestamp: float) -> bool:
-        """Withdraw *site*'s announcement (the §2.2 withdraw policy)."""
-        return self.set_announced(site, False, timestamp)
-
-    def announce(self, site: str, timestamp: float) -> bool:
-        """Re-announce *site* (post-event recovery)."""
-        return self.set_announced(site, True, timestamp)
-
-    def reset(self) -> None:
-        """Restore the initial announcement state.
-
-        Every site returns to its original export policy, announced
-        unless constructed as *withdrawn*, and the change log empties.
-        The routing-table cache is kept: tables are pure functions of
-        graph + announcement state.
-        """
-        for site, origin in self._origins.items():
-            self._announced[site] = site not in self._initially_withdrawn
-            self._blocked[site] = origin.blocked_neighbors
-        self._current_key = None
-        self._current = None
-        self._change_log = []
+        return frozenset(self.routing().changes_from(before))
 
     def snapshot(self) -> "AnycastPrefix":
-        """A copy with its own announcement state and change log.
+        """A copy with its own announcement state.
 
         The origins, the graph and the routing caches stay shared:
         tables are pure functions of graph + announcement state.
@@ -242,12 +204,7 @@ class AnycastPrefix:
         clone = copy.copy(self)
         clone._announced = dict(self._announced)
         clone._blocked = dict(self._blocked)
-        clone._change_log = list(self._change_log)
         return clone
-
-    def change_log(self) -> list[RouteChangeRecord]:
-        """All routing transitions so far, in time order."""
-        return list(self._change_log)
 
     def catchment_of(self, asn: int) -> str | None:
         """The site *asn* currently reaches, or ``None``."""

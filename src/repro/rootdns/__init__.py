@@ -1,8 +1,9 @@
 """Root DNS service model: letters, sites, servers, facilities."""
 
 from .deployment import (
+    ActionKind,
     LetterDeployment,
-    PolicyEvent,
+    RoutingAction,
     build_deployments,
 )
 from .facility import FacilityMember, FacilityRegistry
@@ -36,6 +37,7 @@ from .sites import (
 
 __all__ = [
     "ATTACKED_LETTERS",
+    "ActionKind",
     "DEFAULT_PER_SERVER_QPS",
     "DEFAULT_RECOVERY_BINS",
     "DEFAULT_WITHDRAW_THRESHOLD",
@@ -44,11 +46,11 @@ __all__ = [
     "LETTERS_SPEC",
     "LetterDeployment",
     "LetterSpec",
-    "PolicyEvent",
     "RIPE_MEASUREMENT_IDS",
     "RSSAC_REPORTING_LETTERS",
     "RootNameServer",
     "RootZone",
+    "RoutingAction",
     "SHARED_FACILITY_METROS",
     "ServerBehavior",
     "SitePolicy",

@@ -9,14 +9,18 @@ The per-bin control loop lives in :meth:`LetterDeployment.apply_policies`:
 given each site's utilisation (one site-order row) it executes the
 section-2.2 policy space -- absorb, withdraw, partial withdraw -- plus
 standby activation (H-Root's primary/backup pair) and post-event
-recovery.
+recovery.  Policies, pluggable controllers and injected faults all
+change announcements through :meth:`LetterDeployment.act`, which
+records each change as one :class:`RoutingAction`.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import enum
 from dataclasses import dataclass
+from typing import Literal
 
 import numpy as np
 
@@ -28,13 +32,30 @@ from .letters import LETTERS_SPEC, LetterSpec
 from .servers import rotate_shed_server
 from .sites import DEFAULT_RECOVERY_BINS, SitePolicy, SiteSpec, SiteState
 
+
+class ActionKind(enum.Enum):
+    """What a policy, controller or fault asks the routing layer to do."""
+
+    WITHDRAW = "withdraw"
+    ANNOUNCE = "announce"
+    PARTIAL = "partial"
+    RESTORE = "restore"
+
+
+#: Who asked for a routing action.
+Cause = Literal["policy", "controller", "fault"]
+
+
 @dataclass(frozen=True, slots=True)
-class PolicyEvent:
-    """One policy action taken by a site (for reporting and tests)."""
+class RoutingAction:
+    """One change to a site's announcement or export, and its effect."""
 
     timestamp: float
     site: str
-    action: str  # "withdraw" | "announce" | "partial" | "restore"
+    action: ActionKind
+    cause: Cause
+    #: ASes whose best route moved; empty when routes stayed put.
+    changed_asns: frozenset[int]
 
 
 class LetterDeployment:
@@ -55,11 +76,8 @@ class LetterDeployment:
         self.site_labels = [s.label(spec.letter) for s in spec.sites]
         self.states = {s.code: SiteState(s) for s in spec.sites}
         self.host_asns: dict[str, int] = {}
-        self.policy_log: list[PolicyEvent] = []
-        #: Route changes made by this letter's control loop -- its
-        #: static policies or its controller -- out of the prefix's
-        #: change log, which also holds fault flaps.
-        self.control_route_changes = 0
+        #: Every change :meth:`act` made, in order.
+        self.actions: list[RoutingAction] = []
         self._capacity_vector = np.array(
             [s.capacity_qps for s in spec.sites], dtype=np.float64
         )
@@ -125,38 +143,20 @@ class LetterDeployment:
             ),
         )
 
-    def reset(self) -> None:
-        """Restore the post-construction state for a fresh run.
-
-        Rebuilds the site policy states, clears the policy log, the
-        control-loop route-change count and the memo caches, and resets
-        the prefix to its initial state (standby sites withdrawn, empty
-        change log).  The routing-table cache inside the prefix
-        survives, which is the point: a reused deployment skips every
-        BGP propagation it has already done.
-        """
-        self.states = {s.code: SiteState(s) for s in self.spec.sites}
-        self.policy_log = []
-        self.control_route_changes = 0
-        self._quiet_cache = None
-        self._announced_cache = None
-        self.prefix.reset()
-
     def snapshot(self) -> "LetterDeployment":
-        """A copy whose run state a later :meth:`reset` cannot touch.
+        """A copy with its own run state.
 
-        The site states, the policy log and the prefix's announcement
-        state and change log are copied; the spec, topology, capacity
-        tables and routing caches are shared.  :func:`simulate` hands
-        one to each :class:`ScenarioResult`, so a substrate reused for
-        the next run leaves earlier results intact.
+        The site states, the records and the prefix's announcement
+        state are copied; the spec, topology, capacity tables and
+        routing caches are shared.  :func:`simulate` runs on one, so a
+        run never mutates the substrate it was given.
         """
         clone = copy.copy(self)
         clone.states = {
             code: dataclasses.replace(state)
             for code, state in self.states.items()
         }
-        clone.policy_log = list(self.policy_log)
+        clone.actions = list(self.actions)
         clone.prefix = self.prefix.snapshot()
         return clone
 
@@ -222,8 +222,7 @@ class LetterDeployment:
         threshold utilisations is a no-op: it returns at once here and
         the segment-batched engine skips the call in gated bins.
         Memoized per :meth:`AnycastPrefix.state_key` (a site's partial
-        flag and its export block change together, in
-        :meth:`set_partial`).
+        flag and its export block change together, in :meth:`act`).
         """
         key = self.prefix.state_key()
         cached = self._quiet_cache
@@ -243,28 +242,37 @@ class LetterDeployment:
         self._quiet_cache = (key, quiet)
         return quiet
 
-    def _blocked_set_for_partial(self, code: str) -> frozenset[int]:
-        """Neighbors a partially withdrawing site stops exporting to.
+    def act(
+        self, site: str, action: ActionKind, timestamp: float, cause: Cause
+    ) -> bool:
+        """Apply *action* to *site*; return whether it changed the
+        site's announcement or export.
 
-        Transit providers are cut; direct IXP peers are kept, which is
-        what pins part of the catchment to the degraded site.
+        The one door through which this letter's announcements change,
+        for static policies, pluggable controllers and faults (named
+        by *cause*), and the one place a change is recorded: each
+        change appends a :class:`RoutingAction` to :attr:`actions`.  A
+        partial withdraw stops exporting to the site's transit
+        providers and keeps its direct IXP peers, which is what pins
+        part of the catchment to the degraded site; a restore exports
+        to all of them again.
         """
-        asn = self.host_asns[code]
-        return frozenset(self.topology.graph.providers(asn))
-
-    def set_partial(self, code: str, partial: bool, timestamp: float) -> bool:
-        """Partially withdraw *code* (``True``) or restore its full
-        export (``False``); returns whether the export changed.
-
-        The one place a site's partial state and its blocked export
-        set change together, for ``apply_policies`` and pluggable
-        controllers alike.
-        """
-        blocked = (
-            self._blocked_set_for_partial(code) if partial else frozenset()
+        if action is ActionKind.WITHDRAW or action is ActionKind.ANNOUNCE:
+            changed = self.prefix.set_announced(
+                site, action is ActionKind.ANNOUNCE
+            )
+        else:
+            partial = action is ActionKind.PARTIAL
+            self.state(site).partial = partial
+            graph = self.topology.graph
+            blocked = graph.providers(self.host_asns[site]) if partial else ()
+            changed = self.prefix.set_blocked(site, frozenset(blocked))
+        if changed is None:
+            return False
+        self.actions.append(
+            RoutingAction(timestamp, site, action, cause, changed)
         )
-        self.states[code].partial = partial
-        return self.prefix.set_blocked(code, blocked, timestamp)
+        return True
 
     def apply_policies(
         self,
@@ -272,15 +280,13 @@ class LetterDeployment:
         letter_under_attack: bool,
         timestamp: float,
     ) -> bool:
-        """Run one control-loop step; returns whether it logged an
+        """Run one control-loop step; returns whether it recorded an
         action.
 
-        Every action taken appends a :class:`PolicyEvent` to
-        :attr:`policy_log` -- each routing change, and a restore that
-        rotates the shed server even when routing stays put -- so the
-        return value is what the segment-batched engine ends its
-        segments on.  The route changes the step made are added to
-        :attr:`control_route_changes`.
+        Every policy action goes through :meth:`act`, so the return
+        value -- whether the step appended a record, a restore
+        included, which also rotates the shed server -- is what the
+        segment-batched engine ends its segments on.
 
         *utilisation* is each site's offered/capacity for the last bin,
         one entry per site in :attr:`site_order`.  Withdrawn sites see
@@ -294,8 +300,7 @@ class LetterDeployment:
             utilisation > self._fastpath_thresholds
         ).any():
             return False
-        n_logged = len(self.policy_log)
-        n_changes = len(self.prefix.change_log())
+        n_actions = len(self.actions)
         any_withdrawn_primary = False
 
         for code, rho in zip(
@@ -309,17 +314,17 @@ class LetterDeployment:
 
             if announced and rho > spec.withdraw_threshold:
                 if spec.policy is SitePolicy.WITHDRAW:
-                    if self.prefix.withdraw(code, timestamp):
+                    if self.act(
+                        code, ActionKind.WITHDRAW, timestamp, "policy"
+                    ):
                         state.withdrawals += 1
                         state.calm_bins = 0
-                        self._log(timestamp, code, "withdraw")
                 elif (
                     spec.policy is SitePolicy.PARTIAL_WITHDRAW
                     and not state.partial
                 ):
-                    if self.set_partial(code, True, timestamp):
+                    if self.act(code, ActionKind.PARTIAL, timestamp, "policy"):
                         state.calm_bins = 0
-                        self._log(timestamp, code, "partial")
             elif not announced:
                 if letter_under_attack:
                     state.calm_bins = 0
@@ -328,23 +333,25 @@ class LetterDeployment:
                     if (
                         state.calm_bins >= DEFAULT_RECOVERY_BINS
                         and state.may_reannounce()
-                        and self.prefix.announce(code, timestamp)
+                        and self.act(
+                            code, ActionKind.ANNOUNCE, timestamp, "policy"
+                        )
                     ):
                         state.calm_bins = 0
-                        self._log(timestamp, code, "announce")
             elif state.partial:
                 if letter_under_attack:
                     state.calm_bins = 0
                 else:
                     state.calm_bins += 1
                     if state.calm_bins >= DEFAULT_RECOVERY_BINS:
-                        self.set_partial(code, False, timestamp)
                         state.calm_bins = 0
-                        # A new event sheds to a different server.
-                        state.shed_server = rotate_shed_server(
-                            state.shed_server, spec.n_servers
-                        )
-                        self._log(timestamp, code, "restore")
+                        if self.act(
+                            code, ActionKind.RESTORE, timestamp, "policy"
+                        ):
+                            # A new event sheds to a different server.
+                            state.shed_server = rotate_shed_server(
+                                state.shed_server, spec.n_servers
+                            )
 
             if (
                 spec.initially_announced
@@ -354,26 +361,14 @@ class LetterDeployment:
 
         # Standby activation: H-Root's backup announces while the
         # primary is down and withdraws once it returns.
+        standby = (
+            ActionKind.ANNOUNCE if any_withdrawn_primary
+            else ActionKind.WITHDRAW
+        )
         for code in self.site_order:
-            state = self.states[code]
-            if state.spec.initially_announced:
-                continue
-            is_up = self.prefix.is_announced(code)
-            if any_withdrawn_primary and not is_up:
-                if self.prefix.announce(code, timestamp):
-                    self._log(timestamp, code, "announce")
-            elif not any_withdrawn_primary and is_up:
-                if self.prefix.withdraw(code, timestamp):
-                    self._log(timestamp, code, "withdraw")
-        self.control_route_changes += (
-            len(self.prefix.change_log()) - n_changes
-        )
-        return len(self.policy_log) > n_logged
-
-    def _log(self, timestamp: float, site: str, action: str) -> None:
-        self.policy_log.append(
-            PolicyEvent(timestamp=timestamp, site=site, action=action)
-        )
+            if not self.states[code].spec.initially_announced:
+                self.act(code, standby, timestamp, "policy")
+        return len(self.actions) > n_actions
 
 
 def build_deployments(

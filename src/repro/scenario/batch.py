@@ -45,9 +45,9 @@ Bit-identity argument (validated by
   arithmetic (small vectors, the real ``spillover`` walk).
 * The scan runs the real :meth:`LetterDeployment.apply_policies` for
   every letter after each bin's losses, in letter order as the per-bin
-  path does, and ends the segment at the first bin where a call logs a
-  policy event, which its return value reports (every action it takes
-  is logged, routing changes included).  A letter is skipped only
+  path does, and ends the segment at the first bin where a call
+  records an action, which its return value reports (every change it
+  makes goes through :meth:`LetterDeployment.act`, which records it).  A letter is skipped only
   when it is *idle*: its deployment is quiet
   (:meth:`LetterDeployment.is_quiet`) and the bin passed the quiet
   gate.  Gated bins keep every utilisation at or below the loss knee
@@ -299,7 +299,7 @@ def _run_segment(
     ``end + 1``.
 
     The segment ends early -- at the first bin where a letter's
-    ``apply_policies`` logs a policy event or its controller issues an
+    ``apply_policies`` records an action or its controller issues an
     action -- or at *limit*.  That bin is part of the segment: the
     reference path also records a bin *before* its control loop runs.
     """
@@ -448,8 +448,8 @@ def _run_segment(
         )
         # The control loop, as at the end of a per-bin pass; policy
         # letters without a row are idle this bin.  Every letter's
-        # step runs, in letter order, and any logged policy action or
-        # controller action ends the segment here.
+        # step runs, in letter order, and any recorded policy action
+        # or controller action ends the segment here.
         b = start + off
         timestamp = float(grid.bin_start(b) + grid.bin_seconds)
         acted = False

@@ -13,9 +13,10 @@ For every ten-minute bin the engine:
 6. runs each letter's policy loop (withdraw / partial withdraw /
    recover / standby), whose routing effects apply from the next bin.
 
-Afterwards it derives the BGPmon route-change series from each
-prefix's change log and packages everything into a
-:class:`ScenarioResult`.
+Policies, controllers and faults change routing only through
+:meth:`LetterDeployment.act`, which records each change.  Afterwards
+the engine derives the BGPmon route-change series from each letter's
+records and packages everything into a :class:`ScenarioResult`.
 
 The expensive pre-loop artifacts -- the AS topology (with the site
 host ASes wired in), the letter deployments, the Atlas VP population,
@@ -23,10 +24,10 @@ the botnet placement, and the BGPmon collector peers -- are bundled
 into a :class:`Substrate`.  :func:`simulate` builds one on the fly,
 but callers running *many* scenarios that share those artifacts (the
 sweep engine, :mod:`repro.sweep`) build it once via
-:func:`build_substrate` and pass it back in: the substrate is
-:meth:`~Substrate.reset` to its post-construction state before every
-run, which is proven bit-identical to a fresh build by
-``tests/scenario/test_substrate.py`` and the sweep golden tests.
+:func:`build_substrate` and pass it back in.  A run never mutates the
+substrate: it works on copies of the deployments, so a reused
+substrate is bit-identical to a fresh build, as
+``tests/scenario/test_substrate.py`` and the sweep golden tests check.
 """
 
 from __future__ import annotations
@@ -181,8 +182,14 @@ class ScenarioResult:
         return self.atlas.vps
 
     def event_intervals(self) -> tuple[Interval, ...]:
-        """The attack intervals of this scenario's events."""
-        return tuple(e.interval for e in self.config.events)
+        """The attack intervals of this scenario's events that overlap
+        its window; an event the window misses leaves no trace in it."""
+        window = Interval(self.grid.start, self.grid.end)
+        return tuple(
+            e.interval
+            for e in self.config.events
+            if e.interval.overlaps(window)
+        )
 
     def event_mask(self) -> np.ndarray:
         """Boolean per-bin mask over this scenario's own events."""
@@ -214,10 +221,10 @@ def _run_controller(
     *offered* and *loss* are the bin's per-site rows (site order),
     *flags* the letter's :func:`_site_flags`; the controller observes
     these rows themselves, and an oracle gets *offered* as its truth.
-    Returns whether the controller issued any action, and adds the
-    route changes its actions made to ``dep.control_route_changes``.
+    Returns whether the controller issued any action; each one goes
+    through :meth:`LetterDeployment.act`.
     """
-    from ..defense.controllers import Action, ActionKind, OracleController
+    from ..defense.controllers import Action, OracleController
     from ..defense.observation import LetterObservation
 
     announced, partial = flags
@@ -234,20 +241,11 @@ def _run_controller(
     if isinstance(controller, OracleController):
         controller.set_truth(offered)
     acted = False
-    n_changes = len(dep.prefix.change_log())
     for action in controller.decide(observation):
         if not isinstance(action, Action):
             raise TypeError(f"controller returned {action!r}")
         acted = True
-        if action.kind is ActionKind.WITHDRAW:
-            dep.prefix.withdraw(action.site, timestamp)
-        elif action.kind is ActionKind.ANNOUNCE:
-            dep.prefix.announce(action.site, timestamp)
-        elif action.kind is ActionKind.PARTIAL:
-            dep.set_partial(action.site, True, timestamp)
-        elif action.kind is ActionKind.RESTORE:
-            dep.set_partial(action.site, False, timestamp)
-    dep.control_route_changes += len(dep.prefix.change_log()) - n_changes
+        dep.act(action.site, action.kind, timestamp, "controller")
     return acted
 
 
@@ -542,15 +540,14 @@ class Substrate:
 
     Holds the AS topology (site host ASes included), the facility
     registry, the letter deployments, the Atlas VP population, the
-    botnet placement, and the BGPmon collector peers.  The topology,
-    VP, botnet, and collector tables are immutable during a run; the
-    deployments (announcement state, policy state, change logs) are
-    not, so :meth:`reset` restores them to their post-construction
-    state before each reuse.  Pure caches (routing tables per
-    announcement state in each prefix's LRU, per-origin distance
-    rows) are deliberately kept across resets -- they are functions of
-    immutable inputs, and reusing them is what makes replicate runs
-    cheap.
+    botnet placement, and the BGPmon collector peers.  A run never
+    mutates it: :func:`simulate` runs on
+    :meth:`~LetterDeployment.snapshot` copies of the deployments
+    (announcement state, site states, records).  Pure caches (routing
+    tables per announcement state in each prefix's LRU, per-origin
+    distance rows) are shared with those copies -- they are functions
+    of immutable inputs, and reusing them is what makes replicate
+    runs cheap.
     """
 
     signature: tuple[object, ...]
@@ -562,11 +559,6 @@ class Substrate:
     vps: VantagePointTable
     botnet: Botnet
     collectors: BgpCollectors
-
-    def reset(self) -> None:
-        """Restore every mutable piece to its post-construction state."""
-        for letter in self.letters:
-            self.deployments[letter].reset()
 
 
 def substrate_constant_arrays(
@@ -582,9 +574,9 @@ def substrate_constant_arrays(
     compiled CSR graph view and the AS-graph geometry/distance memos),
     so the zero-copy sweep layer (:mod:`repro.sweep.shm`) exports them
     once into shared memory and every worker maps them read-only.
-    Everything *not* listed -- deployment announcement state, change
-    logs, routing caches -- is per-cell-mutable state that each worker
-    owns privately.
+    Everything *not* listed -- deployment announcement state, routing
+    records, routing caches -- is per-cell-mutable state that each
+    worker owns privately.
 
     The compiled graph view is forced into existence here so that a
     substrate exported right after :func:`build_substrate` ships its
@@ -682,12 +674,12 @@ def simulate(
     """Run the full scenario and return the dataset bundle.
 
     With a *substrate* (see :func:`build_substrate`), the expensive
-    pre-loop artifacts are reused instead of rebuilt; the substrate is
-    reset first, and the outputs are bit-identical to a fresh build.
-    The substrate must have been built for a config with the same
-    :func:`substrate_signature`.  The result holds its own copy of the
-    deployments' run state (:meth:`LetterDeployment.snapshot`), so
-    reusing the substrate leaves earlier results intact.
+    pre-loop artifacts are reused instead of rebuilt, and the outputs
+    are bit-identical to a fresh build.  The substrate must have been
+    built for a config with the same :func:`substrate_signature`.  The
+    run works on its own copies of the deployments
+    (:meth:`LetterDeployment.snapshot`) and hands them to the result,
+    so the substrate stays as built and earlier results stay intact.
     """
     if substrate is None:
         substrate = build_substrate(config)
@@ -696,16 +688,17 @@ def simulate(
             "substrate was built for a different scenario "
             "configuration (substrate signatures differ)"
         )
-    else:
-        substrate.reset()
     rngs = RngFactory(config.seed)
     grid = config.grid()
 
     topology = substrate.topology
     facilities = substrate.facilities
     specs = substrate.specs
-    deployments = substrate.deployments
     letters = substrate.letters
+    deployments = {
+        letter: substrate.deployments[letter].snapshot()
+        for letter in letters
+    }
     vps = substrate.vps
     botnet = substrate.botnet
     collectors = substrate.collectors
@@ -861,7 +854,7 @@ def simulate(
     bgp_rng = rngs.get("bgpmon.updates")
     route_changes = {
         letter: collectors.route_changes_per_bin(
-            deployments[letter].prefix,
+            deployments[letter].actions,
             grid,
             bgp_rng,
             peer_outages=faults.peer_outages if faults is not None else (),
@@ -873,9 +866,7 @@ def simulate(
         config=config,
         grid=grid,
         topology=topology,
-        deployments={
-            letter: deployments[letter].snapshot() for letter in letters
-        },
+        deployments=deployments,
         facilities=facilities,
         botnet=botnet,
         collectors=collectors,

@@ -43,7 +43,9 @@ if TYPE_CHECKING:
 
 #: First-line marker; a file not starting with this is not a checkpoint.
 FORMAT = "repro-sweep-checkpoint"
-VERSION = 1
+#: Version 2: pickled results' deployments hold routing-action records
+#: (``LetterDeployment.actions``) instead of policy and change logs.
+VERSION = 2
 
 #: Pickle protocol pinned so digests and payloads do not drift with
 #: the interpreter's default.

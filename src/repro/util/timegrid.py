@@ -187,7 +187,7 @@ class TimeGrid:
         ]
         return np.asarray(keep, dtype=np.int64)
 
-    def event_mask(self, intervals: tuple[Interval, ...] = EVENTS) -> np.ndarray:
+    def event_mask(self, intervals: tuple[Interval, ...]) -> np.ndarray:
         """Boolean mask over bins that overlap any of *intervals*."""
         mask = np.zeros(self.n_bins, dtype=bool)
         for interval in intervals:

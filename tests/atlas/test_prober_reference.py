@@ -24,6 +24,7 @@ from repro.datasets import (
     RESP_NOT_PROBED,
     RESP_TIMEOUT,
 )
+from repro.rootdns import ActionKind
 from repro.scenario.engine import build_substrate
 from repro.util.timegrid import TimeGrid
 
@@ -43,19 +44,19 @@ def substrate():
 
 
 def _tables(dep, rng):
-    """Full, half-withdrawn and fully withdrawn routing tables."""
-    dep.reset()
+    """Full, half-withdrawn and fully withdrawn routing tables, routed
+    on a copy of *dep*."""
+    dep = dep.snapshot()
     announced = [c for c in dep.site_order if dep.prefix.is_announced(c)]
     tables = [dep.routing()]
     half = rng.choice(announced, size=max(1, len(announced) // 2),
                       replace=False)
     for code in half:
-        dep.prefix.withdraw(str(code), timestamp=0.0)
+        dep.act(str(code), ActionKind.WITHDRAW, 0.0, "policy")
     tables.append(dep.routing())
     for code in announced:
-        dep.prefix.withdraw(code, timestamp=0.0)
+        dep.act(code, ActionKind.WITHDRAW, 0.0, "policy")
     tables.append(dep.routing())
-    dep.reset()
     return tables
 
 
@@ -98,11 +99,11 @@ def _record(probers, dep, tables, rng, bad_shed=()):
                 for p in probers:
                     p.record_bin(b + i, table, conditions)
         b = stop
-    dep.reset()
 
 
 def _pair(substrate, letter, seed, bad_shed=()):
-    dep = substrate.deployments[letter]
+    # _record rotates shed servers: work on a copy.
+    dep = substrate.deployments[letter].snapshot()
     rng = np.random.default_rng(seed)
     tables = _tables(dep, rng)
     probers = [

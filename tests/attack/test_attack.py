@@ -21,7 +21,7 @@ from repro.attack import (
     retry_spill,
 )
 from repro.netsim import TopologyConfig, build_topology
-from repro.rootdns import FacilityRegistry, build_deployments
+from repro.rootdns import ActionKind, FacilityRegistry, build_deployments
 from repro.util import EVENT_1, EVENT_2, Interval, utc
 
 
@@ -120,13 +120,10 @@ class TestBotnet:
 
     def test_withdrawal_moves_bot_load(self, topo, deployments):
         net = build_botnet(topo, BotnetConfig(), np.random.default_rng(1))
-        k = deployments["K"]
+        k = deployments["K"].snapshot()
         before = net.load_shares_by_site(k.routing())
-        k.prefix.set_blocked(
-            "LHR", k._blocked_set_for_partial("LHR"), 1.0
-        )
+        k.act("LHR", ActionKind.PARTIAL, 1.0, "controller")
         after = net.load_shares_by_site(k.routing())
-        k.prefix.set_blocked("LHR", frozenset(), 2.0)
         assert after.get("LHR", 0.0) < before.get("LHR", 0.0)
         assert after.get("AMS", 0.0) > before.get("AMS", 0.0)
 

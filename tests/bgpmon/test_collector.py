@@ -5,6 +5,7 @@ import pytest
 
 from repro.bgpmon import BgpCollectors, BgpmonConfig, build_collectors
 from repro.netsim import TopologyConfig, build_topology
+from repro.rootdns import ActionKind, RoutingAction
 from repro.util import TimeGrid
 
 
@@ -53,10 +54,18 @@ class TestRouteChanges:
             ],
         )
         collectors = BgpCollectors(np.asarray(stubs, dtype=np.int64))
-        prefix.withdraw("X", timestamp=650.0)   # bin 1
-        prefix.announce("X", timestamp=1850.0)  # bin 3
+        actions = [
+            RoutingAction(  # bin 1
+                650.0, "X", ActionKind.WITHDRAW, "fault",
+                prefix.set_announced("X", False),
+            ),
+            RoutingAction(  # bin 3
+                1850.0, "X", ActionKind.ANNOUNCE, "fault",
+                prefix.set_announced("X", True),
+            ),
+        ]
         counts = collectors.route_changes_per_bin(
-            prefix, grid, np.random.default_rng(1)
+            actions, grid, np.random.default_rng(1)
         )
         assert counts[1] > 0
         assert counts[3] > 0
@@ -70,14 +79,23 @@ class TestRouteChanges:
         prefix = AnycastPrefix(
             topo.graph, [Origin(site="X", asn=topo.transit_asns[0])]
         )
-        prefix.withdraw("X", timestamp=10.0)  # before the grid
+        changed = prefix.set_announced("X", False)
+        assert changed
+        actions = [
+            # Before the grid, then inside it but moving no route.
+            RoutingAction(10.0, "X", ActionKind.WITHDRAW, "fault", changed),
+            RoutingAction(
+                1100.0, "X", ActionKind.PARTIAL, "policy", frozenset()
+            ),
+        ]
         collectors = BgpCollectors(
             np.asarray(topo.stub_asns[:10], dtype=np.int64)
         )
-        counts = collectors.route_changes_per_bin(
-            prefix, grid, np.random.default_rng(1)
-        )
+        rng = np.random.default_rng(1)
+        counts = collectors.route_changes_per_bin(actions, grid, rng)
         assert counts.sum() == 0
+        # Neither record drew from the stream.
+        assert rng.random() == np.random.default_rng(1).random()
 
 
 class TestScenarioIntegration:

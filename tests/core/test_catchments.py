@@ -14,6 +14,7 @@ from repro.core import (
     site_timeseries,
     vps_per_site,
 )
+from repro.util import EVENTS
 
 
 @pytest.fixture(scope="module")
@@ -105,7 +106,7 @@ class TestCriticalEpisodes:
         episodes = critical_episodes(cleaned, "K")
         lhr = episodes.get("K-LHR")
         assert lhr is not None
-        event_mask = cleaned.grid.event_mask()
+        event_mask = cleaned.grid.event_mask(EVENTS)
         # K-LHR's critical bins fall (mostly) in/after event windows.
         assert lhr[event_mask].sum() > 0
 

@@ -5,7 +5,8 @@ The Nov 2015 windows are the paper's, not every scenario's: the June
 event windows takes them as a required argument, and callers pass
 ``ScenarioResult.event_intervals()``.  A run without events, such as
 the section 3.3.1 quiet control, has no window at all: its analyses
-return empty, flagged or NaN results instead of raising.
+return empty, flagged or NaN results instead of raising.  So does a
+run whose window ends before its events begin.
 """
 
 import inspect
@@ -26,7 +27,7 @@ from repro.core import (
     vp_timelines,
 )
 from repro.scenario.presets import QUIET_WINDOW_START, june2016_config
-from repro.util import EVENT_1
+from repro.util import EVENT_1, EVENTS
 
 WINDOW_ANALYSES = {
     collateral_sites: "events",
@@ -63,7 +64,7 @@ def test_windows_have_no_default(analysis):
 
 class TestJune2016Windows:
     def test_grid_holds_no_nov2015_bin(self, june):
-        assert not june.grid.event_mask().any()
+        assert not june.grid.event_mask(EVENTS).any()
         assert june.event_mask().any()
 
     def test_collateral(self, june, cleaned):
@@ -139,3 +140,38 @@ class TestRunWithoutEvents:
             silence_score(
                 nl_figure(quiet.nl).get(node), quiet.grid, (EVENT_1,)
             )
+
+
+@pytest.fixture(scope="module", params=[6 * 3600, 600], ids=["6h", "10min"])
+def early(request):
+    """A window that ends before the Nov 2015 events start (06:50)."""
+    return simulate(ScenarioConfig(
+        seed=6, n_stubs=40, n_vps=20, letters=("D", "K"),
+        window_seconds=request.param,
+    ))
+
+
+class TestWindowMissingItsEvents:
+    def test_has_no_windows(self, early):
+        assert len(early.config.events) == 2
+        assert early.event_intervals() == ()
+        assert not early.event_mask().any()
+
+    def test_analyses_take_the_no_event_path(self, early):
+        cleaned, _ = clean_dataset(early.atlas)
+        events = early.event_intervals()
+        assert collateral_sites(cleaned, "D", events) == []
+        fig = collateral_figure(cleaned, "D", events)
+        assert fig.series == ()
+        (flag,) = fig.quality
+        assert "no event windows" in flag.detail
+        nl = nl_figure(early.nl)
+        for node in early.nl.node_labels:
+            assert np.isnan(nl_event_minimum(early.nl, node, events))
+            assert np.isnan(silence_score(nl.get(node), early.grid, events))
+
+    def test_its_configured_windows_still_raise(self, early):
+        cleaned, _ = clean_dataset(early.atlas)
+        events = tuple(e.interval for e in early.config.events)
+        with pytest.raises(ValueError, match="does not cover"):
+            collateral_sites(cleaned, "D", events)

@@ -17,7 +17,7 @@ from repro.core import (
     flips_figure,
     vp_timelines,
 )
-from repro.util import EVENT_1
+from repro.util import EVENT_1, EVENTS
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +29,7 @@ def cleaned(dataset):
 class TestCountFlips:
     def test_flips_burst_during_events(self, cleaned):
         series = count_flips(cleaned, "K")
-        event_mask = cleaned.grid.event_mask()
+        event_mask = cleaned.grid.event_mask(EVENTS)
         event_total = series.values[event_mask].sum()
         quiet_total = series.values[~event_mask].sum()
         event_bins = int(event_mask.sum())

@@ -118,8 +118,8 @@ class TestSessionReset:
         assert baseline.truth["K"].announced[90:93, lhr].all()
 
     def test_transitions_visible_to_bgpmon(self, faulted, baseline):
-        # The withdraw and re-announce land in the change log and show
-        # up as extra observed updates around the reset bins.
+        # The withdraw and re-announce are recorded as fault actions
+        # and show up as extra observed updates around the reset bins.
         window = slice(89, 95)
         extra = faulted.route_changes["K"][window].sum()
         base = baseline.route_changes["K"][window].sum()

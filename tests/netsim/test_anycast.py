@@ -1,4 +1,4 @@
-"""Tests for anycast announcement state and change logging."""
+"""Tests for anycast announcement state and the changes edits report."""
 
 import pytest
 
@@ -37,65 +37,60 @@ class TestState:
 
     def test_withdraw_changes_catchment(self, prefix):
         assert prefix.catchment_of(5) == "A"
-        assert prefix.withdraw("A", timestamp=100.0)
+        assert prefix.set_announced("A", False)
         assert prefix.catchment_of(5) == "B"
         assert prefix.announced_sites() == {"B"}
 
     def test_withdraw_idempotent(self, prefix):
-        assert prefix.withdraw("A", timestamp=100.0)
-        assert not prefix.withdraw("A", timestamp=101.0)
-        assert len(prefix.change_log()) == 1
+        assert prefix.set_announced("A", False)
+        assert prefix.set_announced("A", False) is None
 
     def test_reannounce_restores(self, prefix):
         before = prefix.catchment_of(5)
-        prefix.withdraw("A", timestamp=100.0)
-        prefix.announce("A", timestamp=200.0)
+        prefix.set_announced("A", False)
+        prefix.set_announced("A", True)
         assert prefix.catchment_of(5) == before
 
     def test_unknown_site_raises(self, prefix):
         with pytest.raises(KeyError):
-            prefix.withdraw("Z", timestamp=0.0)
+            prefix.set_announced("Z", False)
+        with pytest.raises(KeyError):
+            prefix.set_blocked("Z", frozenset())
         with pytest.raises(KeyError):
             prefix.is_announced("Z")
         with pytest.raises(KeyError):
             prefix.origin("Z")
 
     def test_all_withdrawn_leaves_no_routes(self, prefix):
-        prefix.withdraw("A", timestamp=1.0)
-        prefix.withdraw("B", timestamp=2.0)
+        prefix.set_announced("A", False)
+        prefix.set_announced("B", False)
         assert prefix.catchment_of(5) is None
         assert len(prefix.routing()) == 0
 
 
 class TestChangeLog:
     def test_change_log_records_affected_asns(self, prefix):
-        prefix.withdraw("A", timestamp=100.0)
-        log = prefix.change_log()
-        assert len(log) == 1
-        assert log[0].timestamp == 100.0
-        # ASes 1, 3, 5 were in A's catchment and must change.
-        assert {1, 3, 5} <= log[0].changed_asns
-
-    def test_log_ordering(self, prefix):
-        prefix.withdraw("A", timestamp=100.0)
-        prefix.announce("A", timestamp=200.0)
-        times = [rec.timestamp for rec in prefix.change_log()]
-        assert times == [100.0, 200.0]
+        # ASes 1, 3, 5 were in A's catchment and must change; the
+        # change is what LetterDeployment.act records.
+        changed = prefix.set_announced("A", False)
+        assert isinstance(changed, frozenset)
+        assert {1, 3, 5} <= changed
+        assert prefix.set_announced("A", True) == changed
 
 
 class TestStateKey:
     def test_recurring_state_has_an_equal_key(self, prefix):
         key = prefix.state_key()
-        prefix.withdraw("A", timestamp=1.0)
+        prefix.set_announced("A", False)
         assert prefix.state_key() != key
-        prefix.announce("A", timestamp=2.0)
+        prefix.set_announced("A", True)
         assert prefix.state_key() == key
 
     def test_blocked_sets_are_part_of_the_key(self, prefix):
         key = prefix.state_key()
-        prefix.set_blocked("A", frozenset({3}), timestamp=1.0)
+        prefix.set_blocked("A", frozenset({3}))
         assert prefix.state_key() != key
-        prefix.set_blocked("A", frozenset(), timestamp=2.0)
+        prefix.set_blocked("A", frozenset())
         assert prefix.state_key() == key
 
     def test_key_built_once_and_shared_with_the_cache(self, prefix):
@@ -103,12 +98,6 @@ class TestStateKey:
         prefix.routing()
         assert prefix.state_key() is key
         assert next(iter(prefix._cache)) is key
-
-    def test_reset_restores_the_initial_key(self, prefix):
-        key = prefix.state_key()
-        prefix.withdraw("B", timestamp=1.0)
-        prefix.reset()
-        assert prefix.state_key() == key
 
 
 class TestCacheLru:
@@ -129,26 +118,26 @@ class TestCacheLru:
     def test_cache_stays_bounded(self):
         prefix = self._make_prefix(cache_size=2)
         # Cycle through 4 distinct announcement states.
-        prefix.routing()                      # {A, B}
-        prefix.withdraw("A", timestamp=1.0)   # {B}
-        prefix.withdraw("B", timestamp=2.0)   # {}
-        prefix.announce("A", timestamp=3.0)   # {A}
+        prefix.routing()                  # {A, B}
+        prefix.set_announced("A", False)  # {B}
+        prefix.set_announced("B", False)  # {}
+        prefix.set_announced("A", True)   # {A}
         assert len(prefix._cache) <= 2
 
     def test_eviction_preserves_routing_outputs(self):
         # A tiny cache forces evictions while a large one never
-        # evicts; the observable outputs (catchments, change log) must
-        # be identical -- only the table objects may differ.
+        # evicts; the observable outputs (catchments, changed ASes)
+        # must be identical -- only the table objects may differ.
         def drive(prefix):
             seen = []
+            changes = []
             schedule = [
                 ("A", False), ("B", False), ("A", True),
                 ("B", True), ("A", False), ("A", True),
             ]
-            for t, (site, up) in enumerate(schedule):
-                prefix.set_announced(site, up, timestamp=float(t))
+            for site, up in schedule:
+                changes.append(prefix.set_announced(site, up))
                 seen.append(prefix.routing().catchments())
-            changes = [rec.changed_asns for rec in prefix.change_log()]
             return seen, changes
 
         small = drive(self._make_prefix(cache_size=1))
@@ -161,9 +150,9 @@ class TestCacheLru:
         prefix = self._make_prefix(cache_size=1)
         full = prefix.routing()
         key = prefix.state_key()
-        prefix.withdraw("A", timestamp=1.0)   # evicts {A, B}
+        prefix.set_announced("A", False)  # evicts {A, B}
         prefix.routing()
-        prefix.announce("A", timestamp=2.0)   # recompute {A, B}
+        prefix.set_announced("A", True)   # recompute {A, B}
         assert prefix.routing() is not full
         assert prefix.routing().routes() == full.routes()
         # ... but the same state key, which epoch numbering uses.
@@ -171,12 +160,12 @@ class TestCacheLru:
 
     def test_recency_keeps_hot_state(self):
         prefix = self._make_prefix(cache_size=2)
-        prefix.routing()                      # {A, B} cached
-        prefix.withdraw("A", timestamp=1.0)   # {B} cached
-        prefix.announce("A", timestamp=2.0)   # {A, B} hit, refreshed
+        prefix.routing()                  # {A, B} cached
+        prefix.set_announced("A", False)  # {B} cached
+        prefix.set_announced("A", True)   # {A, B} hit, refreshed
         full = prefix.routing()
-        prefix.withdraw("B", timestamp=3.0)   # {A} evicts {B}, not {A, B}
-        prefix.announce("B", timestamp=4.0)
+        prefix.set_announced("B", False)  # {A} evicts {B}, not {A, B}
+        prefix.set_announced("B", True)
         assert prefix.routing() is full
 
     def test_rejects_nonpositive_cache_size(self, prefix):
@@ -198,17 +187,8 @@ class TestInitiallyWithdrawn:
         standby = self._make_prefix(prefix.graph, frozenset({"A"}))
         assert standby.announced_sites() == {"B"}
         assert standby.catchment_of(5) == "B"
-        assert standby.change_log() == []
-
-    def test_reset_restores_the_initial_state(self, prefix):
-        standby = self._make_prefix(prefix.graph, frozenset({"A"}))
-        key = standby.state_key()
-        standby.announce("A", timestamp=1.0)
-        standby.withdraw("B", timestamp=2.0)
-        standby.reset()
-        assert standby.announced_sites() == {"B"}
-        assert standby.state_key() == key
-        assert standby.change_log() == []
+        # Withdrawn from the start: withdrawing again changes nothing.
+        assert standby.set_announced("A", False) is None
 
     def test_rejects_unknown_sites(self, prefix):
         with pytest.raises(ValueError, match="Z"):

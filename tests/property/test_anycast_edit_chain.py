@@ -1,4 +1,5 @@
-"""``AnycastPrefix.routing()`` equals the scalar reference after every edit.
+"""``AnycastPrefix.routing()`` equals the scalar reference after every
+edit, and ``LetterDeployment.act`` records exactly the changes it makes.
 
 ``routing()`` serves an announcement state from the per-prefix LRU
 or from a fresh :func:`propagate`; both must hand back the routes
@@ -6,13 +7,20 @@ or from a fresh :func:`propagate`; both must hand back the routes
 announced origins in site-sorted order -- same routes, same iteration
 order, same catchments.  Hypothesis draws the topology, an origin pool
 with unique sites, a set of sites that start withdrawn and a chain of
-withdraw / announce / ``set_blocked`` edits.  The chain runs twice:
+``set_announced`` / ``set_blocked`` edits.  The chain runs twice:
 behind a one-entry LRU (every revisit is an eviction and a recompute)
-and behind a roomy LRU (every revisit is a hit).  Each change-log
-record must name exactly the ASes whose reference route changed
-between the two states.
+and behind a roomy LRU (every revisit is a hit).  Each edit must
+report exactly the ASes whose reference route changed between the
+two states, and ``None`` for a no-op.
+
+``TestActChain`` drives random withdraw / announce / partial / restore
+chains with random causes through ``act`` on H- and K-Root
+deployments: one record per change, none for a no-op, each naming the
+ASes whose route differs between the tables before and after.
 """
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +28,13 @@ from repro.netsim import bgp_reference
 from repro.netsim.anycast import AnycastPrefix
 from repro.netsim.asgraph import ASGraph, AsNode, Relationship
 from repro.netsim.bgp import Origin, Route, Scope
+from repro.netsim.topology import TopologyConfig, build_topology
+from repro.rootdns.deployment import (
+    ActionKind,
+    RoutingAction,
+    build_deployments,
+)
+from repro.rootdns.letters import LETTERS_SPEC
 from repro.util import Location
 
 from .test_bgp_kernel import assert_tables_identical, reference_changes
@@ -90,27 +105,22 @@ def reference_routes(
 
 
 def run_chain(graph, prefix, chain):
-    assert prefix.change_log() == []
     previous = reference_routes(graph, prefix)
     assert_tables_identical(prefix.routing(), previous)
     for step, (kind, site, blocked) in enumerate(chain, start=1):
-        logged = len(prefix.change_log())
-        if kind == "withdraw":
-            prefix.withdraw(site, timestamp=float(step))
-        elif kind == "announce":
-            prefix.announce(site, timestamp=float(step))
+        if kind == "block":
+            no_op = prefix.blocked_neighbors(site) == blocked
+            reported = prefix.set_blocked(site, blocked)
         else:
-            prefix.set_blocked(site, blocked, timestamp=float(step))
+            up = kind == "announce"
+            no_op = prefix.is_announced(site) == up
+            reported = prefix.set_announced(site, up)
         expected = reference_routes(graph, prefix)
         assert_tables_identical(prefix.routing(), expected)
-        changed = reference_changes(previous, expected)
-        log = prefix.change_log()
-        if changed:
-            assert len(log) == logged + 1, step
-            assert log[-1].timestamp == float(step)
-            assert log[-1].changed_asns == frozenset(changed), step
+        if no_op:
+            assert reported is None, step
         else:
-            assert len(log) == logged, step
+            assert reported == reference_changes(previous, expected), step
         previous = expected
 
 
@@ -153,3 +163,68 @@ class TestEditChain:
                 ),
                 chain,
             )
+
+
+CAUSES = ("policy", "controller", "fault")
+
+
+@pytest.fixture(scope="module")
+def deployments():
+    """H-Root (a standby site) and K-Root (partial-withdraw sites)."""
+    topology = build_topology(
+        TopologyConfig(n_stubs=40), np.random.default_rng(3)
+    )
+    return build_deployments(
+        topology, letters={L: LETTERS_SPEC[L] for L in ("H", "K")}
+    )
+
+
+def _site_state(dep, site):
+    return (
+        dep.prefix.is_announced(site),
+        dep.prefix.blocked_neighbors(site),
+        dep.states[site].partial,
+    )
+
+
+class TestActChain:
+    @settings(max_examples=60, deadline=None)
+    @given(edits=st.data())
+    def test_one_record_per_change(self, deployments, edits):
+        letter = edits.draw(st.sampled_from(["H", "K"]), label="letter")
+        dep = deployments[letter].snapshot()
+        n_edits = edits.draw(
+            st.integers(min_value=1, max_value=8), label="edit count"
+        )
+        for step in range(n_edits):
+            site = edits.draw(st.sampled_from(dep.site_order), label="site")
+            action = edits.draw(st.sampled_from(list(ActionKind)))
+            cause = edits.draw(st.sampled_from(CAUSES), label="cause")
+            state = _site_state(dep, site)
+            before = dep.routing().routes()
+            records = list(dep.actions)
+            changed = dep.act(site, action, float(step), cause)
+            after = dep.routing().routes()
+
+            up, blocked, partial = _site_state(dep, site)
+            providers = frozenset(
+                dep.topology.graph.providers(dep.host_asns[site])
+            )
+            if action is ActionKind.WITHDRAW or action is ActionKind.ANNOUNCE:
+                assert up == (action is ActionKind.ANNOUNCE)
+            else:
+                assert partial == (action is ActionKind.PARTIAL)
+                assert blocked == (providers if partial else frozenset())
+            assert changed == ((up, blocked) != state[:2])
+            if changed:
+                assert dep.actions == records + [
+                    RoutingAction(
+                        float(step), site, action, cause,
+                        frozenset(reference_changes(before, after)),
+                    )
+                ]
+            else:
+                assert dep.actions == records
+                assert after == before
+        # The fixture's deployment never saw the chain.
+        assert not deployments[letter].actions

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from repro.attack.botnet import Botnet
 from repro.attack.workload import legit_share_vector
 from repro.netsim.topology import TopologyConfig, build_topology
-from repro.rootdns.deployment import build_deployments
+from repro.rootdns.deployment import ActionKind, build_deployments
 from repro.rootdns.letters import LETTERS_SPEC
 from repro.util.rng import component_rng
 
@@ -76,7 +76,7 @@ def test_legit_shares_sum_to_one_per_epoch(seed, n_stubs, data):
     # Subsequent epochs: withdraw one site at a time, as the policy
     # controllers do, and re-check conservation in each state.
     for epoch, code in enumerate(order, start=1):
-        deployment.prefix.withdraw(code, timestamp=float(epoch))
+        deployment.act(code, ActionKind.WITHDRAW, float(epoch), "policy")
         _assert_conserved(
             deployment.prefix.routing(), topology, deployment
         )
@@ -95,7 +95,7 @@ def test_botnet_shares_sum_to_routed_weight(seed, n_stubs, data):
         label="withdrawn sites",
     )
     for code in sorted(withdrawn):
-        deployment.prefix.withdraw(code, timestamp=0.0)
+        deployment.act(code, ActionKind.WITHDRAW, 0.0, "policy")
     table = deployment.prefix.routing()
 
     member_asns = data.draw(

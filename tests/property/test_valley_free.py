@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.netsim.asgraph import ASGraph, Relationship
 from repro.netsim.topology import TopologyConfig, build_topology
-from repro.rootdns.deployment import build_deployments
+from repro.rootdns.deployment import ActionKind, build_deployments
 from repro.rootdns.letters import LETTERS_SPEC
 from repro.util.rng import component_rng
 
@@ -65,7 +65,7 @@ def test_selected_routes_are_valley_free(seed, n_stubs, letter, data):
         label="withdrawn sites",
     )
     for code in sorted(withdrawn):
-        deployment.prefix.withdraw(code, timestamp=0.0)
+        deployment.act(code, ActionKind.WITHDRAW, 0.0, "policy")
 
     table = deployment.prefix.routing()
     graph = topology.graph

@@ -200,7 +200,7 @@ class TestWholeRoot:
         assert hit_ratio > 0.8
 
     def test_lookup_latency_bumps_during_events(self, scenario, outcome):
-        mask = scenario.grid.event_mask()
+        mask = scenario.event_mask()
         latency = outcome.mean_lookup_latency_ms
         quiet = float(np.nanmedian(latency[~mask]))
         during = float(np.nanmedian(latency[mask]))
@@ -222,7 +222,7 @@ class TestWholeRoot:
         outcome = run_whole_root(
             scenario, config, np.random.default_rng(6)
         )
-        mask = scenario.grid.event_mask()
+        mask = scenario.event_mask()
         attacked = sum(
             outcome.letter_successes[L] for L in ("B", "H")
         )

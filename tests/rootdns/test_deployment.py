@@ -5,6 +5,7 @@ import pytest
 
 from repro.netsim import TopologyConfig, build_topology
 from repro.rootdns import (
+    ActionKind,
     FacilityRegistry,
     LETTERS_SPEC,
     LetterDeployment,
@@ -156,7 +157,10 @@ class TestPolicyLoop:
         steps = [k.apply_policies(calm, False, 200.0 + i) for i in range(6)]
         # Calm bins log nothing until the restore.
         assert steps.count(True) == 1 and steps[-1]
-        assert [e.action for e in k.policy_log] == ["partial", "restore"]
+        assert [(r.action, r.cause) for r in k.actions] == [
+            (ActionKind.PARTIAL, "policy"),
+            (ActionKind.RESTORE, "policy"),
+        ]
 
     def test_standby_activates_and_deactivates(self, topo):
         h = self._fresh(topo, "H")
@@ -173,9 +177,10 @@ class TestPolicyLoop:
     def test_policy_log_records_actions(self, topo):
         h = self._fresh(topo, "H")
         h.apply_policies(_rho(h, {"BWI": 12.0}), True, 100.0)
-        actions = [(e.site, e.action) for e in h.policy_log]
-        assert ("BWI", "withdraw") in actions
-        assert ("SAN", "announce") in actions
+        actions = [(r.timestamp, r.site, r.action) for r in h.actions]
+        assert (100.0, "BWI", ActionKind.WITHDRAW) in actions
+        assert (100.0, "SAN", ActionKind.ANNOUNCE) in actions
+        assert {r.cause for r in h.actions} == {"policy"}
 
     def test_unknown_site_raises(self, topo):
         k = self._fresh(topo, "K")
@@ -184,23 +189,27 @@ class TestPolicyLoop:
         with pytest.raises(KeyError):
             k.site_spec("ZZZ")
 
-    def test_set_partial_blocks_and_restores(self, topo):
+    def test_act_partial_blocks_and_restores(self, topo):
         k = self._fresh(topo, "K")
         providers = frozenset(
             k.topology.graph.providers(k.host_asns["LHR"])
         )
-        assert k.set_partial("LHR", True, 100.0)
+        assert k.act("LHR", ActionKind.PARTIAL, 100.0, "controller")
         assert k.state("LHR").partial
         assert k.prefix.blocked_neighbors("LHR") == providers
         assert not k.is_quiet()
-        # Repeating an action changes nothing.
-        assert not k.set_partial("LHR", True, 101.0)
-        assert k.set_partial("LHR", False, 102.0)
+        # Repeating an action changes nothing and records nothing.
+        assert not k.act("LHR", ActionKind.PARTIAL, 101.0, "controller")
+        assert k.act("LHR", ActionKind.RESTORE, 102.0, "controller")
         assert not k.state("LHR").partial
         assert k.prefix.blocked_neighbors("LHR") == frozenset()
         assert k.is_quiet()
-        # Unlike apply_policies, the method logs no policy event.
-        assert not k.policy_log
+        assert [(r.timestamp, r.action, r.cause) for r in k.actions] == [
+            (100.0, ActionKind.PARTIAL, "controller"),
+            (102.0, ActionKind.RESTORE, "controller"),
+        ]
+        # The restore moves back exactly the routes the partial moved.
+        assert k.actions[0].changed_asns == k.actions[1].changed_asns
 
 
 class TestStandby:
@@ -210,33 +219,36 @@ class TestStandby:
         )
         h = LetterDeployment(LETTERS_SPEC["H"], topo)
         assert not h.prefix.is_announced("SAN")
-        assert not h.prefix.change_log()
+        assert not h.actions
+        initial = h.snapshot()
         h.apply_policies(_rho(h, {"BWI": 12.0}), True, 100.0)
         assert h.prefix.is_announced("SAN")
-        assert h.prefix.change_log()
-        h.reset()
-        assert not h.prefix.is_announced("SAN")
-        assert h.prefix.is_announced("BWI")
-        assert not h.prefix.change_log()
+        assert h.actions
+        assert not initial.prefix.is_announced("SAN")
+        assert initial.prefix.is_announced("BWI")
+        assert not initial.actions
 
 
 class TestSnapshot:
-    def test_snapshot_survives_reset(self):
+    def test_snapshot_keeps_its_own_run_state(self):
         topo = build_topology(
             TopologyConfig(n_stubs=200), np.random.default_rng(9)
         )
         k = LetterDeployment(LETTERS_SPEC["K"], topo)
-        # A partial withdraw.
+        initial = k.snapshot()
+        # A partial withdraw, then a fault flap.
         k.apply_policies(_rho(k, {"LHR": 5.0}), True, 100.0)
-        k.prefix.withdraw("AMS", 101.0)
-        log, changes = list(k.policy_log), k.prefix.change_log()
+        k.act("AMS", ActionKind.WITHDRAW, 101.0, "fault")
         saved = k.snapshot()
-        k.reset()
-        assert not k.policy_log and not k.prefix.change_log()
-        assert not k.state("LHR").partial
-        assert k.prefix.is_announced("AMS")
-        assert saved.policy_log == log
-        assert saved.prefix.change_log() == changes
+        records = list(k.actions)
+        k.act("AMS", ActionKind.ANNOUNCE, 102.0, "fault")
+        k.act("LHR", ActionKind.RESTORE, 103.0, "controller")
+        # The earlier copies see none of the later changes.
+        assert not initial.actions
+        assert not initial.state("LHR").partial
+        assert not initial.prefix.blocked_neighbors("LHR")
+        assert initial.prefix.is_announced("AMS")
+        assert saved.actions == records == k.actions[:2]
         assert saved.state("LHR").partial
         assert saved.prefix.blocked_neighbors("LHR")
         assert not saved.prefix.is_announced("AMS")

@@ -119,8 +119,8 @@ class TestHeadlineDynamics:
             assert self._worst_fraction(scenario, letter) > 0.9
 
     def test_h_root_fails_over_and_back(self, scenario):
-        log = [(e.site, e.action) for e in
-               scenario.deployments["H"].policy_log]
+        log = [(r.site, r.action.value) for r in
+               scenario.deployments["H"].actions if r.cause == "policy"]
         assert log.count(("BWI", "withdraw")) == 2   # both events
         assert log.count(("SAN", "announce")) == 2
         assert log.count(("BWI", "announce")) == 2   # recovered twice
@@ -135,8 +135,8 @@ class TestHeadlineDynamics:
         assert e.prefix.is_announced("FRA")
 
     def test_k_root_partial_withdrawals(self, scenario):
-        log = [(e.site, e.action) for e in
-               scenario.deployments["K"].policy_log]
+        log = [(r.site, r.action.value) for r in
+               scenario.deployments["K"].actions if r.cause == "policy"]
         assert ("LHR", "partial") in log
         assert ("FRA", "partial") in log
         assert ("LHR", "restore") in log
@@ -169,7 +169,7 @@ class TestHeadlineDynamics:
 
     def test_nl_nodes_silenced(self, scenario):
         normalized = scenario.nl.normalized_series()
-        mask = scenario.grid.event_mask()
+        mask = scenario.event_mask()
         # The two co-located nodes drop to nearly nothing (Fig. 15).
         for i in range(2):
             assert normalized[mask, i].min() < 0.25
@@ -181,6 +181,6 @@ class TestHeadlineDynamics:
         # Fig. 7: overloaded K sites answer with seconds of delay.
         truth = scenario.truth["K"]
         ams = truth.site_codes.index("AMS")
-        mask = scenario.grid.event_mask()
+        mask = scenario.event_mask()
         assert truth.delay_ms[mask, ams].max() > 800.0
         assert truth.delay_ms[~mask, ams].max() < 100.0

@@ -97,11 +97,17 @@ def _assert_same(result, reference):
     assert not mismatches, mismatches
     assert result.quality == reference.quality
     for letter in result.letters:
-        ours = result.deployments[letter]
-        theirs = reference.deployments[letter]
-        assert ours.policy_log == theirs.policy_log
-        # Controller actions never reach policy_log.
-        assert ours.prefix.change_log() == theirs.prefix.change_log()
+        # Every routing action: time, site, kind, cause and the ASes
+        # it moved.
+        assert (
+            result.deployments[letter].actions
+            == reference.deployments[letter].actions
+        )
+
+
+def _route_changes(deployment):
+    """The records of *deployment*'s actions that moved a route."""
+    return [r for r in deployment.actions if r.changed_asns]
 
 
 def _assert_equivalent(config):
@@ -297,7 +303,7 @@ class TestControllerEquivalence:
         acted = [
             letter
             for letter in ATTACKED_LETTERS
-            if len(result.deployments[letter].prefix.change_log()) > 1
+            if len(_route_changes(result.deployments[letter])) > 1
         ]
         assert len(acted) >= 5, acted
 
@@ -315,7 +321,7 @@ class TestControllerEquivalence:
             )
 
         result = _assert_equivalent_runs(make_config)
-        assert len(result.deployments["K"].prefix.change_log()) > 1
+        assert len(_route_changes(result.deployments["K"])) > 1
 
     def test_scripted_actions(self):
         """Every action kind, in quiet bins, event bins and the last
@@ -352,7 +358,8 @@ class TestControllerEquivalence:
         states = result.deployments["K"].states
         assert states["LHR"].partial
         assert not result.deployments["K"].prefix.is_announced("AMS")
-        assert not result.deployments["K"].policy_log
+        causes = {r.cause for r in result.deployments["K"].actions}
+        assert causes == {"controller"}
 
     def test_controllers_beside_policy_letters(self):
         """Controller letters interleave with policy letters (E, F, H
@@ -373,8 +380,9 @@ class TestControllerEquivalence:
 
         result = _assert_equivalent_runs(make_config)
         for letter in ("E", "F", "H"):
-            assert result.deployments[letter].policy_log, letter
-        assert len(result.deployments["K"].prefix.change_log()) > 1
+            causes = {r.cause for r in result.deployments[letter].actions}
+            assert causes == {"policy"}, letter
+        assert len(_route_changes(result.deployments["K"])) > 1
 
     def test_controlled_determinism_scenario(self):
         """The determinism gate's controller scenario."""
@@ -415,9 +423,9 @@ class TestPolicyGrids:
         seen = set()
         for result, _ in policy_grids.values():
             for letter, dep in result.deployments.items():
-                for event in dep.policy_log:
-                    standby = not dep.site_spec(event.site).initially_announced
-                    seen.add((event.action, standby))
+                for r in dep.actions:
+                    standby = not dep.site_spec(r.site).initially_announced
+                    seen.add((r.action.value, standby))
         assert {
             ("withdraw", False),
             ("announce", True),

@@ -89,7 +89,7 @@ class TestEventMask:
         )
         assert not result.event_mask().any()
         # And no policy ever fires.
-        assert not result.deployments["K"].policy_log
+        assert not result.deployments["K"].actions
 
 
 class TestControllerPlumbing:
@@ -118,8 +118,9 @@ class TestControllerPlumbing:
             )
         )
         # K is frozen by its controller; H's static policies still run.
-        assert not result.deployments["K"].policy_log
-        assert result.deployments["H"].policy_log
+        assert not result.deployments["K"].actions
+        h_causes = {r.cause for r in result.deployments["H"].actions}
+        assert h_causes == {"policy"}
 
     def test_partial_and_restore_actions(self):
         from repro.defense import Action, ActionKind

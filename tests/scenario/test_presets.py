@@ -64,6 +64,6 @@ class TestJune2016Scenario:
         assert dates[-2:] == ["2016-06-24", "2016-06-25"]
 
     def test_policies_still_fire(self, result):
-        log = [(e.site, e.action) for e in
-               result.deployments["K"].policy_log]
+        log = [(r.site, r.action.value) for r in
+               result.deployments["K"].actions if r.cause == "policy"]
         assert ("LHR", "partial") in log

@@ -1,9 +1,11 @@
 """Substrate reuse must be bit-identical to a fresh build.
 
 The sweep engine's per-worker cache rests entirely on this contract:
-``simulate(config, substrate)`` after ``substrate.reset()`` produces
-exactly the outputs of ``simulate(config)`` -- including policy churn,
-standby activation, BGP change logs, and fault resolution.
+``simulate(config, substrate)`` on a substrate that already ran
+produces exactly the outputs of ``simulate(config)`` -- including
+policy churn, standby activation, BGP route changes, and fault
+resolution -- because a run works on copies of the deployments and
+leaves the substrate as built.
 """
 
 import dataclasses
@@ -32,9 +34,9 @@ from check_determinism import controlled_config, faulted_config  # noqa: E402
 
 @pytest.fixture(scope="module")
 def config():
-    # H brings a standby site (reset must restore it withdrawn), and
-    # K's site hosts join the graph after H's; K brings partial
-    # withdrawal churn.
+    # H brings a standby site (a reused substrate must still hold it
+    # withdrawn), and K's site hosts join the graph after H's; K brings
+    # partial withdrawal churn.
     return ScenarioConfig(
         seed=11, n_stubs=60, n_vps=30, letters=("H", "K"),
         include_nl=True,
@@ -115,6 +117,32 @@ class TestSubstrateReuse:
         assert not diff_arrays(
             fresh, result_arrays(simulate(config, substrate))
         )
+
+
+class TestRunLeavesSubstrateUntouched:
+    @pytest.mark.parametrize(
+        "make_config",
+        [faulted_config, controlled_config],
+        ids=["faulted", "controlled"],
+    )
+    def test_deployments_stay_as_built(self, make_config):
+        substrate = build_substrate(make_config())
+        result = simulate(make_config(), substrate)
+        assert all(result.deployments[L].actions for L in ("H", "K"))
+        built = build_substrate(make_config()).deployments
+        for letter, ran in substrate.deployments.items():
+            fresh = built[letter]
+            assert ran is not result.deployments[letter]
+            assert (
+                ran.prefix.announced_sites()
+                == fresh.prefix.announced_sites()
+            )
+            for code in fresh.site_order:
+                assert ran.prefix.blocked_neighbors(
+                    code
+                ) == fresh.prefix.blocked_neighbors(code), (letter, code)
+            assert ran.states == fresh.states, letter
+            assert ran.actions == fresh.actions == [], letter
 
 
 class TestRoutingCacheBound:

@@ -132,16 +132,14 @@ class TestStatefulControllers:
 
 
 def _logs(result, letter):
-    deployment = result.deployments[letter]
-    return deployment.policy_log, deployment.prefix.change_log()
+    return result.deployments[letter].actions
 
 
 class TestResultIsolation:
     def test_serial_results_keep_their_own_logs(self):
-        """A serial sweep reuses one substrate, and each cell's reset
-        clears its deployments in place: every result must hold its
-        own copy of the policy and route-change logs, agreeing with the
-        pool run and with a standalone simulate of the same cell."""
+        """A serial sweep reuses one substrate: every result must hold
+        its own routing-action records, agreeing with the pool run and
+        with a standalone simulate of the same cell."""
         base = ScenarioConfig(
             seed=7, n_stubs=80, n_vps=40, letters=("H", "K"),
             include_nl=False,
@@ -153,7 +151,7 @@ class TestResultIsolation:
         for cell in spec.cells():
             standalone = simulate(cell.config)
             if cell.config.events:
-                assert standalone.deployments["H"].policy_log
+                assert standalone.deployments["H"].actions
             for sweep in sweeps.values():
                 result = sweep.results[cell.index]
                 for letter in result.letters:
@@ -219,5 +217,9 @@ class TestJobsParity:
             assert not diff_arrays(result_arrays(a), result_arrays(b))
         # The oracle acts: K changes routes beyond the session reset's
         # two flaps.
-        k_changes = serial.results[0].deployments["K"].prefix.change_log()
+        k_changes = [
+            record
+            for record in serial.results[0].deployments["K"].actions
+            if record.changed_asns
+        ]
         assert len(k_changes) > 2

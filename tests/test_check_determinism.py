@@ -7,6 +7,7 @@ perturbed run must be caught -- proving the gate can actually fail,
 not just pass.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -65,6 +66,16 @@ def test_perturbed_run_is_caught(baseline_run):
     assert mismatches, "a different seed must not produce identical outputs"
     # The diff names concrete outputs, not just a boolean.
     assert any("/" in name for name in mismatches)
+
+
+def test_record_only_difference_is_caught(baseline_run):
+    """Two runs whose arrays agree but whose routing-action records do
+    not (here only one record's cause) must fail the gate."""
+    repeat = simulate(small_config())
+    records = repeat.deployments["K"].actions
+    assert records
+    records[0] = dataclasses.replace(records[0], cause="fault")
+    assert compare_runs(baseline_run, repeat) == ["deployments/K/actions"]
 
 
 def test_diff_is_symmetric(baseline_run):

@@ -1,5 +1,7 @@
 """Tests for the anycast-ddos command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import ANALYSES, build_parser, main
@@ -153,3 +155,35 @@ class TestUsageErrors:
         line = self._usage_error(["sweep", "--axis", "bogus"], capsys)
         assert "argument --axis" in line
         assert "'bogus'" in line
+
+
+#: Files that are not version-2 checkpoints, and the one-line error
+#: each must produce.
+UNUSABLE_CHECKPOINTS = {
+    "garbage": ("garbage\n", "checkpoint {} has an unparsable header"),
+    "version-1": (
+        json.dumps({"format": "repro-sweep-checkpoint", "version": 1})
+        + "\n",
+        "{} is not a version-2 sweep checkpoint",
+    ),
+}
+
+
+class TestCheckpointErrors:
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--resume"])
+    @pytest.mark.parametrize("kind", sorted(UNUSABLE_CHECKPOINTS))
+    def test_unusable_checkpoint_is_one_error_line(
+        self, tmp_path, capsys, flag, kind
+    ):
+        content, message = UNUSABLE_CHECKPOINTS[kind]
+        path = tmp_path / "sweep.ckpt"
+        path.write_text(content)
+        code = main([
+            "sweep", "--stubs", "50", "--vps", "30", "--letters", "K",
+            "--quiet", flag, str(path),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "rror" in line]
+        assert errors == [f"error: {message.format(path)}"]

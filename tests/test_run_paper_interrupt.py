@@ -1,6 +1,8 @@
-"""`scripts/run_paper.py` interrupt behaviour: exit 130, no traceback."""
+"""`scripts/run_paper.py` interrupt and checkpoint errors: exit 130 or
+2, no traceback."""
 
 import importlib
+import json
 import pathlib
 import sys
 
@@ -62,3 +64,31 @@ class TestInterruptExitCode:
             _args(tmp_path, "--resume", str(tmp_path / "nope.ckpt"))
         )
         assert code == 2
+
+
+class TestCheckpointErrors:
+    @pytest.mark.parametrize("flag", ["--checkpoint", "--resume"])
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            ("garbage\n", "checkpoint {} has an unparsable header"),
+            (
+                json.dumps(
+                    {"format": "repro-sweep-checkpoint", "version": 1}
+                ) + "\n",
+                "{} is not a version-2 sweep checkpoint",
+            ),
+        ],
+        ids=["garbage", "version-1"],
+    )
+    def test_unusable_checkpoint_is_one_error_line(
+        self, run_paper, tmp_path, capsys, flag, content, message
+    ):
+        path = tmp_path / "sweep.ckpt"
+        path.write_text(content)
+        assert run_paper.main(_args(tmp_path, flag, str(path))) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if "rror" in line]
+        assert errors == [f"error: {message.format(path)}"]
+        assert not (tmp_path / "out").exists()

@@ -35,9 +35,10 @@ class TestSection22:
 
     def test_both_policies_occur_in_the_event(self, scenario):
         actions = {
-            e.action
+            r.action.value
             for dep in scenario.deployments.values()
-            for e in dep.policy_log
+            for r in dep.actions
+            if r.cause == "policy"
         }
         assert "withdraw" in actions   # E's sites, H's primary
         assert "partial" in actions    # K-LHR / K-FRA

@@ -10,6 +10,7 @@ from repro.util import (
     EVENT_2,
     EVENT_WINDOW_SECONDS,
     EVENT_WINDOW_START,
+    EVENTS,
     Interval,
     TimeGrid,
     utc,
@@ -118,7 +119,7 @@ class TestTimeGrid:
 
     def test_event_mask_covers_events(self):
         grid = TimeGrid.paper_window()
-        mask = grid.event_mask()
+        mask = grid.event_mask(EVENTS)
         assert mask[grid.bin_index(EVENT_1.start)]
         assert mask[grid.bin_index(EVENT_2.start)]
         assert mask.sum() == pytest.approx((160 + 60) / 10, abs=2)
@@ -137,7 +138,7 @@ class TestTimeGrid:
         # The paper's second event lies past a six-hour window.
         short = TimeGrid(start=EVENT_1.start - 3600, bin_seconds=600,
                          n_bins=36)
-        assert short.event_mask().sum() == 16
+        assert short.event_mask(EVENTS).sum() == 16
 
     def test_validation(self):
         with pytest.raises(ValueError):
