@@ -14,7 +14,7 @@ from pathlib import Path
 from repro import ScenarioConfig, simulate
 from repro.core import event_size_table, letter_event_size
 from repro.rootdns import ATTACKED_LETTERS, RSSAC_REPORTING_LETTERS
-from repro.rssac import load_reports, save_reports
+from repro.rssac.serialize import load_reports, save_reports
 
 
 def main() -> None:

@@ -256,6 +256,15 @@ def main(argv: list[str] | None = None) -> int:
              "match the original run)",
     )
     args = parser.parse_args(argv)
+    for flag, value, low in (
+        ("--seed", args.seed, 0),
+        ("--stubs", args.stubs, 1),
+        ("--vps", args.vps, 1),
+        ("--jobs", args.jobs, 1),
+        ("--replicates", args.replicates, 1),
+    ):
+        if value < low:
+            parser.error(f"{flag} must be >= {low}, got {value}")
 
     checkpoint = args.resume or args.checkpoint
     if args.resume and not pathlib.Path(args.resume).exists():

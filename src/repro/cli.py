@@ -197,6 +197,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         summaries_records,
     )
 
+    for flag, value in (
+        ("--jobs", args.jobs), ("--replicates", args.replicates)
+    ):
+        if value < 1:
+            args.parser.error(f"{flag} must be >= 1, got {value}")
     checkpoint = args.checkpoint
     if args.resume:
         # The checkpoint header carries the full pickled spec, so a

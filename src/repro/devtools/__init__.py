@@ -43,19 +43,10 @@ noqa DET001 -- reason``; purity exemptions live in one allowlist file
 analysis cannot see, the runtime sanitizer (:mod:`.sanitize`,
 ``REPRO_SANITIZE=1``) catches at the site: frozen shared arrays and
 per-stream RNG draw accounting.
+
+The package imports none of its modules: the engine and the sweep
+worker import :mod:`.sanitize` on every run and need nothing else.
+Import the linter API from the module that defines it: ``lint_paths``
+and ``lint_source`` from :mod:`.runner`; ``Rule``, ``SourceFile``,
+``Violation``, ``all_rules`` and ``register`` from :mod:`.registry`.
 """
-
-from __future__ import annotations
-
-from .registry import Rule, SourceFile, Violation, all_rules, register
-from .runner import lint_paths, lint_source
-
-__all__ = [
-    "Rule",
-    "SourceFile",
-    "Violation",
-    "all_rules",
-    "register",
-    "lint_paths",
-    "lint_source",
-]

@@ -85,7 +85,10 @@ class RecursiveResolver:
             )
         latency = 0.0
         tried: list[str] = []
-        for _ in range(self.config.max_attempts):
+        # Every attempt asks a letter not tried yet, so the retries
+        # stop once every letter has failed.
+        n_attempts = min(self.config.max_attempts, len(self.view.letters))
+        for _ in range(n_attempts):
             letter = self.selector.pick(set(tried), self.rng)
             tried.append(letter)
             ok, rtt = self.view.query(

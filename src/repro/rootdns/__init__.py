@@ -1,4 +1,9 @@
-"""Root DNS service model: letters, sites, servers, facilities."""
+"""Root DNS service model: letters, sites, servers, facilities.
+
+The wire-level root name server (``RootNameServer``, ``RootZone``),
+which answers real query packets, lives in :mod:`repro.rootdns.runtime`
+and is imported from there: the simulation never sends a packet.
+"""
 
 from .deployment import (
     ActionKind,
@@ -7,7 +12,6 @@ from .deployment import (
     build_deployments,
 )
 from .facility import FacilityMember, FacilityRegistry
-from .runtime import RootNameServer, RootZone
 from .letters import (
     ATTACKED_LETTERS,
     LETTERS_SPEC,
@@ -48,8 +52,6 @@ __all__ = [
     "LetterSpec",
     "RIPE_MEASUREMENT_IDS",
     "RSSAC_REPORTING_LETTERS",
-    "RootNameServer",
-    "RootZone",
     "RoutingAction",
     "SHARED_FACILITY_METROS",
     "ServerBehavior",

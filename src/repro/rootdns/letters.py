@@ -25,6 +25,7 @@ Calibration notes (all documented in DESIGN.md):
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,6 +210,50 @@ _SYNTH_PROFILES: dict[str, dict[str, float]] = {
 }
 
 
+def _pick_codes(
+    rng: np.random.Generator,
+    profile: dict[str, float],
+    count: int,
+    must_include: tuple[str, ...] = (),
+    exclude: tuple[str, ...] = (),
+) -> list[str]:
+    """*count* airport codes: *must_include* first, then one weighted
+    region draw per missing site.
+
+    Each region's airports are shuffled once; a draw takes the first
+    code of its region that is neither chosen nor in *exclude*, or,
+    when the region has none left, the first such code of any region.
+    Raises ``ValueError`` when the airport table runs out.
+    """
+    # Region-major deterministic ordering.
+    by_region: dict[str, list[str]] = {}
+    for code, ap in AIRPORTS.items():
+        by_region.setdefault(ap.region, []).append(code)
+    for codes in by_region.values():
+        rng.shuffle(codes)
+    chosen: list[str] = list(must_include)
+    taken = set(chosen) | set(exclude)
+    regions = sorted(profile)
+    weights = np.array([profile[r] for r in regions])
+    weights = weights / weights.sum()
+    # With ``p`` given, one size-n call reads the same n doubles from
+    # the stream as n scalar calls.  A per-site loop of scalar calls
+    # stops at the draw that finds no airport left, so that is as far
+    # as this draws too.
+    n_free = sum(code not in taken for code in AIRPORTS)
+    n_draws = max(0, min(count - len(chosen), n_free + 1))
+    for index in rng.choice(len(regions), size=n_draws, p=weights):
+        candidates = itertools.chain(
+            by_region.get(regions[index], ()), *by_region.values()
+        )
+        code = next((c for c in candidates if c not in taken), None)
+        if code is None:
+            raise ValueError(f"airport table too small for {count} sites")
+        chosen.append(code)
+        taken.add(code)
+    return chosen
+
+
 def _synth_sites(
     letter: str,
     count: int,
@@ -229,37 +274,15 @@ def _synth_sites(
     specific metros (e.g. D's Frankfurt and Sydney sites, which the
     paper shows suffering collateral damage).
     """
-    profile = _SYNTH_PROFILES[letter]
     # Seeded from the letter itself (not Python's randomised hash), so
     # the registry is identical in every process.
-    rng = np.random.default_rng(ord(letter) + 77)
-    # Region-major deterministic ordering.
-    by_region: dict[str, list[str]] = {}
-    for code, ap in AIRPORTS.items():
-        by_region.setdefault(ap.region, []).append(code)
-    for codes in by_region.values():
-        rng.shuffle(codes)
-    chosen: list[str] = list(must_include)
-    banned = set(exclude)
-    regions = sorted(profile)
-    weights = np.array([profile[r] for r in regions])
-    weights = weights / weights.sum()
-    while len(chosen) < count:
-        region = regions[rng.choice(len(regions), p=weights)]
-        pool = [
-            c for c in by_region.get(region, [])
-            if c not in chosen and c not in banned
-        ]
-        if not pool:
-            pool = [
-                c for codes in by_region.values() for c in codes
-                if c not in chosen and c not in banned
-            ]
-            if not pool:
-                raise ValueError(
-                    f"airport table too small for {letter} ({count} sites)"
-                )
-        chosen.append(pool[0])
+    chosen = _pick_codes(
+        np.random.default_rng(ord(letter) + 77),
+        _SYNTH_PROFILES[letter],
+        count,
+        must_include,
+        exclude,
+    )
     overrides = policy_overrides or {}
     couplings = coupling_overrides or {}
     servers = server_overrides or {}

@@ -1,12 +1,12 @@
-"""RSSAC-002 daily reporting simulation."""
+"""RSSAC-002 daily reporting simulation.
 
-from .serialize import (
-    RSSAC_VERSION,
-    documents_to_report,
-    load_reports,
-    report_to_documents,
-    save_reports,
-)
+Every run builds the daily reports (:mod:`.reports`).  The RSSAC-002
+YAML files operators publish are written and read by
+:mod:`repro.rssac.serialize` (``save_reports``, ``load_reports``);
+import them from there.  The package does not import that module,
+because it loads PyYAML, which no simulation or analysis needs.
+"""
+
 from .reports import (
     BASELINE_UNIQUE_SOURCES,
     DAY_SECONDS,
@@ -25,13 +25,8 @@ __all__ = [
     "DailyReport",
     "DayAccumulator",
     "FLIP_NEW_SOURCE_FRACTION",
-    "RSSAC_VERSION",
     "SIZE_BIN_WIDTH",
     "build_baseline_report",
     "build_daily_report",
-    "documents_to_report",
-    "load_reports",
-    "report_to_documents",
-    "save_reports",
     "size_bin",
 ]

@@ -67,6 +67,8 @@ class ScenarioConfig:
     faults: FaultPlan = field(default_factory=FaultPlan)
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n_stubs <= 0 or self.n_vps <= 0:
             raise ValueError("population sizes must be positive")
         if self.baseline_days < 1:

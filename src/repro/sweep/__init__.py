@@ -8,6 +8,10 @@ replicate aggregation, crash-safe checkpointing, and retry/timeout
 handling -- while guaranteeing outputs bit-identical to a serial,
 uninterrupted run.  See ``docs/architecture.md`` ("Parallel sweeps",
 "Zero-copy sweeps", and "Fault-tolerant sweeps").
+
+``multiprocessing`` and ``concurrent.futures`` load only on the pool
+path (``run_sweep(jobs > 1)`` and the shared-memory functions that
+create or attach a segment), so a serial sweep never imports them.
 """
 
 from .aggregate import CellSummary, MetricSummary, summarize

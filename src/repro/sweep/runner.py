@@ -51,13 +51,10 @@ The supervision layer leans on that:
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import signal
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -83,6 +80,8 @@ from .spec import SweepCell, SweepSpec
 from .worker import CellOutcome, init_worker, run_cells, run_cells_serial
 
 if TYPE_CHECKING:
+    from concurrent.futures import Future, ProcessPoolExecutor
+
     from ..scenario.engine import ScenarioResult
 
 #: Longest single backoff sleep, whatever the retry round.
@@ -171,6 +170,8 @@ class SweepResult:
 def default_start_method() -> str:
     """``fork`` where available (cheap, shares the loaded code), else
     ``spawn``."""
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return "fork" if "fork" in methods else "spawn"
 
@@ -420,6 +421,12 @@ def _run_pool(
     checkpoint_path: str | None,
     shm_enabled: bool,
 ) -> None:
+    # The pool stack loads here, on the one path that starts workers;
+    # a serial sweep never imports it.
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
     context = multiprocessing.get_context(
         start_method or default_start_method()
     )

@@ -52,6 +52,10 @@ contract -- shared memory is a transport optimization and must never
 be a correctness dependency.  ``REPRO_SWEEP_SHM=0`` (via
 :mod:`repro.util.env`) disables the whole layer, restoring the
 per-worker rebuild path.
+
+``multiprocessing.shared_memory`` is imported by the functions that
+create or attach a segment, so importing this module (as the sweep
+runner does on every run) does not load the process-pool stack.
 """
 
 from __future__ import annotations
@@ -61,7 +65,6 @@ import io
 import os
 import pickle
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 import numpy as np
@@ -69,6 +72,8 @@ import numpy as np
 from ..netsim.asgraph import CompiledGraph
 
 if TYPE_CHECKING:
+    from multiprocessing.shared_memory import SharedMemory
+
     from ..scenario.engine import Substrate
 
 #: /dev/shm name prefix for every segment this module creates; tests
@@ -205,7 +210,7 @@ class SharedSubstrate:
     """
 
     manifest: SubstrateManifest
-    _shm: shared_memory.SharedMemory | None
+    _shm: SharedMemory | None
 
     def close(self) -> None:
         """Unmap and unlink the segment (idempotent)."""
@@ -231,6 +236,8 @@ def export_substrate(substrate: "Substrate") -> SharedSubstrate:
     The substrate object itself is untouched and no longer needed
     afterwards -- the caller may drop it to keep parent memory flat.
     """
+    from multiprocessing.shared_memory import SharedMemory
+
     from ..scenario.engine import substrate_constant_arrays
 
     pairs = substrate_constant_arrays(substrate)
@@ -259,9 +266,7 @@ def export_substrate(substrate: "Substrate") -> SharedSubstrate:
         repr(tuple(specs)).encode("utf-8") + b"\x00" + skeleton
     ).hexdigest()
 
-    shm = shared_memory.SharedMemory(
-        name=_next_segment_name(), create=True, size=total
-    )
+    shm = SharedMemory(name=_next_segment_name(), create=True, size=total)
     try:
         for spec, (_, array) in zip(specs, pairs):
             view = np.ndarray(
@@ -348,7 +353,7 @@ def export_shared_substrates(
     return handles, manifests
 
 
-def _attach_segment(name: str) -> shared_memory.SharedMemory:
+def _attach_segment(name: str) -> SharedMemory:
     """Map an existing segment without resource-tracker registration.
 
     Before Python 3.13 (which grew ``track=False``) merely *attaching*
@@ -357,17 +362,20 @@ def _attach_segment(name: str) -> shared_memory.SharedMemory:
     Suppressing registration for the duration of the attach is the
     standard workaround; ownership stays with the creating parent.
     """
+    from multiprocessing import resource_tracker
+    from multiprocessing.shared_memory import SharedMemory
+
     original = resource_tracker.register
     resource_tracker.register = lambda *args, **kwargs: None  # type: ignore[assignment]
     try:
-        return shared_memory.SharedMemory(name=name)
+        return SharedMemory(name=name)
     finally:
         resource_tracker.register = original  # type: ignore[assignment]
 
 
 def attach_substrate(
     manifest: SubstrateManifest,
-) -> tuple[shared_memory.SharedMemory, "Substrate"]:
+) -> tuple[SharedMemory, "Substrate"]:
     """Reconstruct a substrate view over an exported segment.
 
     Returns ``(segment, substrate)``; the caller must keep the segment
@@ -404,7 +412,7 @@ def attach_substrate(
 
 
 def attached_arrays(
-    manifest: SubstrateManifest, shm: shared_memory.SharedMemory
+    manifest: SubstrateManifest, shm: SharedMemory
 ) -> Iterator[tuple[str, np.ndarray]]:
     """(name, zero-copy view) pairs for *manifest* over a mapped
     segment -- the raw-array face of :func:`attach_substrate`, used by

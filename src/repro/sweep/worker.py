@@ -40,7 +40,6 @@ import pickle
 import resource
 import signal
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 from ..devtools import sanitize
@@ -51,6 +50,8 @@ from .chaos import maybe_inject
 from .shm import SHM_STATS, SubstrateManifest, attach_substrate
 
 if TYPE_CHECKING:
+    from multiprocessing.shared_memory import SharedMemory
+
     from ..scenario.engine import ScenarioResult
     from .spec import SweepCell
 
@@ -66,7 +67,7 @@ _CACHE_MAX = 4
 #: because live numpy views over its buffer would raise
 #: ``BufferError``; the mapping goes away when the views do, and the
 #: parent owns the unlink.
-_SHM_CACHE: dict[str, tuple[shared_memory.SharedMemory, Substrate]] = {}
+_SHM_CACHE: dict[str, tuple[SharedMemory, Substrate]] = {}
 
 #: signature -> manifest routing table for the current task, installed
 #: by :func:`run_cells` for the duration of one task.

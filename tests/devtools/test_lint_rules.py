@@ -11,7 +11,7 @@ import textwrap
 
 import pytest
 
-from repro.devtools import lint_source
+from repro.devtools.runner import lint_source
 
 #: A path that makes snippets count as simulation source.
 SRC = "src/repro/example.py"

@@ -14,10 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.devtools import all_rules, lint_paths, lint_source
 from repro.devtools.lint import main
+from repro.devtools.registry import all_rules
 from repro.devtools.report import render_json, render_text
-from repro.devtools.runner import iter_python_files
+from repro.devtools.runner import iter_python_files, lint_paths, lint_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import ScenarioConfig, simulate
 from repro.resolver import (
     Outcome,
     RecursiveResolver,
@@ -236,3 +237,37 @@ class TestWholeRoot:
             WholeRootConfig(n_resolvers=0)
         with pytest.raises(ValueError):
             WholeRootConfig(selection="fastest")
+
+
+class TestFewerLettersThanAttempts:
+    """A run on fewer letters than ``max_attempts`` (4) stops retrying
+    once every letter has failed, as on the tutorial's K-only run."""
+
+    @pytest.mark.parametrize(
+        "letters", [("K",), ("H", "K"), ("B", "H", "K")],
+        ids=["K", "HK", "BHK"],
+    )
+    def test_failed_query_tries_each_letter_once(
+        self, letters, monkeypatch
+    ):
+        result = simulate(ScenarioConfig(
+            seed=1, n_stubs=80, n_vps=40, letters=letters,
+            include_nl=False,
+        ))
+        resolutions = []
+        resolve = RecursiveResolver.resolve
+
+        def recording(self, tld, timestamp):
+            resolution = resolve(self, tld, timestamp)
+            resolutions.append(resolution)
+            return resolution
+
+        monkeypatch.setattr(RecursiveResolver, "resolve", recording)
+        outcome = run_whole_root(
+            result, WholeRootConfig(n_resolvers=50), np.random.default_rng(0)
+        )
+        failed = [r for r in resolutions if r.outcome is Outcome.FAILED]
+        assert len(failed) == outcome.failures.sum() > 0
+        for resolution in failed:
+            assert sorted(resolution.letters_tried) == sorted(letters)
+            assert resolution.attempts == len(letters)

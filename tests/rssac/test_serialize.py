@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.rssac import (
+from repro.rssac.serialize import (
     documents_to_report,
     load_reports,
     report_to_documents,

@@ -126,6 +126,7 @@ class TestUsageErrors:
         errors = [line for line in err.splitlines() if "error:" in line]
         assert len(errors) == 1
         assert "Traceback" not in err
+        assert "retry" not in err
         return errors[0]
 
     def test_unknown_letter(self, capsys):
@@ -155,6 +156,35 @@ class TestUsageErrors:
         line = self._usage_error(["sweep", "--axis", "bogus"], capsys)
         assert "argument --axis" in line
         assert "'bogus'" in line
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", "--seed", "-1"], "seed must be non-negative"),
+            (["sweep", "--seed", "-1"], "seed must be non-negative"),
+            (["sweep", "--jobs", "0"], "--jobs must be >= 1, got 0"),
+            (["sweep", "--replicates", "0"],
+             "--replicates must be >= 1, got 0"),
+            (["sweep", "--replicates", "-2"],
+             "--replicates must be >= 1, got -2"),
+        ],
+        ids=["simulate-seed", "sweep-seed", "jobs", "replicates-0",
+             "replicates-neg"],
+    )
+    def test_invalid_run_argument(self, argv, message, capsys, monkeypatch):
+        """A value no run can take fails before any scenario runs, not
+        with a traceback, a quarantined cell or a silent default."""
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("a scenario ran")
+
+        monkeypatch.setattr("repro.cli.simulate", no_run)
+        monkeypatch.setattr("repro.sweep.run_sweep", no_run)
+        line = self._usage_error(
+            [*argv, "--stubs", "50", "--vps", "30", "--letters", "K"],
+            capsys,
+        )
+        assert line == f"anycast-ddos {argv[0]}: error: {message}"
 
 
 #: Files that are not version-2 checkpoints, and the one-line error

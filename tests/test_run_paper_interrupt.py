@@ -1,5 +1,5 @@
-"""`scripts/run_paper.py` interrupt and checkpoint errors: exit 130 or
-2, no traceback."""
+"""`scripts/run_paper.py` interrupt, checkpoint and argument errors:
+exit 130 or 2, no traceback."""
 
 import importlib
 import json
@@ -91,4 +91,39 @@ class TestCheckpointErrors:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "rror" in line]
         assert errors == [f"error: {message.format(path)}"]
+        assert not (tmp_path / "out").exists()
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--seed", "-1", "--seed must be >= 0, got -1"),
+            ("--vps", "0", "--vps must be >= 1, got 0"),
+            ("--stubs", "-5", "--stubs must be >= 1, got -5"),
+            ("--jobs", "0", "--jobs must be >= 1, got 0"),
+            ("--replicates", "0", "--replicates must be >= 1, got 0"),
+            ("--replicates", "-2", "--replicates must be >= 1, got -2"),
+        ],
+    )
+    def test_invalid_argument_is_one_usage_error(
+        self, run_paper, tmp_path, monkeypatch, capsys, flag, value,
+        message,
+    ):
+        """Checked before the spec is built: no cell runs, no traceback,
+        no silent default."""
+
+        def no_run(spec, **kwargs):
+            raise AssertionError("a cell ran")
+
+        monkeypatch.setattr(run_paper, "run_sweep", no_run)
+        with pytest.raises(SystemExit) as exc:
+            run_paper.main(_args(tmp_path, flag, value))
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "retry" not in err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert errors[0].endswith(f": error: {message}")
         assert not (tmp_path / "out").exists()
