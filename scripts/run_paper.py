@@ -19,10 +19,13 @@ Usage::
 Writes one text file per figure/table plus ``summaries.json`` (the
 sweep's per-cell metric summaries, replicates folded) into
 ``--out-dir``.  With ``--checkpoint``, completed cells are fsynced to
-an append-only log as they finish; Ctrl-C exits with code 130 and the
-run resumes bit-identically with ``--resume`` (cells are pure
-functions of their configs, so re-running only the missing ones
-cannot change any output).
+an append-only log as they finish; Ctrl-C exits with code 130 and
+prints the command that resumes the run.  A resume takes the seed,
+sizes and replicate count from the checkpoint's header, so only
+``--jobs`` and ``--out-dir`` apply, and it refuses a checkpoint that
+is not a paper run.  The resumed run is bit-identical to one never
+interrupted (cells are pure functions of their configs, so re-running
+only the missing ones cannot change any output).
 """
 
 from __future__ import annotations
@@ -70,13 +73,7 @@ from repro.scenario.presets import (
     JUNE2016_WINDOW_START,
     QUIET_WINDOW_START,
 )
-from repro.sweep import (
-    CheckpointError,
-    SweepInterrupted,
-    SweepSpec,
-    run_sweep,
-    summaries_records,
-)
+from repro.sweep import SweepSpec, summaries_records
 from repro.util import EVENT_1
 
 #: Sweep points, in cell order: the canonical event scenario first,
@@ -235,79 +232,45 @@ def _render_june2016(result) -> dict[str, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # The run path loads when a run starts, not when perfbench or a
+    # test imports this module for paper_spec and render_all.
+    from repro.cli import add_run_args, run_from_args
+
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the sweep")
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--stubs", type=int, default=600)
     parser.add_argument("--vps", type=int, default=1500)
-    parser.add_argument("--replicates", type=int, default=1,
-                        help="replicate seeds folded into summaries.json")
+    add_run_args(parser)
     parser.add_argument("--out-dir", default="paper_out",
                         help="directory for rendered figures/tables")
-    parser.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="crash-safe log of completed cells; a killed run "
-             "re-invoked with the same flags resumes from it",
-    )
-    parser.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="resume from an existing checkpoint (config flags must "
-             "match the original run)",
-    )
     args = parser.parse_args(argv)
-    for flag, value, low in (
-        ("--seed", args.seed, 0),
-        ("--stubs", args.stubs, 1),
-        ("--vps", args.vps, 1),
-        ("--jobs", args.jobs, 1),
-        ("--replicates", args.replicates, 1),
-    ):
-        if value < low:
-            parser.error(f"{flag} must be >= {low}, got {value}")
 
-    checkpoint = args.resume or args.checkpoint
-    if args.resume and not pathlib.Path(args.resume).exists():
-        print(f"error: no checkpoint at {args.resume}", file=sys.stderr)
-        return 2
-
-    spec = paper_spec(args)
-    print(
-        f"running {spec.n_cells} scenario cell(s) with "
-        f"--jobs {args.jobs} ...",
-        file=sys.stderr,
-    )
-    try:
-        sweep = run_sweep(
-            spec,
-            jobs=args.jobs,
-            progress=lambda event: print(str(event), file=sys.stderr),
-            checkpoint=checkpoint,
+    def prepare(resumed: SweepSpec | None) -> SweepSpec:
+        if resumed is not None:
+            # The paper spec is rebuilt from the header's seed, sizes
+            # and replicate count, so the digest check refuses a
+            # checkpoint that is not a paper run.
+            args.seed, args.stubs, args.vps = (
+                resumed.base.seed, resumed.base.n_stubs, resumed.base.n_vps
+            )
+            args.replicates = resumed.n_seeds
+        spec = paper_spec(args)
+        print(
+            f"running {spec.n_cells} scenario cell(s) with "
+            f"--jobs {args.jobs} ...",
+            file=sys.stderr,
         )
-    except (SweepInterrupted, KeyboardInterrupt) as exc:
-        # Completed cells are already durable in the checkpoint (each
-        # is fsynced as it finishes); nothing renders from a partial
-        # sweep, so report what survived and exit like a SIGINT'd
-        # shell command would.
-        print(f"\ninterrupted: {exc}", file=sys.stderr)
-        if checkpoint is not None:
-            print(
-                "completed cells are saved; resume with: "
-                f"{sys.executable} {sys.argv[0]} --resume {checkpoint} "
-                f"--jobs {args.jobs}",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                "no --checkpoint was given, so completed cells were "
-                "not saved; re-run with --checkpoint PATH to make "
-                "interrupted runs resumable",
-                file=sys.stderr,
-            )
-        return 130
-    except CheckpointError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return spec
+
+    sweep = run_from_args(
+        parser,
+        args,
+        prepare,
+        [sys.executable, __file__, "--out-dir", args.out_dir],
+        progress=lambda event: print(event, file=sys.stderr),
+    )
+    if isinstance(sweep, int):
+        return sweep
 
     out_dir = pathlib.Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -316,7 +279,7 @@ def main(argv: list[str] | None = None) -> int:
         json.dumps(
             {
                 "jobs": args.jobs,
-                "n_cells": spec.n_cells,
+                "n_cells": sweep.spec.n_cells,
                 "points": ["nov2015", "quiet", "june2016"],
                 "summaries": summaries_records(sweep.summaries),
                 "failed_cells": {

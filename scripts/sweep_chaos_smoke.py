@@ -1,8 +1,8 @@
 """CI smoke test: crash a sweep mid-run, resume it, demand bit-identity.
 
-Three legs, all compared array-by-array (``result_arrays`` /
-``diff_arrays``) against one uninterrupted ``jobs=1`` reference sweep
-of the same spec:
+Four legs.  The first three compare array-by-array (``result_arrays``
+/ ``diff_arrays``) against one uninterrupted ``jobs=1`` reference
+sweep of the same spec:
 
 0. **shm leg** -- the grid runs with ``jobs=2`` over zero-copy
    shared-memory substrates (:mod:`repro.sweep.shm`) while a chaos
@@ -25,8 +25,14 @@ of the same spec:
 2. **interrupt leg** -- the same grid runs via the ``anycast-ddos
    sweep`` CLI in a subprocess with a ``stall:cell5`` chaos directive;
    once the checkpoint shows progress, the process gets SIGINT, must
-   drain gracefully (exit code 130, resume hint on stderr), and a
-   ``--resume`` invocation must complete the sweep bit-identically.
+   drain gracefully (exit code 130, exactly one ``resume with:`` line
+   on stderr), and running that line's arguments must complete the
+   sweep bit-identically.
+
+3. **paper leg** -- ``scripts/run_paper.py --stubs 40 --vps 20 --jobs
+   2 --checkpoint`` is interrupted the same way while its last cell
+   stalls, resumed with the arguments of its printed line, and must
+   write the 17 renders of an uninterrupted run byte for byte.
 
 Exit status 0 = every check passed.
 
@@ -40,6 +46,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import shlex
 import signal
 import subprocess
 import sys
@@ -68,6 +75,17 @@ KILL_CELL = 4
 #: SIGINT'd while the sweep is demonstrably mid-flight.
 STALL_CELL = 5
 STALL_SECONDS = 120
+
+#: Paper leg: the June 2016 cell, run_paper.py's last, stalls.
+PAPER_STALL_CELL = 2
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+#: Subprocess environment: the package importable, no chaos.
+ENV = {
+    **{k: v for k, v in os.environ.items() if k != CHAOS_ENV},
+    "PYTHONPATH": str(ROOT / "src"),
+}
 
 
 def base_config():
@@ -175,30 +193,18 @@ def kill_leg(spec, reference, workdir: pathlib.Path) -> None:
     check_identical(resumed, reference, "kill-leg resume")
 
 
-def interrupt_leg(spec, reference, workdir: pathlib.Path) -> None:
-    ckpt = workdir / "sigint.ckpt"
-    argv = [
-        sys.executable, "-m", "repro.cli", "sweep",
-        "--seed", "7", "--stubs", "50", "--vps", "30",
-        "--letters", "A,K",
-        "--axis", "baseline_days=1,2,3",
-        "--replicates", str(REPLICATES),
-        "--jobs", "2", "--checkpoint", str(ckpt),
-        "--out", str(workdir / "unused.json"),
-    ]
-    env = dict(os.environ)
-    env[CHAOS_ENV] = f"stall:cell{STALL_CELL}:{STALL_SECONDS}"
-    env.setdefault("PYTHONPATH", "src")
+def interrupt(argv, chaos: str, ckpt: pathlib.Path) -> list[str]:
+    """Run *argv* with *chaos* set, SIGINT it once *ckpt* holds a cell
+    (the stalled cell keeps the run mid-flight), demand a graceful
+    drain, and return the arguments of the one printed resume line."""
     proc = subprocess.Popen(
-        argv, env=env,
+        argv, env={**ENV, CHAOS_ENV: chaos},
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
-    # Wait until some cells are durable (the stalled cell guarantees
-    # the sweep is still mid-flight), then interrupt the parent.
     deadline = time.monotonic() + 300
     while time.monotonic() < deadline:
         try:
-            if load_checkpoint(ckpt, spec).results:
+            if load_checkpoint(ckpt).results:
                 break
         except Exception:
             pass
@@ -206,7 +212,7 @@ def interrupt_leg(spec, reference, workdir: pathlib.Path) -> None:
             break
         time.sleep(0.2)
     assert proc.poll() is None, (
-        "sweep CLI exited before it could be interrupted:\n"
+        f"{argv[1]} exited before it could be interrupted:\n"
         + proc.communicate()[1]
     )
     proc.send_signal(signal.SIGINT)
@@ -214,31 +220,46 @@ def interrupt_leg(spec, reference, workdir: pathlib.Path) -> None:
         _, stderr = proc.communicate(timeout=120)
     except subprocess.TimeoutExpired:
         proc.kill()
-        raise AssertionError("interrupted sweep CLI failed to drain")
+        raise AssertionError(f"interrupted {argv[1]} failed to drain")
     assert proc.returncode == 130, (
         f"expected exit 130 after SIGINT, got {proc.returncode}:\n"
         f"{stderr}"
     )
-    assert "--resume" in stderr, (
-        f"no resume hint on stderr after SIGINT:\n{stderr}"
-    )
-    print(
-        "ok: interrupt leg drained with exit 130 and a resume hint"
-    )
+    lines = [line for line in stderr.splitlines() if "resume with:" in line]
+    assert len(lines) == 1, f"expected one resume line:\n{stderr}"
+    return shlex.split(lines[0].split("resume with:", 1)[1])
 
-    out = workdir / "resumed.json"
+
+def complete(argv) -> None:
+    """Run *argv* to a clean exit."""
     done = subprocess.run(
-        [
-            sys.executable, "-m", "repro.cli", "sweep",
-            "--resume", str(ckpt), "--jobs", "2",
-            "--out", str(out), "--quiet",
-        ],
-        env={k: v for k, v in env.items() if k != CHAOS_ENV},
-        capture_output=True, text=True, timeout=600,
+        argv, env=ENV, capture_output=True, text=True, timeout=600
     )
     assert done.returncode == 0, (
-        f"resume run failed ({done.returncode}):\n{done.stderr}"
+        f"{argv[1]} failed ({done.returncode}):\n{done.stderr}"
     )
+
+
+def interrupt_leg(spec, reference, workdir: pathlib.Path) -> None:
+    ckpt = workdir / "sigint.ckpt"
+    out = workdir / "sigint.json"
+    argv = interrupt(
+        [
+            sys.executable, "-m", "repro.cli", "sweep",
+            "--seed", "7", "--stubs", "50", "--vps", "30",
+            "--letters", "A,K",
+            "--axis", "baseline_days=1,2,3",
+            "--replicates", str(REPLICATES),
+            "--jobs", "2", "--checkpoint", str(ckpt),
+            "--out", str(out),
+        ],
+        f"stall:cell{STALL_CELL}:{STALL_SECONDS}",
+        ckpt,
+    )
+    print("ok: interrupt leg drained with exit 130 and one resume line")
+
+    assert argv[:2] == ["anycast-ddos", "sweep"], argv
+    complete([sys.executable, "-m", "repro.cli", *argv[1:]])
     payload = json.loads(out.read_text())
     assert not payload["failed_cells"], (
         f"resume run quarantined cells: {payload['failed_cells']}"
@@ -259,6 +280,35 @@ def interrupt_leg(spec, reference, workdir: pathlib.Path) -> None:
     print("ok: interrupt-leg resume is bit-identical to the reference")
 
 
+def paper_leg(workdir: pathlib.Path) -> None:
+    """run_paper.py interrupted in its last cell and resumed from its
+    printed line renders what an uninterrupted run renders."""
+    paper = [
+        sys.executable, str(ROOT / "scripts" / "run_paper.py"),
+        "--stubs", "40", "--vps", "20", "--jobs", "2",
+    ]
+    whole, resumed = workdir / "paper_whole", workdir / "paper_resumed"
+    complete([*paper, "--out-dir", str(whole)])
+    ckpt = workdir / "paper.ckpt"
+    argv = interrupt(
+        [*paper, "--checkpoint", str(ckpt), "--out-dir", str(resumed)],
+        f"stall:cell{PAPER_STALL_CELL}:{STALL_SECONDS}",
+        ckpt,
+    )
+    complete(argv)
+    renders = sorted(path.name for path in whole.glob("*.txt"))
+    assert len(renders) == 17, f"expected 17 renders, got {renders}"
+    differ = [
+        name for name in renders
+        if (resumed / name).read_bytes() != (whole / name).read_bytes()
+    ]
+    assert not differ, f"resumed paper renders differ: {differ}"
+    print(
+        "ok: paper leg resumed from its printed line and rendered "
+        "all 17 outputs byte-identical to an uninterrupted run"
+    )
+
+
 def main() -> int:
     spec = build_spec()
     print(
@@ -271,6 +321,7 @@ def main() -> int:
         workdir = pathlib.Path(tmp)
         kill_leg(spec, reference, workdir)
         interrupt_leg(spec, reference, workdir)
+        paper_leg(workdir)
     print("sweep chaos smoke: all checks passed")
     return 0
 

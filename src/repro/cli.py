@@ -18,8 +18,10 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import pathlib
+import shlex
 import sys
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import ScenarioConfig, june2016_config, nov2015_config, simulate
 from .core import (
@@ -33,6 +35,9 @@ from .core import (
     sites_vs_resilience,
 )
 from .datasets import load_dataset, save_dataset
+
+if TYPE_CHECKING:
+    from .sweep import SweepResult, SweepSpec
 
 #: Figures/tables the ``analyze`` command can regenerate from a saved
 #: dataset (those needing only Atlas data).
@@ -84,6 +89,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         f"({config.n_stubs} stubs, {config.n_vps} VPs) ...",
         file=sys.stderr,
     )
+    pathlib.Path(args.out).parent.mkdir(parents=True, exist_ok=True)
     result = simulate(config)
     save_dataset(result.atlas, args.out)
     print(f"wrote {args.out}", file=sys.stderr)
@@ -186,79 +192,116 @@ def _parse_axis(spec_str: str) -> tuple[str, list[Any]]:
     return name.strip(), values
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .sweep import (
-        CheckpointError,
-        SweepInterrupted,
-        SweepSpec,
-        load_checkpoint,
-        resume_command,
-        run_sweep,
-        summaries_records,
+def add_run_args(parser: argparse.ArgumentParser) -> None:
+    """The arguments :func:`run_from_args` reads besides the scenario's
+    ``--seed``, ``--stubs`` and ``--vps``."""
+    parser.add_argument("--replicates", type=int, default=1,
+                        help="replicate seeds per scenario point")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes (output identical for any N)")
+    parser.add_argument(
+        "--checkpoint", default=None, metavar="PATH",
+        help="append completed cells to this crash-safe log as they "
+             "finish; an interrupted run prints how to resume it",
+    )
+    parser.add_argument(
+        "--resume", default=None, metavar="PATH",
+        help="resume an interrupted run from its checkpoint: it runs "
+             "the sweep the checkpoint's header names and ignores the "
+             "flags that define a run",
     )
 
-    for flag, value in (
-        ("--jobs", args.jobs), ("--replicates", args.replicates)
+
+def run_from_args(
+    parser: argparse.ArgumentParser,
+    args: argparse.Namespace,
+    prepare: Callable[[SweepSpec | None], SweepSpec],
+    command: Sequence[str],
+    **options: Any,
+) -> SweepResult | int:
+    """The one run path of ``anycast-ddos sweep`` and ``run_paper.py``.
+
+    A run argument no run can take is a usage error before any cell
+    runs.  *prepare* gets the spec a ``--resume`` checkpoint's header
+    names (``None`` for a fresh run) and returns the spec to run;
+    *options* go to :func:`~repro.sweep.run_sweep`.  Returns the
+    result, or 130 after an interrupt (with one ``resume with:`` line,
+    *command* plus ``--resume PATH --jobs N``, when there is a
+    checkpoint) or 2 after one ``error:`` line for an unusable
+    checkpoint.
+    """
+    for flag, low in (
+        ("--seed", 0), ("--stubs", 1), ("--vps", 1), ("--jobs", 1),
+        ("--replicates", 1), ("--max-retries", 0),
     ):
-        if value < 1:
-            args.parser.error(f"{flag} must be >= 1, got {value}")
-    checkpoint = args.checkpoint
-    if args.resume:
-        # The checkpoint header carries the full pickled spec, so a
-        # resume needs no re-typed --axis/--replicates flags (and
-        # cannot accidentally run with different ones).
-        try:
-            data = load_checkpoint(args.resume)
-        except CheckpointError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        spec = data.spec
-        checkpoint = args.resume
-        print(
-            f"resuming from {args.resume}: "
-            f"{len(data.results)}/{spec.n_cells} cell(s) already done",
-            file=sys.stderr,
-        )
-    else:
-        base = _config_from_args(args)
-        axes = dict(args.axis or [])
-        try:
-            spec = SweepSpec.grid(
-                base,
-                axes,
-                replicates=args.replicates if args.replicates > 1 else None,
-            )
-        except ValueError as exc:
-            args.parser.error(str(exc))
-    print(
-        f"sweep: {spec.n_points} point(s) x {spec.n_seeds} seed(s) = "
-        f"{spec.n_cells} cell(s), jobs={args.jobs}",
-        file=sys.stderr,
-    )
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and value < low:
+            parser.error(f"{flag} must be >= {low}, got {value}")
+    timeout = getattr(args, "cell_timeout", None)
+    if timeout is not None and not timeout > 0:
+        parser.error(f"--cell-timeout must be > 0, got {timeout}")
 
-    def _progress(event: Any) -> None:
-        print(str(event), file=sys.stderr)
+    from .sweep import CheckpointError, SweepInterrupted, run_sweep
+    from .sweep.checkpoint import read_header
 
+    checkpoint = args.resume or args.checkpoint
     try:
-        result = run_sweep(
-            spec,
-            jobs=args.jobs,
-            progress=None if args.quiet else _progress,
-            checkpoint=checkpoint,
-            max_retries=args.max_retries,
-            cell_timeout_s=args.cell_timeout,
+        resumed = read_header(args.resume) if args.resume else None
+        return run_sweep(
+            prepare(resumed), jobs=args.jobs, checkpoint=checkpoint,
+            **options,
         )
-    except SweepInterrupted as exc:
-        print(f"\n{exc}", file=sys.stderr)
-        if exc.checkpoint_path is not None:
-            print(
-                f"resume with: {resume_command(exc.checkpoint_path, jobs=args.jobs)}",
-                file=sys.stderr,
-            )
+    except (SweepInterrupted, KeyboardInterrupt) as exc:
+        print(f"\n{str(exc) or 'interrupted'}", file=sys.stderr)
+        if checkpoint is not None:
+            resume = [*command, "--resume", checkpoint]
+            resume += ["--jobs", str(args.jobs)]
+            print(f"resume with: {shlex.join(resume)}", file=sys.stderr)
         return 130
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import SweepSpec, summaries_records
+
+    def prepare(resumed: SweepSpec | None) -> SweepSpec:
+        # A resume runs the sweep its checkpoint names; --axis,
+        # --replicates and the scenario flags are ignored.
+        spec = resumed
+        if spec is None:
+            try:
+                spec = SweepSpec.grid(
+                    _config_from_args(args),
+                    dict(args.axis or []),
+                    replicates=(
+                        args.replicates if args.replicates > 1 else None
+                    ),
+                )
+            except ValueError as exc:
+                args.parser.error(str(exc))
+        if args.out:
+            pathlib.Path(args.out).parent.mkdir(parents=True, exist_ok=True)
+        print(
+            f"sweep: {spec.n_points} point(s) x {spec.n_seeds} seed(s) = "
+            f"{spec.n_cells} cell(s), jobs={args.jobs}",
+            file=sys.stderr,
+        )
+        return spec
+
+    result = run_from_args(
+        args.parser,
+        args,
+        prepare,
+        ["anycast-ddos", "sweep", *(["--out", args.out] if args.out else [])],
+        progress=None if args.quiet else lambda e: print(e, file=sys.stderr),
+        max_retries=args.max_retries,
+        cell_timeout_s=args.cell_timeout,
+    )
+    if isinstance(result, int):
+        return result
+    spec = result.spec
     payload: dict[str, Any] = {
         "n_points": spec.n_points,
         "n_seeds": spec.n_seeds,
@@ -343,27 +386,13 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FIELD=V1,V2,...",
         help="one grid axis over a ScenarioConfig field (repeatable)",
     )
-    swp.add_argument("--replicates", type=int, default=1,
-                     help="replicate seeds per grid point")
-    swp.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (output identical for any N)")
+    add_run_args(swp)
     swp.add_argument("--out", default=None,
                      help="write summary JSON here instead of stdout")
     swp.add_argument("--quiet", action="store_true",
                      help="suppress per-cell progress lines")
     swp.add_argument("--verbose", action="store_true",
                      help="print routing counters and failed cells")
-    swp.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="append completed cells to this crash-safe log as they "
-             "finish (resume later with --resume PATH)",
-    )
-    swp.add_argument(
-        "--resume", default=None, metavar="PATH",
-        help="resume an interrupted sweep from its checkpoint; the "
-             "spec is read from the checkpoint header, so --axis/"
-             "--replicates are ignored",
-    )
     swp.add_argument(
         "--max-retries", type=int, default=2,
         help="retries per cell after a crash/timeout before the cell "

@@ -181,9 +181,9 @@ class AtlasDataset:
             if obs.n_vps != len(vps):
                 raise ValueError(f"{letter}: VP count mismatch")
 
-    # Pickles hold the three fields a dataset had before kept columns
-    # existed, so sweep checkpoints written then still load; aggregates
-    # are never pickled.
+    # Keeps the aggregates out of pickles (a sweep worker's result, a
+    # checkpoint record): a pickle holds the grid, the VPs and each
+    # letter's observations, and the aggregates are rebuilt on use.
     def __getstate__(self) -> tuple[None, dict[str, Any]]:
         return None, {
             "grid": self.grid, "vps": self.vps, "letters": self.letters

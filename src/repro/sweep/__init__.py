@@ -21,7 +21,7 @@ from .checkpoint import (
     CheckpointError,
     CheckpointWriter,
     load_checkpoint,
-    resume_command,
+    read_header,
     spec_digest,
 )
 from .metrics import cell_metrics
@@ -88,8 +88,8 @@ __all__ = [
     "leaked_segments",
     "load_checkpoint",
     "parse_chaos",
+    "read_header",
     "replicate_seeds",
-    "resume_command",
     "run_sweep",
     "spec_digest",
     "summaries_records",

@@ -7,9 +7,11 @@ the parent receives that cell's result.  A run that dies -- worker
 crash, operator Ctrl-C, power loss -- leaves a file whose valid prefix
 is exactly the set of cells that finished, and
 ``run_sweep(spec, checkpoint=path)`` resumes from it, re-running only
-the missing cells.  Because every cell is a pure function of its own
-config (PR 4's determinism contract), the merged output is
-bit-identical to an uninterrupted run.
+the missing cells.  The header carries the pickled spec, so
+:func:`read_header` tells a resume which sweep it continues.  Because
+every cell is a pure function of its own config (the sweep's
+determinism contract), the merged output is bit-identical to an
+uninterrupted run.
 
 Records are keyed by ``(spec digest, substrate signature digest, cell
 index, seed)`` and carry a CRC32 over their own body, so the loader
@@ -133,31 +135,25 @@ class CheckpointData:
     dropped_lines: int
 
 
-def load_checkpoint(
-    path: str | os.PathLike[str], spec: SweepSpec | None = None
-) -> CheckpointData:
-    """Read a checkpoint, trusting only its valid prefix.
+def read_header(path: str | os.PathLike[str]) -> SweepSpec:
+    """The spec of the sweep a checkpoint belongs to, from its header.
 
-    With *spec* given, the header's spec digest must match it (a
-    mismatch raises :class:`CheckpointError` -- merging someone else's
-    cells would silently corrupt a sweep).  A missing/empty file and a
-    bad header also raise; torn or corrupt *record* lines never do --
-    the log is truncated at the first bad line and
-    ``dropped_lines`` counts what was discarded.
+    Decodes no cell record, so a resume learns its spec without paying
+    for the results it will restore.  A missing or empty file, a torn
+    or unparsable header, and any header but a version-:data:`VERSION`
+    one raise :class:`CheckpointError`.
     """
     try:
         with open(path, "rb") as handle:
-            blob = handle.read()
+            line = handle.readline()
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
-    if not blob:
+    if not line:
         raise CheckpointError(f"checkpoint {path} is empty")
-    lines = blob.splitlines(keepends=True)
-    header_line = lines[0]
-    if not header_line.endswith(b"\n"):
+    if not line.endswith(b"\n"):
         raise CheckpointError(f"checkpoint {path} has a torn header")
     try:
-        header = json.loads(header_line)
+        header = json.loads(line)
     except ValueError as exc:
         raise CheckpointError(
             f"checkpoint {path} has an unparsable header"
@@ -171,23 +167,43 @@ def load_checkpoint(
             f"{path} is not a version-{VERSION} sweep checkpoint"
         )
     try:
-        header_spec = _decode_spec(header["spec"])
+        return _decode_spec(header["spec"])
     except (KeyError, ValueError, zlib.error, pickle.UnpicklingError) as exc:
         raise CheckpointError(
             f"checkpoint {path} header carries no loadable spec"
         ) from exc
-    digest = str(header.get("spec_digest", ""))
+
+
+def load_checkpoint(
+    path: str | os.PathLike[str], spec: SweepSpec | None = None
+) -> CheckpointData:
+    """Read a checkpoint, trusting only its valid prefix.
+
+    With *spec* given, the header's spec digest must match it (a
+    mismatch raises :class:`CheckpointError` -- merging someone else's
+    cells would silently corrupt a sweep).  A missing/empty file and a
+    bad header also raise (see :func:`read_header`); torn or corrupt
+    *record* lines never do -- the log is truncated at the first bad
+    line and ``dropped_lines`` counts what was discarded.
+    """
+    header_spec = read_header(path)
+    digest = spec_digest(header_spec)
     if spec is not None and digest != spec_digest(spec):
         raise CheckpointError(
             f"checkpoint {path} belongs to a different sweep spec "
             f"(digest {digest[:12]}... != {spec_digest(spec)[:12]}...)"
         )
+    try:
+        with open(path, "rb") as handle:
+            valid_bytes = len(handle.readline())
+            lines = handle.read().splitlines(keepends=True)
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from exc
     against = spec if spec is not None else header_spec
 
     results: dict[int, ScenarioResult] = {}
-    valid_bytes = len(header_line)
-    valid_lines = 1
-    for line in lines[1:]:
+    valid_lines = 0
+    for line in lines:
         record = _parse_record(line, against)
         if record is None:
             # Torn/corrupt line: in an append-only log everything at
@@ -307,13 +323,3 @@ class CheckpointWriter:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-
-def resume_command(
-    path: str, *, jobs: int | None = None
-) -> str:
-    """The CLI invocation that resumes from *path* (printed on
-    interrupt so the operator can copy-paste it)."""
-    parts = ["anycast-ddos sweep", f"--resume {path}"]
-    if jobs is not None and jobs != 1:
-        parts.append(f"--jobs {jobs}")
-    return " ".join(parts)

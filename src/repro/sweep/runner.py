@@ -44,8 +44,8 @@ The supervision layer leans on that:
   to an uninterrupted run.
 * SIGINT/SIGTERM drain gracefully: in-flight work is abandoned (it is
   already durable or repeatable), the checkpoint is flushed, and
-  :class:`SweepInterrupted` carries the resume command.  A second
-  signal aborts immediately.
+  :class:`SweepInterrupted` names it.  A second signal aborts
+  immediately.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from ..util.env import SWEEP_SHM, env_flag
 from .aggregate import CellSummary, summarize
-from .checkpoint import CheckpointWriter, load_checkpoint, resume_command
+from .checkpoint import CheckpointWriter, load_checkpoint
 from .shm import (
     SharedSubstrate,
     SubstrateManifest,
@@ -94,9 +94,9 @@ _POLL_S = 0.1
 class SweepInterrupted(RuntimeError):
     """A sweep was stopped by SIGINT/SIGTERM after a graceful drain.
 
-    Carries everything the caller needs to tell the operator how to
-    pick the run back up; the checkpoint (when one was configured) is
-    already flushed by the time this is raised.
+    Carries how far the sweep got and the checkpoint that holds it,
+    already flushed by the time this is raised; the caller knows the
+    command that resumes it.
     """
 
     def __init__(
@@ -112,7 +112,7 @@ class SweepInterrupted(RuntimeError):
         self.checkpoint_path = checkpoint_path
         detail = f"{completed}/{total} cell(s) completed"
         if checkpoint_path is not None:
-            detail += f"; resume with: {resume_command(checkpoint_path)}"
+            detail += f", saved in {checkpoint_path}"
         else:
             detail += "; no checkpoint was configured, progress is lost"
         super().__init__(

@@ -1,4 +1,5 @@
-"""Shared fixtures: one full scenario simulated once per test session."""
+"""Shared fixtures: one full scenario simulated once per test session,
+and a Ctrl-C in the middle of a serial sweep."""
 
 import pytest
 
@@ -15,3 +16,25 @@ def scenario():
 def dataset(scenario):
     """The scenario's (uncleaned) Atlas dataset."""
     return scenario.atlas
+
+
+@pytest.fixture
+def interrupt_second_cell(monkeypatch):
+    """Call it to make the second cell a sweep then simulates raise
+    ``KeyboardInterrupt``, as a Ctrl-C would; every other cell runs as
+    usual."""
+    from repro.sweep import worker
+
+    def arm():
+        real = worker.simulate
+        calls = []
+
+        def simulate(config, substrate=None):
+            calls.append(config.seed)
+            if len(calls) == 2:
+                raise KeyboardInterrupt
+            return real(config, substrate)
+
+        monkeypatch.setattr(worker, "simulate", simulate)
+
+    return arm

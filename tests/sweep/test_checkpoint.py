@@ -10,7 +10,7 @@ from repro.sweep import (
     CheckpointWriter,
     SweepSpec,
     load_checkpoint,
-    resume_command,
+    read_header,
     run_sweep,
     spec_digest,
 )
@@ -139,9 +139,16 @@ class TestWriter:
         assert data.dropped_lines == 0
 
 
-class TestResumeCommand:
-    def test_includes_path_and_jobs(self):
-        cmd = resume_command("/tmp/c.jsonl", jobs=4)
-        assert "--resume /tmp/c.jsonl" in cmd
-        assert "--jobs 4" in cmd
-        assert "--jobs" not in resume_command("/tmp/c.jsonl", jobs=1)
+class TestHeader:
+    def test_names_the_spec_without_decoding_a_cell(
+        self, tmp_path, spec, reference, monkeypatch
+    ):
+        path = _write_full(tmp_path / "ckpt.jsonl", spec, reference)
+
+        def no_decode(payload):
+            raise AssertionError("a cell record was decoded")
+
+        monkeypatch.setattr(
+            "repro.sweep.checkpoint._decode_result", no_decode
+        )
+        assert read_header(path) == spec

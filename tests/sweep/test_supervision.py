@@ -193,7 +193,7 @@ class TestResume:
             )
         assert excinfo.value.signal_name == "SIGINT"
         assert excinfo.value.completed == 1
-        assert "--resume" in str(excinfo.value)
+        assert f"saved in {path}" in str(excinfo.value)
 
         resumed = run_sweep(spec, jobs=1, checkpoint=path)
         assert len(resumed.restored) == 1

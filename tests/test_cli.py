@@ -1,6 +1,8 @@
 """Tests for the anycast-ddos command-line interface."""
 
 import json
+import pathlib
+import shlex
 
 import pytest
 
@@ -104,6 +106,22 @@ class TestCommands:
         metrics = payload["summaries"][0]["metrics"]
         assert metrics["availability"]["n"] == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--out", "{}/x.npz"],
+            ["sweep", "--quiet", "--out", "{}/x.json"],
+        ],
+        ids=["simulate", "sweep"],
+    )
+    def test_out_makes_its_directory(self, tmp_path, argv):
+        out_dir = tmp_path / "missing"
+        argv = [arg.format(out_dir) for arg in argv]
+        assert main([
+            *argv, "--stubs", "40", "--vps", "20", "--letters", "K",
+        ]) == 0
+        assert (out_dir / pathlib.Path(argv[-1]).name).exists()
+
     def test_sweep_axis_parsing(self):
         from repro.cli import _parse_axis
 
@@ -161,15 +179,19 @@ class TestUsageErrors:
         "argv, message",
         [
             (["simulate", "--seed", "-1"], "seed must be non-negative"),
-            (["sweep", "--seed", "-1"], "seed must be non-negative"),
+            (["sweep", "--seed", "-1"], "--seed must be >= 0, got -1"),
             (["sweep", "--jobs", "0"], "--jobs must be >= 1, got 0"),
             (["sweep", "--replicates", "0"],
              "--replicates must be >= 1, got 0"),
             (["sweep", "--replicates", "-2"],
              "--replicates must be >= 1, got -2"),
+            (["sweep", "--max-retries", "-1"],
+             "--max-retries must be >= 0, got -1"),
+            (["sweep", "--cell-timeout", "0"],
+             "--cell-timeout must be > 0, got 0.0"),
         ],
         ids=["simulate-seed", "sweep-seed", "jobs", "replicates-0",
-             "replicates-neg"],
+             "replicates-neg", "max-retries", "cell-timeout"],
     )
     def test_invalid_run_argument(self, argv, message, capsys, monkeypatch):
         """A value no run can take fails before any scenario runs, not
@@ -217,3 +239,60 @@ class TestCheckpointErrors:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if "rror" in line]
         assert errors == [f"error: {message.format(path)}"]
+
+
+#: A two-point sweep grid of two cells.
+GRID = [
+    "sweep", "--stubs", "50", "--vps", "30", "--letters", "A,K",
+    "--seed", "7", "--axis", "baseline_days=3,7", "--quiet",
+]
+
+
+class TestResume:
+    def test_interrupted_sweep_resumes_from_the_printed_line(
+        self, tmp_path, capsys, interrupt_second_cell
+    ):
+        whole, resumed = tmp_path / "whole.json", tmp_path / "resumed.json"
+        assert main([*GRID, "--out", str(whole)]) == 0
+        interrupt_second_cell()
+        ckpt = str(tmp_path / "sweep.ckpt")
+        assert main([
+            *GRID, "--checkpoint", ckpt, "--out", str(resumed),
+        ]) == 130
+        lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "resume with:" in line
+        ]
+        assert len(lines) == 1
+        argv = shlex.split(lines[0].split("resume with:", 1)[1])
+        assert argv == [
+            "anycast-ddos", "sweep", "--out", str(resumed),
+            "--resume", ckpt, "--jobs", "1",
+        ]
+        assert main(argv[1:]) == 0
+        payload = json.loads(resumed.read_text())
+        assert payload["telemetry"]["restored_cells"] == [0]
+        assert (
+            payload["summaries"]
+            == json.loads(whole.read_text())["summaries"]
+        )
+
+    def test_resume_decodes_each_stored_cell_once(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.sweep import checkpoint
+
+        ckpt, out = str(tmp_path / "sweep.ckpt"), tmp_path / "s.json"
+        assert main([*GRID, "--checkpoint", ckpt, "--out", str(out)]) == 0
+        decode = checkpoint._decode_result
+        calls = []
+
+        def counted(payload):
+            calls.append(payload)
+            return decode(payload)
+
+        monkeypatch.setattr(checkpoint, "_decode_result", counted)
+        assert main(["sweep", "--resume", ckpt, "--out", str(out)]) == 0
+        assert len(calls) == 2
+        restored = json.loads(out.read_text())["telemetry"]["restored_cells"]
+        assert restored == [0, 1]

@@ -1,9 +1,11 @@
-"""`scripts/run_paper.py` interrupt, checkpoint and argument errors:
-exit 130 or 2, no traceback."""
+"""`scripts/run_paper.py` interrupt, resume, checkpoint and argument
+errors: exit 130 or 2, no traceback, and a printed resume line that
+finishes the run."""
 
 import importlib
 import json
 import pathlib
+import shlex
 import sys
 
 import pytest
@@ -36,7 +38,7 @@ class TestInterruptExitCode:
         def boom(spec, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(run_paper, "run_sweep", boom)
+        monkeypatch.setattr("repro.sweep.run_sweep", boom)
         code = run_paper.main(_args(tmp_path))
         assert code == 130
         err = capsys.readouterr().err
@@ -51,11 +53,58 @@ class TestInterruptExitCode:
         def boom(spec, **kwargs):
             raise SweepInterrupted("SIGINT", 1, 3, ckpt)
 
-        monkeypatch.setattr(run_paper, "run_sweep", boom)
+        monkeypatch.setattr("repro.sweep.run_sweep", boom)
         code = run_paper.main(_args(tmp_path, "--checkpoint", ckpt))
         assert code == 130
         err = capsys.readouterr().err
         assert f"--resume {ckpt}" in err
+
+    def test_interrupted_run_resumes_from_the_printed_line(
+        self, run_paper, tmp_path, capsys, interrupt_second_cell
+    ):
+        """Whatever sizes the run used, the printed line finishes it:
+        the resumed run writes the uninterrupted run's renders."""
+        assert run_paper.main(_args(tmp_path / "whole")) == 0
+        interrupt_second_cell()
+        ckpt = str(tmp_path / "sweep.ckpt")
+        assert run_paper.main(_args(tmp_path, "--checkpoint", ckpt)) == 130
+        lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "resume with:" in line
+        ]
+        argv = shlex.split(lines[-1].split("resume with:", 1)[1])
+        # Resumed before the line is checked, so a line that cannot
+        # finish the run fails here with the loader's message.
+        code = run_paper.main(argv[2:])
+        assert code == 0, capsys.readouterr().err
+        assert len(lines) == 1
+        assert argv[:2] == [sys.executable, run_paper.__file__]
+        renders = sorted((tmp_path / "whole" / "out").glob("*.txt"))
+        assert len(renders) == 17
+        for path in renders:
+            resumed = tmp_path / "out" / path.name
+            assert resumed.read_bytes() == path.read_bytes(), path.name
+
+    def test_resume_refuses_a_checkpoint_of_another_sweep(
+        self, run_paper, tmp_path, capsys
+    ):
+        from repro.cli import main as cli_main
+
+        ckpt = str(tmp_path / "sweep.ckpt")
+        assert cli_main([
+            "sweep", "--stubs", "40", "--vps", "20", "--letters", "K",
+            "--quiet", "--checkpoint", ckpt,
+            "--out", str(tmp_path / "s.json"),
+        ]) == 0
+        capsys.readouterr()
+        assert run_paper.main(_args(tmp_path, "--resume", ckpt)) == 2
+        errors = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "rror" in line
+        ]
+        assert len(errors) == 1
+        assert "belongs to a different sweep spec" in errors[0]
+        assert not (tmp_path / "out").exists()
 
     def test_missing_resume_checkpoint_is_usage_error(
         self, run_paper, tmp_path
@@ -116,7 +165,7 @@ class TestArgumentErrors:
         def no_run(spec, **kwargs):
             raise AssertionError("a cell ran")
 
-        monkeypatch.setattr(run_paper, "run_sweep", no_run)
+        monkeypatch.setattr("repro.sweep.run_sweep", no_run)
         with pytest.raises(SystemExit) as exc:
             run_paper.main(_args(tmp_path, flag, value))
         assert exc.value.code == 2
