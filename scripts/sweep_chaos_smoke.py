@@ -1,40 +1,45 @@
 """CI smoke test: crash a sweep mid-run, resume it, demand bit-identity.
 
+Faults come from the tests' one injector,
+``tests/sweep/cell_faults.py``: ``inject`` patches the sweep worker
+in this process before the pool forks, and the front doors start
+through a ``python -c`` wrapper that installs a stall and then runs
+them as ``__main__``.
+
 Four legs.  The first three compare array-by-array (``result_arrays``
 / ``diff_arrays``) against one uninterrupted ``jobs=1`` reference
 sweep of the same spec:
 
 0. **shm leg** -- the grid runs with ``jobs=2`` over zero-copy
-   shared-memory substrates (:mod:`repro.sweep.shm`) while a chaos
-   directive kills a worker mid-run; the healed run must be
-   bit-identical, the respawned pool must have reattached the
-   parent's segments, ``/dev/shm`` must be empty afterwards, and a
-   ``REPRO_SWEEP_SHM=0`` control must run the same grid without
-   exporting anything.
+   shared-memory substrates (:mod:`repro.sweep.shm`) while a worker is
+   killed mid-run; the healed run must be bit-identical, every cell
+   must have been served from the parent's segments, ``/dev/shm`` must
+   be empty afterwards, and a ``REPRO_SWEEP_SHM=0`` control must run
+   the same grid without exporting anything.
 
-1. **kill leg** -- a six-cell grid runs with ``jobs=2`` and a chaos
-   directive (``REPRO_SWEEP_CHAOS=kill:cell4``) that makes the worker
-   about to simulate cell 4 die like an OOM-kill.  With
+1. **kill leg** -- a six-cell grid runs with ``jobs=2`` while the
+   worker about to simulate cell 4 dies like an OOM kill.  With
    ``max_retries=0`` the cell is quarantined, every other cell lands
    in the checkpoint, and the run completes with one flagged summary
-   instead of aborting.  A second run with the chaos cleared resumes
-   from the checkpoint, restores the healthy cells without re-running
+   instead of aborting.  A second run without the fault resumes from
+   the checkpoint, restores the healthy cells without re-running
    them, simulates only the quarantined one, and must match the
    reference bit for bit.
 
-2. **interrupt leg** -- the same grid runs via the ``anycast-ddos
-   sweep`` CLI in a subprocess with a ``stall:cell5`` chaos directive;
-   once the checkpoint shows progress, the process gets SIGINT, must
-   drain gracefully (exit code 130, exactly one ``resume with:`` line
-   on stderr), and running that line's arguments must complete the
-   sweep bit-identically.
+2. **interrupt leg** -- the same grid runs through ``python -m
+   repro.cli sweep`` in a subprocess with cell 5 stalled; once the
+   checkpoint shows progress, the process gets SIGINT, must drain
+   gracefully (exit code 130, exactly one ``resume with:`` line on
+   stderr), and that line, run as printed in a shell without
+   ``PYTHONPATH``, must complete the sweep bit-identically.
 
 3. **paper leg** -- ``scripts/run_paper.py --stubs 40 --vps 20 --jobs
    2 --checkpoint`` is interrupted the same way while its last cell
-   stalls, resumed with the arguments of its printed line, and must
-   write the 17 renders of an uninterrupted run byte for byte.
+   stalls, resumed by running its printed line, and must write the 17
+   renders of an uninterrupted run byte for byte.
 
-Exit status 0 = every check passed.
+Exit status 0 = every check passed.  Needs pytest (for its
+``MonkeyPatch``).
 
 Usage::
 
@@ -46,22 +51,27 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import shlex
 import signal
 import subprocess
 import sys
 import tempfile
 import time
 
+import pytest
+
 from repro import nov2015_config
 from repro.scenario import diff_arrays, result_arrays
 from repro.sweep import (
-    CHAOS_ENV,
     SweepSpec,
     leaked_segments,
     load_checkpoint,
     run_sweep,
 )
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from tests.sweep.cell_faults import inject  # noqa: E402
 
 #: Small but multi-chunk grid: 3 points x 2 seeds = 6 cells.
 AXES = {"baseline_days": [1, 2, 3]}
@@ -79,13 +89,26 @@ STALL_SECONDS = 120
 #: Paper leg: the June 2016 cell, run_paper.py's last, stalls.
 PAPER_STALL_CELL = 2
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
+#: Subprocess environments: with the package on PYTHONPATH, and
+#: without it (for the printed lines, which must carry their own).
+BARE_ENV = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+ENV = {**BARE_ENV, "PYTHONPATH": str(ROOT / "src")}
 
-#: Subprocess environment: the package importable, no chaos.
-ENV = {
-    **{k: v for k, v in os.environ.items() if k != CHAOS_ENV},
-    "PYTHONPATH": str(ROOT / "src"),
-}
+#: ``python -c`` wrapper: stall cell ``argv[1]`` in the pool workers,
+#: then run ``argv[2]`` (a module name or a script path) as
+#: ``__main__`` with the remaining arguments.
+STALLED = f"""
+import runpy, sys
+import pytest
+sys.path.insert(0, {str(ROOT)!r})
+from tests.sweep.cell_faults import inject
+inject(pytest.MonkeyPatch(), int(sys.argv[1]), "stall", seconds={STALL_SECONDS})
+sys.argv = sys.argv[2:]
+if sys.argv[0].endswith(".py"):
+    runpy.run_path(sys.argv[0], run_name="__main__")
+else:
+    runpy.run_module(sys.argv[0], run_name="__main__", alter_sys=True)
+"""
 
 
 def base_config():
@@ -122,17 +145,18 @@ def shm_leg(spec, reference) -> None:
     assert leaked_segments() == [], (
         f"/dev/shm not clean before the shm leg: {leaked_segments()}"
     )
-    os.environ[CHAOS_ENV] = f"kill:cell{KILL_CELL}"
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        inject(patch, KILL_CELL, "kill")
         healed = run_sweep(
             spec, jobs=2, chunk_size=2, shm=True,
             max_retries=2, backoff_base_s=0.0,
         )
-    finally:
-        del os.environ[CHAOS_ENV]
     check_identical(healed, reference, "shm leg (healed)")
+    assert healed.attempts[KILL_CELL] == 2, (
+        f"cell {KILL_CELL} was not retried: {healed.attempts}"
+    )
     # 2 replicate seeds -> 2 substrate signatures, each shared by 3
-    # cells -> both exported; the respawned pool reattached them.
+    # cells -> both exported; the respawned pool served from them.
     assert healed.shm_segments == 2, (
         f"expected 2 exported segments, got {healed.shm_segments}"
     )
@@ -165,14 +189,12 @@ def shm_leg(spec, reference) -> None:
 
 def kill_leg(spec, reference, workdir: pathlib.Path) -> None:
     ckpt = workdir / "kill.ckpt"
-    os.environ[CHAOS_ENV] = f"kill:cell{KILL_CELL}"
-    try:
+    with pytest.MonkeyPatch.context() as patch:
+        inject(patch, KILL_CELL, "kill")
         crashed = run_sweep(
             spec, jobs=2, chunk_size=2, checkpoint=ckpt,
             max_retries=0, backoff_base_s=0.0,
         )
-    finally:
-        del os.environ[CHAOS_ENV]
     assert KILL_CELL in crashed.failures, (
         f"expected cell {KILL_CELL} quarantined, got "
         f"{crashed.failures}"
@@ -193,12 +215,13 @@ def kill_leg(spec, reference, workdir: pathlib.Path) -> None:
     check_identical(resumed, reference, "kill-leg resume")
 
 
-def interrupt(argv, chaos: str, ckpt: pathlib.Path) -> list[str]:
-    """Run *argv* with *chaos* set, SIGINT it once *ckpt* holds a cell
-    (the stalled cell keeps the run mid-flight), demand a graceful
-    drain, and return the arguments of the one printed resume line."""
+def interrupt(argv, stall_cell: int, ckpt: pathlib.Path) -> str:
+    """Run *argv* (a module name or a script path, then its arguments)
+    with *stall_cell* stalled, SIGINT it once *ckpt* holds a cell,
+    demand a graceful drain, and return the one printed resume
+    line."""
     proc = subprocess.Popen(
-        argv, env={**ENV, CHAOS_ENV: chaos},
+        [sys.executable, "-c", STALLED, str(stall_cell), *argv], env=ENV,
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
     )
     deadline = time.monotonic() + 300
@@ -212,7 +235,7 @@ def interrupt(argv, chaos: str, ckpt: pathlib.Path) -> list[str]:
             break
         time.sleep(0.2)
     assert proc.poll() is None, (
-        f"{argv[1]} exited before it could be interrupted:\n"
+        f"{argv[0]} exited before it could be interrupted:\n"
         + proc.communicate()[1]
     )
     proc.send_signal(signal.SIGINT)
@@ -220,32 +243,38 @@ def interrupt(argv, chaos: str, ckpt: pathlib.Path) -> list[str]:
         _, stderr = proc.communicate(timeout=120)
     except subprocess.TimeoutExpired:
         proc.kill()
-        raise AssertionError(f"interrupted {argv[1]} failed to drain")
+        raise AssertionError(f"interrupted {argv[0]} failed to drain")
     assert proc.returncode == 130, (
         f"expected exit 130 after SIGINT, got {proc.returncode}:\n"
         f"{stderr}"
     )
     lines = [line for line in stderr.splitlines() if "resume with:" in line]
     assert len(lines) == 1, f"expected one resume line:\n{stderr}"
-    return shlex.split(lines[0].split("resume with:", 1)[1])
+    return lines[0].split("resume with:", 1)[1].strip()
 
 
-def complete(argv) -> None:
+def complete(argv, env=ENV) -> None:
     """Run *argv* to a clean exit."""
     done = subprocess.run(
-        argv, env=ENV, capture_output=True, text=True, timeout=600
+        argv, env=env, capture_output=True, text=True, timeout=600
     )
     assert done.returncode == 0, (
-        f"{argv[1]} failed ({done.returncode}):\n{done.stderr}"
+        f"{argv[-1]} failed ({done.returncode}):\n{done.stderr}"
     )
+
+
+def resume(line: str) -> None:
+    """Run a printed resume line as printed, in a shell without
+    ``PYTHONPATH``."""
+    complete(["sh", "-c", line], env=BARE_ENV)
 
 
 def interrupt_leg(spec, reference, workdir: pathlib.Path) -> None:
     ckpt = workdir / "sigint.ckpt"
     out = workdir / "sigint.json"
-    argv = interrupt(
+    line = interrupt(
         [
-            sys.executable, "-m", "repro.cli", "sweep",
+            "repro.cli", "sweep",
             "--seed", "7", "--stubs", "50", "--vps", "30",
             "--letters", "A,K",
             "--axis", "baseline_days=1,2,3",
@@ -253,13 +282,12 @@ def interrupt_leg(spec, reference, workdir: pathlib.Path) -> None:
             "--jobs", "2", "--checkpoint", str(ckpt),
             "--out", str(out),
         ],
-        f"stall:cell{STALL_CELL}:{STALL_SECONDS}",
+        STALL_CELL,
         ckpt,
     )
     print("ok: interrupt leg drained with exit 130 and one resume line")
 
-    assert argv[:2] == ["anycast-ddos", "sweep"], argv
-    complete([sys.executable, "-m", "repro.cli", *argv[1:]])
+    resume(line)
     payload = json.loads(out.read_text())
     assert not payload["failed_cells"], (
         f"resume run quarantined cells: {payload['failed_cells']}"
@@ -284,18 +312,18 @@ def paper_leg(workdir: pathlib.Path) -> None:
     """run_paper.py interrupted in its last cell and resumed from its
     printed line renders what an uninterrupted run renders."""
     paper = [
-        sys.executable, str(ROOT / "scripts" / "run_paper.py"),
+        str(ROOT / "scripts" / "run_paper.py"),
         "--stubs", "40", "--vps", "20", "--jobs", "2",
     ]
     whole, resumed = workdir / "paper_whole", workdir / "paper_resumed"
-    complete([*paper, "--out-dir", str(whole)])
+    complete([sys.executable, *paper, "--out-dir", str(whole)])
     ckpt = workdir / "paper.ckpt"
-    argv = interrupt(
+    line = interrupt(
         [*paper, "--checkpoint", str(ckpt), "--out-dir", str(resumed)],
-        f"stall:cell{PAPER_STALL_CELL}:{STALL_SECONDS}",
+        PAPER_STALL_CELL,
         ckpt,
     )
-    complete(argv)
+    resume(line)
     renders = sorted(path.name for path in whole.glob("*.txt"))
     assert len(renders) == 17, f"expected 17 renders, got {renders}"
     differ = [

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
 import pathlib
 import shlex
 import sys
@@ -35,6 +36,7 @@ from .core import (
     sites_vs_resilience,
 )
 from .datasets import load_dataset, save_dataset
+from .util.env import read_env
 
 if TYPE_CHECKING:
     from .sweep import SweepResult, SweepSpec
@@ -228,7 +230,9 @@ def run_from_args(
     result, or 130 after an interrupt (with one ``resume with:`` line,
     *command* plus ``--resume PATH --jobs N``, when there is a
     checkpoint) or 2 after one ``error:`` line for an unusable
-    checkpoint.
+    checkpoint.  The resume line starts with this process's
+    ``PYTHONPATH``, each entry made absolute, when one is set: it may
+    be the only way ``repro`` imports here.
     """
     for flag, low in (
         ("--seed", 0), ("--stubs", 1), ("--vps", 1), ("--jobs", 1),
@@ -254,9 +258,16 @@ def run_from_args(
     except (SweepInterrupted, KeyboardInterrupt) as exc:
         print(f"\n{str(exc) or 'interrupted'}", file=sys.stderr)
         if checkpoint is not None:
-            resume = [*command, "--resume", checkpoint]
-            resume += ["--jobs", str(args.jobs)]
-            print(f"resume with: {shlex.join(resume)}", file=sys.stderr)
+            line = shlex.join(
+                [*command, "--resume", checkpoint, "--jobs", str(args.jobs)]
+            )
+            path = read_env("PYTHONPATH")
+            if path:
+                path = os.pathsep.join(
+                    os.path.abspath(entry) for entry in path.split(os.pathsep)
+                )
+                line = f"PYTHONPATH={shlex.quote(path)} {line}"
+            print(f"resume with: {line}", file=sys.stderr)
         return 130
     except CheckpointError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -294,7 +305,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         args.parser,
         args,
         prepare,
-        ["anycast-ddos", "sweep", *(["--out", args.out] if args.out else [])],
+        [
+            sys.executable, "-m", "repro.cli", "sweep",
+            *(["--out", args.out] if args.out else []),
+        ],
         progress=None if args.quiet else lambda e: print(e, file=sys.stderr),
         max_retries=args.max_retries,
         cell_timeout_s=args.cell_timeout,

@@ -15,7 +15,6 @@ create or attach a segment), so a serial sweep never imports them.
 """
 
 from .aggregate import CellSummary, MetricSummary, summarize
-from .chaos import CHAOS_ENV, ChaosError, parse_chaos
 from .checkpoint import (
     CheckpointData,
     CheckpointError,
@@ -60,9 +59,7 @@ __all__ = [
     "CELL_FAILED",
     "CELL_RESTORED",
     "CELL_RETRY",
-    "CHAOS_ENV",
     "CellSummary",
-    "ChaosError",
     "CheckpointData",
     "CheckpointError",
     "CheckpointWriter",
@@ -87,7 +84,6 @@ __all__ = [
     "export_substrate",
     "leaked_segments",
     "load_checkpoint",
-    "parse_chaos",
     "read_header",
     "replicate_seeds",
     "run_sweep",

@@ -364,10 +364,7 @@ def _run_serial(
                 return
             for cell in chunk:
                 sup.tries[cell.index] += 1
-            attempts = {
-                cell.index: sup.tries[cell.index] - 1 for cell in chunk
-            }
-            sup.handle_outcomes(run_cells_serial(chunk, attempts))
+            sup.handle_outcomes(run_cells_serial(chunk))
         round_index += 1
 
 
@@ -474,19 +471,13 @@ def _run_pool(
             for chunk in _chunks(todo, size):
                 for cell in chunk:
                     sup.tries[cell.index] += 1
-                attempts = {
-                    cell.index: sup.tries[cell.index] - 1
-                    for cell in chunk
-                }
                 deadline = (
                     time.perf_counter() + cell_timeout_s * len(chunk)  # repro: noqa DET003 -- supervision deadline only; never reaches simulated outputs
                     if cell_timeout_s is not None
                     else None
                 )
                 futures[
-                    pool.submit(
-                        run_cells, chunk, attempts, manifests or None
-                    )
+                    pool.submit(run_cells, chunk, manifests or None)
                 ] = _Task(cells=chunk, deadline=deadline)
             pool_broken = False
             while futures and not pool_broken:

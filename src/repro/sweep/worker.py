@@ -21,8 +21,8 @@ either the result or the error string, plus the worker's pid and the
 cell's routing-layer counter deltas (``PREFIX_CACHE_STATS`` /
 ``SHM_STATS``), so the parent can retry failed cells, spot which
 process did what, and surface fallback storms.  Only process
-death (crash, chaos kill, OOM) loses a task, and the runner detects
-that as ``BrokenProcessPool``.
+death (crash, OOM kill) loses a task, and the runner detects that as
+``BrokenProcessPool``.
 
 The serial (``jobs=1``) path goes through :func:`run_cells_serial`,
 which pickle-roundtrips the cells first: worker processes only ever
@@ -46,7 +46,6 @@ from ..devtools import sanitize
 from ..netsim.anycast import PREFIX_CACHE_STATS
 from ..scenario.engine import Substrate, build_substrate, simulate
 from ..scenario.engine import substrate_signature
-from .chaos import maybe_inject
 from .shm import SHM_STATS, SubstrateManifest, attach_substrate
 
 if TYPE_CHECKING:
@@ -73,10 +72,6 @@ _SHM_CACHE: dict[str, tuple[SharedMemory, Substrate]] = {}
 #: by :func:`run_cells` for the duration of one task.
 _MANIFESTS: dict[tuple[object, ...], SubstrateManifest] = {}
 
-#: True inside a process-pool worker (set by :func:`init_worker`);
-#: gates chaos actions that must never take down the parent.
-_IN_WORKER = False
-
 
 @dataclass(frozen=True, slots=True)
 class CellOutcome:
@@ -100,8 +95,8 @@ class CellOutcome:
 
 
 def init_worker() -> None:
-    """Process-pool initializer: empty substrate cache, worker flag,
-    clean signal disposition.
+    """Process-pool initializer: empty caches, clean signal
+    disposition.
 
     With the ``fork`` start method a worker inherits the parent's
     graceful-drain SIGINT/SIGTERM handlers (the runner installs them
@@ -111,8 +106,6 @@ def init_worker() -> None:
     SIGINT (a Ctrl-C goes to the whole foreground process group; the
     *parent* drains gracefully and decides the workers' fate).
     """
-    global _IN_WORKER
-    _IN_WORKER = True
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     _SUBSTRATE_CACHE.clear()
@@ -168,13 +161,12 @@ def _stats_snapshot() -> dict[str, int]:
     return snapshot
 
 
-def _run_cell(cell: SweepCell, attempt: int) -> CellOutcome:
+def _run_cell(cell: SweepCell) -> CellOutcome:
     """One attempt at one cell; exceptions become error outcomes."""
     pid = os.getpid()
     sanitizing = sanitize.enabled()
     before = _stats_snapshot()
     try:
-        maybe_inject(cell.index, attempt, in_worker=_IN_WORKER)
         substrate = _substrate_for(cell)
         if sanitizing:
             # Per-cell draw accounting covers the simulate phase only:
@@ -240,39 +232,28 @@ def _peak_rss_kb() -> int:
 
 def run_cells(
     cells: tuple[SweepCell, ...],
-    attempts: Mapping[int, int],
     manifests: Mapping[tuple[object, ...], SubstrateManifest] | None = None,
 ) -> list[CellOutcome]:
     """Simulate one task's cells; one outcome per cell, index order.
 
-    *attempts* maps cell index to the 0-based attempt number the
-    runner is on, which the chaos hook keys off.  *manifests* (when
-    the shared-memory layer is on) maps substrate signatures to
-    shared-segment manifests; cells whose signature appears there are
-    served from a zero-copy attached substrate instead of a local
-    build.  A failing cell does not stop the rest of the task -- its
-    outcome carries the error.
+    *manifests* (when the shared-memory layer is on) maps substrate
+    signatures to shared-segment manifests; cells whose signature
+    appears there are served from a zero-copy attached substrate
+    instead of a local build.  A failing cell does not stop the rest
+    of the task -- its outcome carries the error.
     """
     _install_manifests(manifests)
     try:
-        return [
-            _run_cell(cell, attempts.get(cell.index, 0)) for cell in cells
-        ]
+        return [_run_cell(cell) for cell in cells]
     finally:
         _install_manifests(None)
 
 
-def run_cells_serial(
-    cells: Sequence[SweepCell],
-    attempts: Mapping[int, int],
-    manifests: Mapping[tuple[object, ...], SubstrateManifest] | None = None,
-) -> list[CellOutcome]:
+def run_cells_serial(cells: Sequence[SweepCell]) -> list[CellOutcome]:
     """Inline execution mirroring the process boundary.
 
     The cells are pickle-roundtripped before running, exactly as a
     pool worker would receive them, so the serial path sees the same
     fresh config copies as the parallel one.
     """
-    return run_cells(
-        pickle.loads(pickle.dumps(tuple(cells))), attempts, manifests
-    )
+    return run_cells(pickle.loads(pickle.dumps(tuple(cells))))

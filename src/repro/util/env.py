@@ -1,10 +1,10 @@
 """The single sanctioned choke point for environment-variable reads.
 
 Determinism contract: a simulated quantity must never depend on the
-host environment, but a handful of *operational* toggles legitimately
-live there -- the test-only sweep chaos hook (``REPRO_SWEEP_CHAOS``),
-the runtime sanitizer (``REPRO_SANITIZE``), and the zero-copy
-sweep-substrate toggle (``REPRO_SWEEP_SHM``).  Every one of those
+host environment, but two *operational* toggles legitimately live
+there -- the runtime sanitizer (``REPRO_SANITIZE``) and the zero-copy
+sweep-substrate toggle (``REPRO_SWEEP_SHM``) -- and the front doors'
+resume lines repeat the process's ``PYTHONPATH``.  Every one of those
 reads goes through :func:`read_env` so the interprocedural purity
 analyzer (:mod:`repro.devtools.purity`) has exactly one allowlisted
 ENV_READ source to reason about; an ``os.environ`` read anywhere else
@@ -21,7 +21,6 @@ import os
 
 #: The operational toggles this repo recognises.  Names are collected
 #: here so call sites never spell a raw string twice.
-SWEEP_CHAOS = "REPRO_SWEEP_CHAOS"
 SANITIZE = "REPRO_SANITIZE"
 #: Zero-copy shared-memory substrates for parallel sweeps; set to
 #: ``"0"`` to force the legacy per-worker rebuild (pickled) path.
@@ -48,8 +47,3 @@ def env_flag(name: str, *, default: bool = False) -> bool:
     """
     raw = read_env(name, "1" if default else "")
     return raw not in ("", "0")
-
-
-def env_str(name: str, default: str = "") -> str:
-    """A free-form string toggle (e.g. the chaos spec grammar)."""
-    return read_env(name, default)

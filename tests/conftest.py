@@ -20,21 +20,9 @@ def dataset(scenario):
 
 @pytest.fixture
 def interrupt_second_cell(monkeypatch):
-    """Call it to make the second cell a sweep then simulates raise
+    """Call it to make a sweep's second cell raise
     ``KeyboardInterrupt``, as a Ctrl-C would; every other cell runs as
     usual."""
-    from repro.sweep import worker
+    from .sweep.cell_faults import inject
 
-    def arm():
-        real = worker.simulate
-        calls = []
-
-        def simulate(config, substrate=None):
-            calls.append(config.seed)
-            if len(calls) == 2:
-                raise KeyboardInterrupt
-            return real(config, substrate)
-
-        monkeypatch.setattr(worker, "simulate", simulate)
-
-    return arm
+    return lambda: inject(monkeypatch, 1, "raise", error=KeyboardInterrupt)

@@ -21,7 +21,6 @@ from repro.scenario import (
 from repro.scenario.engine import build_substrate, simulate
 from repro.sweep import (
     CELL_DONE,
-    CHAOS_ENV,
     SweepInterrupted,
     SweepSpec,
     attach_substrate,
@@ -31,6 +30,8 @@ from repro.sweep import (
 )
 from repro.sweep.shm import attached_arrays
 from repro.util import env
+
+from .cell_faults import inject
 
 
 @pytest.fixture(scope="module")
@@ -203,15 +204,16 @@ class TestLeakOnEveryExitPath:
     def test_worker_kill_unlinks_segments(
         self, spec, reference, monkeypatch
     ):
-        monkeypatch.setenv(CHAOS_ENV, "kill:cell1@0")
+        inject(monkeypatch, 1, "kill")
         result = run_sweep(
             spec, jobs=2, shm=True, chunk_size=1, backoff_base_s=0.0
         )
         _assert_identical(result, reference)
+        assert result.attempts[1] == 2
         _assert_no_leak()
 
     def test_quarantine_unlinks_segments(self, spec, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "raise:cell1@*")
+        inject(monkeypatch, 1, "raise")
         result = run_sweep(
             spec, jobs=2, shm=True, chunk_size=1,
             max_retries=0, backoff_base_s=0.0,

@@ -1,8 +1,8 @@
 """Supervision: retries, quarantine, timeouts, drain, resume.
 
-Failures are injected with the ``REPRO_SWEEP_CHAOS`` env hook
-(:mod:`repro.sweep.chaos`); every healed or resumed run is checked
-bit-identical against an uninterrupted ``jobs=1`` reference via
+Failures are injected with :func:`tests.sweep.cell_faults.inject`;
+every healed or resumed run is checked bit-identical against an
+uninterrupted ``jobs=1`` reference via
 ``result_arrays``/``diff_arrays`` -- the whole point of the
 supervision layer is that crashes change *nothing* about the output.
 """
@@ -18,14 +18,13 @@ from repro.sweep import (
     CELL_DONE,
     CELL_RESTORED,
     CELL_RETRY,
-    CHAOS_ENV,
-    ChaosError,
     SweepInterrupted,
     SweepSpec,
     backoff_schedule_s,
-    parse_chaos,
     run_sweep,
 )
+
+from .cell_faults import inject
 
 
 @pytest.fixture(scope="module")
@@ -44,22 +43,6 @@ def _assert_identical(result, reference):
         assert not diff_arrays(result_arrays(a), result_arrays(b))
 
 
-class TestChaosParsing:
-    def test_grammar(self):
-        action = parse_chaos("stall:cell2@1:30")
-        assert (action.action, action.cell_index) == ("stall", 2)
-        assert (action.attempt, action.seconds) == (1, 30.0)
-        assert parse_chaos("kill:cell3").attempt == 0
-        assert parse_chaos("raise:cell1@*").attempt is None
-        assert parse_chaos("") is None
-        assert parse_chaos(None) is None
-
-    def test_malformed_rejected(self):
-        for bad in ("kill", "kill:3", "explode:cell1", "stall:cell2@x"):
-            with pytest.raises(ValueError):
-                parse_chaos(bad)
-
-
 class TestBackoff:
     def test_schedule_is_deterministic_and_capped(self):
         assert backoff_schedule_s(0, 0.5) == 0.0
@@ -74,7 +57,7 @@ class TestRetryHeals:
     def test_serial_raise_retries_then_identical(
         self, spec, reference, monkeypatch
     ):
-        monkeypatch.setenv(CHAOS_ENV, "raise:cell1@0")
+        inject(monkeypatch, 1, "raise")
         events = []
         result = run_sweep(
             spec, jobs=1, progress=events.append, backoff_base_s=0.0
@@ -84,13 +67,13 @@ class TestRetryHeals:
         assert len(retries) == 1
         assert retries[0].index == 1
         assert retries[0].attempt == 2
-        assert "ChaosError" in retries[0].reason
+        assert "InjectedFault" in retries[0].reason
         assert result.attempts[1] == 2
 
     def test_pool_worker_kill_retries_then_identical(
         self, spec, reference, monkeypatch
     ):
-        monkeypatch.setenv(CHAOS_ENV, "kill:cell1@0")
+        inject(monkeypatch, 1, "kill")
         events = []
         result = run_sweep(
             spec,
@@ -108,7 +91,7 @@ class TestRetryHeals:
     def test_stalled_cell_times_out_and_retries(
         self, spec, reference, monkeypatch
     ):
-        monkeypatch.setenv(CHAOS_ENV, "stall:cell0@0:60")
+        inject(monkeypatch, 0, "stall", seconds=60)
         events = []
         result = run_sweep(
             spec,
@@ -127,12 +110,12 @@ class TestRetryHeals:
 
 class TestQuarantine:
     def test_poison_cell_flagged_not_fatal(self, spec, monkeypatch):
-        monkeypatch.setenv(CHAOS_ENV, "raise:cell1@*")
+        inject(monkeypatch, 1, "raise", times=2)
         result = run_sweep(
             spec, jobs=1, max_retries=1, backoff_base_s=0.0
         )
         assert list(result.failures) == [1]
-        assert "ChaosError" in result.failures[1]
+        assert "InjectedFault" in result.failures[1]
         assert result.attempts[1] == 2  # 1 try + 1 retry
         assert result.results[1] is None
         with pytest.raises(RuntimeError, match="quarantined"):
@@ -152,7 +135,7 @@ class TestResume:
         self, tmp_path, spec, reference, monkeypatch
     ):
         path = tmp_path / "ckpt.jsonl"
-        monkeypatch.setenv(CHAOS_ENV, "raise:cell1@*")
+        inject(monkeypatch, 1, "raise")
         first = run_sweep(
             spec,
             jobs=1,
@@ -161,9 +144,9 @@ class TestResume:
             backoff_base_s=0.0,
         )
         assert list(first.failures) == [1]
-        # The healthy cell is durable; the chaos is gone on resume
+        # The healthy cell is durable; the fault is gone on resume
         # (fixed code, in real life) and only cell 1 re-runs.
-        monkeypatch.delenv(CHAOS_ENV)
+        monkeypatch.undo()
         events = []
         resumed = run_sweep(
             spec, jobs=1, checkpoint=path, progress=events.append
@@ -208,7 +191,7 @@ class TestSharedMemorySupervision:
         # pool's workers must reattach the *same* segments (the parent
         # owns them across respawns) and the healed run stays
         # bit-identical.
-        monkeypatch.setenv(CHAOS_ENV, "kill:cell1@0")
+        inject(monkeypatch, 1, "kill")
         events = []
         result = run_sweep(
             spec,
@@ -224,17 +207,20 @@ class TestSharedMemorySupervision:
             for e in events
         )
         assert result.shm_segments == 1
-        # Both completed cells were served from shared substrates, and
-        # at least two attaches happened: the original pool's and the
-        # respawned pool's (fresh processes never inherit a mapping).
+        # Cell 1's retry ran in the respawned pool, and every cell's
+        # successful attempt was served from the shared segment.  The
+        # attach count is not checked: the killed worker reports
+        # nothing, and if the other worker dies with the broken pool
+        # before it returns cell 0, one respawned worker can serve both
+        # cells and attach once.
+        assert result.attempts[1] == 2
         assert result.routing_stats.get("shm/cell", 0) == spec.n_cells
-        assert result.routing_stats.get("shm/attach", 0) >= 2
         assert "shm/fallback" not in result.routing_stats
 
     def test_pickled_control_matches_shm_healed_run(
         self, spec, reference, monkeypatch
     ):
-        monkeypatch.setenv(CHAOS_ENV, "kill:cell1@0")
+        inject(monkeypatch, 1, "kill")
         result = run_sweep(
             spec,
             jobs=2,
@@ -243,6 +229,7 @@ class TestSharedMemorySupervision:
             backoff_base_s=0.0,
         )
         _assert_identical(result, reference)
+        assert result.attempts[1] == 2
         assert result.shm_segments == 0
         assert "shm/cell" not in result.routing_stats
 

@@ -1,8 +1,11 @@
 """Tests for the anycast-ddos command-line interface."""
 
 import json
+import os
 import pathlib
 import shlex
+import subprocess
+import sys
 
 import pytest
 
@@ -248,28 +251,36 @@ GRID = [
 ]
 
 
+def _resume_line(capsys):
+    lines = [
+        line for line in capsys.readouterr().err.splitlines()
+        if "resume with:" in line
+    ]
+    assert len(lines) == 1
+    return lines[0].split("resume with:", 1)[1].strip()
+
+
 class TestResume:
     def test_interrupted_sweep_resumes_from_the_printed_line(
-        self, tmp_path, capsys, interrupt_second_cell
+        self, tmp_path, capsys, monkeypatch, interrupt_second_cell
     ):
         whole, resumed = tmp_path / "whole.json", tmp_path / "resumed.json"
         assert main([*GRID, "--out", str(whole)]) == 0
         interrupt_second_cell()
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(["src", "lib"]))
         ckpt = str(tmp_path / "sweep.ckpt")
         assert main([
             *GRID, "--checkpoint", ckpt, "--out", str(resumed),
         ]) == 130
-        lines = [
-            line for line in capsys.readouterr().err.splitlines()
-            if "resume with:" in line
-        ]
-        assert len(lines) == 1
-        argv = shlex.split(lines[0].split("resume with:", 1)[1])
+        argv = shlex.split(_resume_line(capsys))
         assert argv == [
-            "anycast-ddos", "sweep", "--out", str(resumed),
-            "--resume", ckpt, "--jobs", "1",
+            "PYTHONPATH=" + os.pathsep.join(
+                [os.path.abspath("src"), os.path.abspath("lib")]
+            ),
+            sys.executable, "-m", "repro.cli", "sweep",
+            "--out", str(resumed), "--resume", ckpt, "--jobs", "1",
         ]
-        assert main(argv[1:]) == 0
+        assert main(argv[4:]) == 0
         payload = json.loads(resumed.read_text())
         assert payload["telemetry"]["restored_cells"] == [0]
         assert (
@@ -296,3 +307,28 @@ class TestResume:
         assert len(calls) == 2
         restored = json.loads(out.read_text())["telemetry"]["restored_cells"]
         assert restored == [0, 1]
+
+    def test_printed_line_runs_where_repro_is_not_installed(
+        self, tmp_path, capsys, interrupt_second_cell
+    ):
+        """The line carries what makes ``repro`` importable here: it
+        runs in a fresh shell, elsewhere, with no ``PYTHONPATH``."""
+        whole, resumed = tmp_path / "whole.json", tmp_path / "resumed.json"
+        assert main([*GRID, "--out", str(whole)]) == 0
+        interrupt_second_cell()
+        ckpt = str(tmp_path / "sweep.ckpt")
+        assert main([
+            *GRID, "--checkpoint", ckpt, "--out", str(resumed),
+        ]) == 130
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            ["sh", "-c", _resume_line(capsys)], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        payload = json.loads(resumed.read_text())
+        assert payload["telemetry"]["restored_cells"] == [0]
+        assert (
+            payload["summaries"]
+            == json.loads(whole.read_text())["summaries"]
+        )

@@ -4,8 +4,10 @@ finishes the run."""
 
 import importlib
 import json
+import os
 import pathlib
 import shlex
+import subprocess
 import sys
 
 import pytest
@@ -60,12 +62,14 @@ class TestInterruptExitCode:
         assert f"--resume {ckpt}" in err
 
     def test_interrupted_run_resumes_from_the_printed_line(
-        self, run_paper, tmp_path, capsys, interrupt_second_cell
+        self, run_paper, tmp_path, capsys, monkeypatch,
+        interrupt_second_cell,
     ):
         """Whatever sizes the run used, the printed line finishes it:
         the resumed run writes the uninterrupted run's renders."""
         assert run_paper.main(_args(tmp_path / "whole")) == 0
         interrupt_second_cell()
+        monkeypatch.delenv("PYTHONPATH", raising=False)
         ckpt = str(tmp_path / "sweep.ckpt")
         assert run_paper.main(_args(tmp_path, "--checkpoint", ckpt)) == 130
         lines = [
@@ -79,6 +83,33 @@ class TestInterruptExitCode:
         assert code == 0, capsys.readouterr().err
         assert len(lines) == 1
         assert argv[:2] == [sys.executable, run_paper.__file__]
+        renders = sorted((tmp_path / "whole" / "out").glob("*.txt"))
+        assert len(renders) == 17
+        for path in renders:
+            resumed = tmp_path / "out" / path.name
+            assert resumed.read_bytes() == path.read_bytes(), path.name
+
+    def test_printed_line_runs_where_repro_is_not_installed(
+        self, run_paper, tmp_path, capsys, interrupt_second_cell
+    ):
+        """The line carries what makes ``repro`` importable here: it
+        runs in a fresh shell, elsewhere, with no ``PYTHONPATH``."""
+        assert run_paper.main(_args(tmp_path / "whole")) == 0
+        interrupt_second_cell()
+        ckpt = str(tmp_path / "sweep.ckpt")
+        assert run_paper.main(_args(tmp_path, "--checkpoint", ckpt)) == 130
+        lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "resume with:" in line
+        ]
+        assert len(lines) == 1
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+        done = subprocess.run(
+            ["sh", "-c", lines[0].split("resume with:", 1)[1]],
+            cwd=tmp_path, env=env, capture_output=True, text=True,
+            timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
         renders = sorted((tmp_path / "whole" / "out").glob("*.txt"))
         assert len(renders) == 17
         for path in renders:

@@ -6,14 +6,12 @@ allowlist has exactly one entry, and these tests pin the accessor
 semantics that entry's justification relies on.
 """
 
-from repro.util.env import (
-    SANITIZE,
-    SWEEP_CHAOS,
-    SWEEP_SHM,
-    env_flag,
-    env_str,
-    read_env,
-)
+import ast
+import pathlib
+import re
+
+import repro
+from repro.util.env import SANITIZE, SWEEP_SHM, env_flag, read_env
 
 
 class TestReadEnv:
@@ -53,17 +51,21 @@ class TestEnvFlag:
             assert env_flag("REPRO_TEST_FLAG") is True
 
 
-class TestEnvStr:
-    def test_passthrough(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TEST_STR", "kill:3@1")
-        assert env_str("REPRO_TEST_STR") == "kill:3@1"
-        monkeypatch.delenv("REPRO_TEST_STR", raising=False)
-        assert env_str("REPRO_TEST_STR", "none") == "none"
-
-
 def test_declared_knob_names_are_stable():
     # These spellings are user-facing (docs, CI); renaming them is a
     # breaking change that must be deliberate.
-    assert SWEEP_CHAOS == "REPRO_SWEEP_CHAOS"
     assert SANITIZE == "REPRO_SANITIZE"
     assert SWEEP_SHM == "REPRO_SWEEP_SHM"
+    # And they are the only knobs: a new one anywhere in the package
+    # has to be added here on purpose.
+    knob = re.compile(r"^REPRO_[A-Z_]+$")
+    found = set()
+    for path in pathlib.Path(repro.__file__).parent.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and knob.match(node.value)
+            ):
+                found.add(node.value)
+    assert found == {"REPRO_SANITIZE", "REPRO_SWEEP_SHM"}
