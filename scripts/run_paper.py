@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 
@@ -266,7 +267,10 @@ def main(argv: list[str] | None = None) -> int:
         parser,
         args,
         prepare,
-        [sys.executable, __file__, "--out-dir", args.out_dir],
+        [
+            sys.executable, __file__,
+            "--out-dir", os.path.abspath(args.out_dir),
+        ],
         progress=lambda event: print(event, file=sys.stderr),
     )
     if isinstance(sweep, int):

@@ -18,10 +18,12 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import os
 import pathlib
 import shlex
 import sys
+import zipfile
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import ScenarioConfig, june2016_config, nov2015_config, simulate
@@ -125,7 +127,15 @@ def _analyze(dataset, which: str) -> str:
 
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
-    dataset = load_dataset(args.dataset)
+    try:
+        dataset = load_dataset(args.dataset)
+    except (
+        OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile,
+    ) as exc:
+        # Missing, unreadable, or not an archive save_dataset wrote.
+        print(f"error: cannot read dataset {args.dataset}: {exc}",
+              file=sys.stderr)
+        return 2
     if not args.raw:
         dataset, report = clean_dataset(dataset)
         print(
@@ -171,6 +181,21 @@ def _cmd_policies(args: argparse.Namespace) -> int:
     print(f"  withdraw: H = {withdraw}/4  (withdraw {sorted(withdrawn)})")
     print(f"  re-route: H = {optimal}/4  ({assignment})")
     return 0
+
+
+def _attack_volume(text: str) -> float:
+    """``--attack``: a finite, non-negative attack volume."""
+    try:
+        volume = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}"
+        ) from None
+    if not math.isfinite(volume) or volume < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite volume >= 0, got {text!r}"
+        )
+    return volume
 
 
 def _parse_axis(spec_str: str) -> tuple[str, list[Any]]:
@@ -232,7 +257,9 @@ def run_from_args(
     checkpoint) or 2 after one ``error:`` line for an unusable
     checkpoint.  The resume line starts with this process's
     ``PYTHONPATH``, each entry made absolute, when one is set: it may
-    be the only way ``repro`` imports here.
+    be the only way ``repro`` imports here.  Its paths are absolute
+    too, so it runs from any directory: the checkpoint is made
+    absolute here, and *command* carries its output flag absolute.
     """
     for flag, low in (
         ("--seed", 0), ("--stubs", 1), ("--vps", 1), ("--jobs", 1),
@@ -259,7 +286,10 @@ def run_from_args(
         print(f"\n{str(exc) or 'interrupted'}", file=sys.stderr)
         if checkpoint is not None:
             line = shlex.join(
-                [*command, "--resume", checkpoint, "--jobs", str(args.jobs)]
+                [
+                    *command, "--resume", os.path.abspath(checkpoint),
+                    "--jobs", str(args.jobs),
+                ]
             )
             path = read_env("PYTHONPATH")
             if path:
@@ -307,7 +337,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         prepare,
         [
             sys.executable, "-m", "repro.cli", "sweep",
-            *(["--out", args.out] if args.out else []),
+            *(["--out", os.path.abspath(args.out)] if args.out else []),
         ],
         progress=None if args.quiet else lambda e: print(e, file=sys.stderr),
         max_retries=args.max_retries,
@@ -386,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     rep.set_defaults(func=_cmd_report)
 
     pol = sub.add_parser("policies", help="evaluate the §2.2 model")
-    pol.add_argument("--attack", type=float, default=6.0,
+    pol.add_argument("--attack", type=_attack_volume, default=6.0,
                      help="attack volume A0 = A1 (site capacity = 1)")
     pol.set_defaults(func=_cmd_policies)
 

@@ -44,9 +44,17 @@ analysis cannot see, the runtime sanitizer (:mod:`.sanitize`,
 ``REPRO_SANITIZE=1``) catches at the site: frozen shared arrays and
 per-stream RNG draw accounting.
 
+Both analyses read files through one reader
+(:func:`.registry.read_source`), so a file that cannot be read, is
+not UTF-8 or does not parse is a lint error (exit 2) in either mode.
+The per-file lint sends every file through one process pool; the
+clock/RNG and bare-set classifiers in :mod:`.rules` are the same ones
+the purity analyzer's effect scan calls.
+
 The package imports none of its modules: the engine and the sweep
 worker import :mod:`.sanitize` on every run and need nothing else.
-Import the linter API from the module that defines it: ``lint_paths``
-and ``lint_source`` from :mod:`.runner`; ``Rule``, ``SourceFile``,
-``Violation``, ``all_rules`` and ``register`` from :mod:`.registry`.
+Import the linter API from the module that defines it: ``lint_paths``,
+``lint_source`` and ``LintReport`` from :mod:`.runner`; ``RULES`` from
+:mod:`.rules`; ``Rule``, ``SourceFile``, ``Violation`` and
+``read_source`` from :mod:`.registry`.
 """

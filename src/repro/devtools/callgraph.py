@@ -39,6 +39,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .imports import ImportMap
+from .registry import SourceError, read_source
 from .runner import iter_python_files
 
 #: Method names so common on builtin containers that a name-based
@@ -240,7 +241,7 @@ class ProjectIndex:
     classes: dict[str, ClassInfo] = field(default_factory=dict)
     #: caller qualname -> resolved call edges, in source order.
     calls: dict[str, list[CallEdge]] = field(default_factory=dict)
-    #: Files that failed to parse: (path, message).
+    #: Files that could not be read or parsed: (path, message).
     errors: list[tuple[str, str]] = field(default_factory=list)
     #: method name -> sorted qualnames of classes defining it.
     _methods_by_name: dict[str, list[str]] = field(default_factory=dict)
@@ -250,21 +251,16 @@ class ProjectIndex:
     @classmethod
     def build(cls, paths: Sequence[str]) -> "ProjectIndex":
         """Index every Python file under *paths* and link the call
-        graph.  Unparseable files are recorded in :attr:`errors` and
-        skipped -- the per-file lint reports them anyway."""
+        graph.  Files :func:`~repro.devtools.registry.read_source`
+        cannot read or parse are recorded in :attr:`errors` and
+        skipped."""
         index = cls()
         for file_path in iter_python_files(paths):
             name = file_path.as_posix()
             try:
-                text = file_path.read_text(encoding="utf-8")
-                tree = ast.parse(text, filename=name)
-            except OSError as exc:
-                index.errors.append((name, f"unreadable: {exc}"))
-                continue
-            except SyntaxError as exc:
-                index.errors.append(
-                    (name, f"syntax error at line {exc.lineno}: {exc.msg}")
-                )
+                _, tree = read_source(name)
+            except SourceError as exc:
+                index.errors.append((name, str(exc)))
                 continue
             module, is_package = module_name_for(file_path)
             if module in index.modules:

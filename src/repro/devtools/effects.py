@@ -14,11 +14,15 @@ bit-identity contract at least once:
 * ``NONDET_ITERATION`` -- consumes a bare set's arbitrary order.
 
 :func:`direct_effects` extracts each function's *own* effects from its
-AST (sharing the reference-resolution machinery with the per-file DET
-rules, so e.g. the wall-clock callable list lives in exactly one
-place).  :class:`EffectAnalysis` then propagates summaries bottom-up
-over the call graph's SCC condensation: a function has an effect if it
-performs it directly or calls -- transitively -- something that does.
+AST.  Clock reads, unseeded draws and bare-set iteration are decided
+by the per-file DET rules' own classifiers
+(:func:`~repro.devtools.rules.nondeterministic_reference` and
+:func:`~repro.devtools.rules.set_iterations`), so a reference or
+iteration that DET001, DET003 or DET004 flags in ``src`` gives its
+function the matching effect.  :class:`EffectAnalysis` then
+propagates summaries bottom-up over the call graph's SCC
+condensation: a function has an effect if it performs it directly or
+calls -- transitively -- something that does.
 
 Every acquired effect carries a *witness*: either the direct origin
 (file/line/detail) or the call edge through which it arrived.  Witness
@@ -42,7 +46,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping
 
 from .callgraph import CallEdge, FunctionInfo, ModuleInfo, ProjectIndex
-from .rules import _NUMPY_RANDOM_TYPES, _WALL_CLOCK, BareSetIteration
+from .rules import nondeterministic_reference, set_iterations
 
 
 class Effect(enum.Enum):
@@ -94,6 +98,13 @@ _MUTATORS = frozenset(
     }
 )
 
+
+#: The effect a reference gives its function, by the DET rule that
+#: :func:`nondeterministic_reference` assigns it to.
+_EFFECT_OF_RULE = {
+    "DET001": Effect.UNSEEDED_RNG,
+    "DET003": Effect.WALL_CLOCK,
+}
 
 #: Callback a scanner uses to record one effect at one node.
 _Note = Callable[[Effect, ast.AST, str], None]
@@ -224,25 +235,12 @@ class _DirectScanner:
                     f"writes closure cell(s) {', '.join(node.names)} "
                     "via nonlocal",
                 )
-            elif isinstance(node, (ast.For, ast.AsyncFor)):
-                if BareSetIteration._is_set_expr(node.iter):
-                    note(
-                        Effect.NONDET_ITERATION,
-                        node.iter,
-                        "iterates a bare set (arbitrary order)",
-                    )
-            elif isinstance(
-                node,
-                (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp),
-            ):
-                for generator in node.generators:
-                    if BareSetIteration._is_set_expr(generator.iter):
-                        note(
-                            Effect.NONDET_ITERATION,
-                            generator.iter,
-                            "comprehension over a bare set "
-                            "(arbitrary order)",
-                        )
+            for iterated, where in set_iterations(node):
+                note(
+                    Effect.NONDET_ITERATION,
+                    iterated,
+                    f"bare set iterated by {where} (arbitrary order)",
+                )
         return found
 
     # -- reference-based effects ---------------------------------------
@@ -254,38 +252,15 @@ class _DirectScanner:
         full = self.module.imports.resolve(node)
         if full is None:
             return
-        if full in _WALL_CLOCK:
-            note(Effect.WALL_CLOCK, node, f"`{full}` reads the host clock")
-        elif full == "random" or full.startswith("random."):
-            note(
-                Effect.UNSEEDED_RNG,
-                node,
-                f"`{full}` uses the process-global stdlib RNG",
-            )
-        elif full.startswith("numpy.random."):
-            tail = full[len("numpy.random.") :]
-            if tail in _NUMPY_RANDOM_TYPES:
-                return
-            if tail == "default_rng":
-                call = self.parents.get(node)
-                if (
-                    isinstance(call, ast.Call)
-                    and call.func is node
-                    and (call.args or call.keywords)
-                ):
-                    return  # explicitly seeded
-                note(
-                    Effect.UNSEEDED_RNG,
-                    node,
-                    "argless `numpy.random.default_rng()` seeds from "
-                    "the OS",
-                )
-            else:
-                note(
-                    Effect.UNSEEDED_RNG,
-                    node,
-                    f"`{full}` is global-state numpy RNG",
-                )
+        call = (
+            parent
+            if isinstance(parent, ast.Call) and parent.func is node
+            else None
+        )
+        found = nondeterministic_reference(full, call)
+        if found is not None:
+            code, finding = found
+            note(_EFFECT_OF_RULE[code], node, finding)
         elif any(
             full == head or full.startswith(head + ".")
             for head in _ENV_READS

@@ -11,8 +11,8 @@ Exit codes form a contract CI relies on:
 
 * ``0`` -- every checked file is clean;
 * ``1`` -- at least one violation (printed as ``file:line:col: RULE``);
-* ``2`` -- the lint itself failed (missing path, unparseable file,
-  missing purity root).
+* ``2`` -- the lint itself failed (missing path, unreadable or
+  unparseable file, missing purity root).
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .registry import rule_descriptions
-from .report import render_json, render_text, render_timings
+from .purity import purity_rule_descriptions, run_purity
+from .rules import RULES
 from .runner import lint_paths
 
 
@@ -43,27 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="files or directories to lint (default: src tests)",
     )
     parser.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "lint N files in parallel (0 = one worker per CPU; "
-            "default: 1; per-file mode only)"
-        ),
-    )
-    parser.add_argument(
-        "--timing",
-        action="store_true",
-        help="print per-rule wall time after the report (per-file mode)",
-    )
-    parser.add_argument(
         "--purity",
         action="store_true",
         help=(
@@ -72,28 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--purity-root",
-        action="append",
-        default=None,
-        metavar="QUALNAME",
-        help=(
-            "check this function qualname instead of the declared "
-            "purity roots (repeatable)"
-        ),
-    )
-    parser.add_argument(
-        "--purity-allowlist",
-        default=None,
-        metavar="FILE",
-        help=(
-            "purity allowlist file (default: the in-repo "
-            "purity_allowlist.txt next to repro.devtools.purity)"
-        ),
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
-        help="print every registered rule and exit",
+        help="print every rule and exit",
     )
     return parser
 
@@ -102,10 +62,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
 
     if args.list_rules:
-        from .purity import purity_rule_descriptions
-
         for code, summary, rationale in (
-            *rule_descriptions(),
+            *((rule.code, rule.summary, rule.rationale) for rule in RULES),
             *purity_rule_descriptions(),
         ):
             print(f"{code}  {summary}")
@@ -118,30 +76,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"error: no such path: {path}", file=sys.stderr)
         return 2
 
-    if args.purity:
-        from .purity import run_purity
-
-        roots = None
-        if args.purity_root:
-            roots = {
-                qualname: "requested via --purity-root"
-                for qualname in args.purity_root
-            }
-        report = run_purity(
-            args.paths,
-            roots=roots,
-            allowlist_path=args.purity_allowlist,
-        )
-    else:
-        report = lint_paths(args.paths, jobs=args.jobs)
-
-    rendered = (
-        render_json(report) if args.format == "json" else render_text(report)
-    )
-    print(rendered)
-    if args.timing and args.format == "text":
-        print()
-        print(render_timings(report))
+    report = run_purity(args.paths) if args.purity else lint_paths(args.paths)
+    print(report.render())
     return report.exit_code
 
 

@@ -245,7 +245,8 @@ def run_purity(
                 (
                     "<purity>",
                     f"purity root {qualname} not found in the analyzed "
-                    "tree; pass --purity-root or widen the lint paths",
+                    "tree; lint the tree that defines it, or update "
+                    "PURITY_ROOTS if it moved",
                 )
             )
     if report.errors:

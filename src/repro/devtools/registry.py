@@ -1,20 +1,20 @@
-"""Rule registry, source-file model, and the violation record.
+"""The rule base class, the source-file model, the violation record,
+and the one reader both analyses parse files with.
 
 A rule is a small class: a stable code (``DET001``), a one-line
 ``summary``, a ``rationale`` explaining why the invariant matters for
 this repo, a scope predicate (:meth:`Rule.applies_to`), and a
-:meth:`Rule.check` generator over one parsed file.  Rules register
-themselves with :func:`register` at import time; the runner asks
-:func:`all_rules` for the active set, so tests can also instantiate a
-single rule directly against fixture snippets.
+:meth:`Rule.check` generator over one parsed file.
+:data:`repro.devtools.rules.RULES` is the active set; tests can also
+instantiate a single rule directly against fixture snippets.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from pathlib import PurePosixPath
-from typing import ClassVar, Iterator, Type
+from pathlib import Path, PurePosixPath
+from typing import ClassVar, Iterator
 
 from .imports import ImportMap
 
@@ -40,7 +40,7 @@ class Violation:
     witness: tuple[str, ...] = ()
 
     def format(self) -> str:
-        """The text reporter's ``file:line:col: RULE message`` line(s).
+        """The report's ``file:line:col: RULE message`` line(s).
 
         Witness hops, when present, follow on indented continuation
         lines so the first line stays grep/editor friendly.
@@ -51,23 +51,34 @@ class Violation:
         hops = "\n".join(f"    {hop}" for hop in self.witness)
         return f"{head}\n{hops}"
 
-    def to_json(self) -> dict[str, object]:
-        """A JSON-serialisable record of this violation."""
-        record: dict[str, object] = {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "message": self.message,
-        }
-        if self.witness:
-            record["witness"] = list(self.witness)
-        return record
+
+class SourceError(Exception):
+    """A file neither analysis can check; the message is its report
+    error (``unreadable: ...`` or ``syntax error at line N: ...``)."""
+
+
+def read_source(path: str) -> tuple[str, ast.Module]:
+    """Read *path* as UTF-8 and parse it: the text and its tree.
+
+    Both analyses read files only through here, so a file that cannot
+    be read, is not UTF-8, or does not parse is one
+    :class:`SourceError` for either, never a traceback.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SourceError(f"unreadable: {exc}") from exc
+    try:
+        return text, ast.parse(text, filename=path)
+    except SyntaxError as exc:
+        raise SourceError(
+            f"syntax error at line {exc.lineno}: {exc.msg}"
+        ) from exc
 
 
 @dataclass(slots=True)
 class SourceFile:
-    """One file, parsed once and shared by every rule.
+    """One parsed file, shared by every rule.
 
     ``scope`` is ``"src"`` for package/simulation code, ``"tests"``
     for test code, and ``"other"`` for anything else; rules use it to
@@ -78,28 +89,20 @@ class SourceFile:
     path: str
     text: str
     tree: ast.Module
-    scope: str
+    scope: str = field(init=False)
     #: Maps every AST node to its parent, for context-sensitive rules.
-    parents: dict[ast.AST, ast.AST] = field(default_factory=dict)
+    parents: dict[ast.AST, ast.AST] = field(init=False)
     #: Local name -> absolute dotted module path for imported names.
-    imports: ImportMap = field(default_factory=ImportMap)
+    imports: ImportMap = field(init=False)
 
-    @classmethod
-    def parse(cls, path: str, text: str) -> "SourceFile":
-        """Parse *text*, raising :class:`SyntaxError` on bad input."""
-        tree = ast.parse(text, filename=path)
-        parents: dict[ast.AST, ast.AST] = {}
-        for parent in ast.walk(tree):
-            for child in ast.iter_child_nodes(parent):
-                parents[child] = parent
-        return cls(
-            path=path,
-            text=text,
-            tree=tree,
-            scope=classify_scope(path),
-            parents=parents,
-            imports=ImportMap.from_tree(tree),
-        )
+    def __post_init__(self) -> None:
+        self.scope = classify_scope(self.path)
+        self.parents = {
+            child: parent
+            for parent in ast.walk(self.tree)
+            for child in ast.iter_child_nodes(parent)
+        }
+        self.imports = ImportMap.from_tree(self.tree)
 
     def parent(self, node: ast.AST) -> ast.AST | None:
         """The syntactic parent of *node* (None for the module)."""
@@ -130,7 +133,8 @@ def classify_scope(path: str) -> str:
 
 
 class Rule:
-    """Base class for one lint rule.  Subclass and :func:`register`."""
+    """Base class for one lint rule; :data:`~repro.devtools.rules.RULES`
+    lists an instance of each."""
 
     code: ClassVar[str] = "XXX000"
     summary: ClassVar[str] = ""
@@ -144,30 +148,3 @@ class Rule:
         """Yield every violation of this rule in *file*."""
         raise NotImplementedError
         yield  # pragma: no cover - makes this a generator for typing
-
-
-_REGISTRY: dict[str, Type[Rule]] = {}
-
-
-def register(rule_class: Type[Rule]) -> Type[Rule]:
-    """Class decorator adding *rule_class* to the active rule set."""
-    code = rule_class.code
-    if code in _REGISTRY:
-        raise ValueError(f"duplicate rule code {code!r}")
-    _REGISTRY[code] = rule_class
-    return rule_class
-
-
-def all_rules() -> tuple[Rule, ...]:
-    """Fresh instances of every registered rule, sorted by code."""
-    # Importing the rule module populates the registry on first use.
-    from . import rules as _rules  # noqa: F401
-
-    return tuple(_REGISTRY[code]() for code in sorted(_REGISTRY))
-
-
-def rule_descriptions() -> tuple[tuple[str, str, str], ...]:
-    """(code, summary, rationale) for every registered rule."""
-    return tuple(
-        (r.code, r.summary, r.rationale) for r in all_rules()
-    )

@@ -6,6 +6,13 @@ wall-clock discipline binds simulation/analysis code (``src``), while
 mutable default arguments are a bug anywhere.  See
 ``docs/architecture.md`` ("Correctness tooling") for the rationale
 behind each rule and the suppression syntax.
+
+Two decisions are shared with the purity analyzer
+(:mod:`repro.devtools.effects`), so the per-file and interprocedural
+checks cannot disagree: :func:`nondeterministic_reference` (does a
+resolved reference read the host clock or draw unseeded randomness?)
+and :func:`set_iterations` (does a node consume a bare set's order?).
+:data:`RULES` lists one instance of every rule, in code order.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from .registry import Rule, SourceFile, Violation, register
+from .registry import Rule, SourceFile, Violation
 
 #: ``numpy.random`` attributes that are safe to reference: generator
 #: and bit-generator *types* (construction requires an explicit seed
@@ -60,37 +67,98 @@ _TOKEN_SINKS = frozenset(
 #: Builtins that realise an iterable into an ordered sequence.
 _ORDERING_CONSUMERS = frozenset({"list", "tuple", "enumerate", "iter"})
 
+#: The advice each per-file rule appends to a shared finding.
+_RNG_ADVICE = "draw from a seeded repro.util.rng stream instead"
+_CLOCK_ADVICE = (
+    "simulation time must come from TimeGrid / scenario timestamps"
+)
 
-def _is_reference_head(file: SourceFile, node: ast.AST) -> bool:
-    """True for the outermost Name/Attribute of a dotted reference."""
-    return not isinstance(file.parent(node), ast.Attribute)
+
+def nondeterministic_reference(
+    full: str, call: ast.Call | None
+) -> tuple[str, str] | None:
+    """Whether a resolved reference reads the host clock or draws
+    unseeded randomness: ``(rule code, finding)`` or ``None``.
+
+    *full* is the reference's absolute dotted path and *call* the Call
+    it is the callee of, if any (an argless ``default_rng()`` seeds
+    from the OS; one with arguments is seeded).  The code is
+    ``DET003`` for a clock read and ``DET001`` for randomness.
+    """
+    if full in _WALL_CLOCK:
+        return "DET003", f"`{full}` reads the host clock"
+    if full == "random" or full.startswith("random."):
+        return "DET001", f"`{full}` uses the process-global stdlib RNG"
+    if not full.startswith("numpy.random."):
+        return None
+    tail = full[len("numpy.random.") :]
+    if tail in _NUMPY_RANDOM_TYPES:
+        return None
+    if tail != "default_rng":
+        return "DET001", f"`{full}` is legacy global-state numpy RNG"
+    if call is not None and (call.args or call.keywords):
+        return None
+    return "DET001", "argless `numpy.random.default_rng()` seeds from the OS"
 
 
-def _iter_references(
-    file: SourceFile,
+def set_iterations(node: ast.AST) -> Iterator[tuple[ast.expr, str]]:
+    """The bare sets *node* iterates where order matters, each with
+    the construct that consumes it: a for loop, a comprehension, an
+    ordering builtin (``list``, ``tuple``, ``enumerate``, ``iter``)
+    or ``str.join``."""
+    if isinstance(node, (ast.For, ast.AsyncFor)):
+        if _is_set_expr(node.iter):
+            yield node.iter, "a for loop"
+    elif isinstance(
+        node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    ):
+        for generator in node.generators:
+            if _is_set_expr(generator.iter):
+                yield generator.iter, "a comprehension"
+    elif isinstance(node, ast.Call) and node.args and _is_set_expr(
+        node.args[0]
+    ):
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in _ORDERING_CONSUMERS:
+            yield node.args[0], f"{func.id}(...)"
+        elif isinstance(func, ast.Attribute) and func.attr == "join":
+            yield node.args[0], "str.join(...)"
+
+
+def _is_set_expr(node: ast.expr) -> bool:
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("set", "frozenset")
+    )
+
+
+def _nondeterministic_references(
+    file: SourceFile, code: str
 ) -> Iterator[tuple[ast.expr, str]]:
-    """Yield (node, absolute dotted path) for every imported-name use."""
+    """(node, finding) for every imported-name reference in *file*
+    that :func:`nondeterministic_reference` assigns to *code*."""
     for node in ast.walk(file.tree):
         if not isinstance(node, (ast.Name, ast.Attribute)):
             continue
-        if not _is_reference_head(file, node):
-            continue
+        parent = file.parent(node)
+        if isinstance(parent, ast.Attribute):
+            continue  # only the head of each dotted chain
         full = file.imports.resolve(node)
-        if full is not None:
-            yield node, full
+        if full is None:
+            continue
+        call = (
+            parent
+            if isinstance(parent, ast.Call) and parent.func is node
+            else None
+        )
+        found = nondeterministic_reference(full, call)
+        if found is not None and found[0] == code:
+            yield node, found[1]
 
 
-def _call_parent(
-    file: SourceFile, node: ast.AST
-) -> ast.Call | None:
-    """The Call node of which *node* is the callee, if any."""
-    parent = file.parent(node)
-    if isinstance(parent, ast.Call) and parent.func is node:
-        return parent
-    return None
-
-
-@register
 class UnseededRandomness(Rule):
     """DET001: randomness outside the seeded per-component streams."""
 
@@ -118,8 +186,7 @@ class UnseededRandomness(Rule):
                             node,
                             self.code,
                             "import of the stdlib `random` module "
-                            "(global RNG state); draw from a seeded "
-                            "repro.util.rng stream instead",
+                            f"(global RNG state); {_RNG_ADVICE}",
                         )
             elif isinstance(node, ast.ImportFrom):
                 if node.level == 0 and node.module == "random":
@@ -127,42 +194,12 @@ class UnseededRandomness(Rule):
                         node,
                         self.code,
                         "import from the stdlib `random` module "
-                        "(global RNG state); draw from a seeded "
-                        "repro.util.rng stream instead",
+                        f"(global RNG state); {_RNG_ADVICE}",
                     )
-        for node, full in _iter_references(file):
-            if full == "random" or full.startswith("random."):
-                yield file.violation(
-                    node,
-                    self.code,
-                    f"`{full}` uses the process-global RNG; draw from "
-                    "a seeded repro.util.rng stream instead",
-                )
-            elif full.startswith("numpy.random."):
-                tail = full[len("numpy.random.") :]
-                if tail in _NUMPY_RANDOM_TYPES:
-                    continue
-                if tail == "default_rng":
-                    call = _call_parent(file, node)
-                    if call is not None and (call.args or call.keywords):
-                        continue  # explicitly seeded: fine
-                    yield file.violation(
-                        node,
-                        self.code,
-                        "argless `default_rng()` seeds from the OS; "
-                        "derive the seed via repro.util.rng instead",
-                    )
-                else:
-                    yield file.violation(
-                        node,
-                        self.code,
-                        f"`{full}` is legacy global-state numpy RNG; "
-                        "use a seeded numpy.random.Generator from "
-                        "repro.util.rng",
-                    )
+        for node, finding in _nondeterministic_references(file, self.code):
+            yield file.violation(node, self.code, f"{finding}; {_RNG_ADVICE}")
 
 
-@register
 class IdAsToken(Rule):
     """DET002: ``id()`` used as a cache key or comparison token."""
 
@@ -222,7 +259,6 @@ class IdAsToken(Rule):
         return False
 
 
-@register
 class WallClockRead(Rule):
     """DET003: wall-clock reads in simulation/analysis code."""
 
@@ -238,17 +274,12 @@ class WallClockRead(Rule):
         return file.scope == "src"
 
     def check(self, file: SourceFile) -> Iterator[Violation]:
-        for node, full in _iter_references(file):
-            if full in _WALL_CLOCK:
-                yield file.violation(
-                    node,
-                    self.code,
-                    f"`{full}` reads the host clock; simulation time "
-                    "must come from TimeGrid / scenario timestamps",
-                )
+        for node, finding in _nondeterministic_references(file, self.code):
+            yield file.violation(
+                node, self.code, f"{finding}; {_CLOCK_ADVICE}"
+            )
 
 
-@register
 class BareSetIteration(Rule):
     """DET004: iterating a set in an order-sensitive position."""
 
@@ -266,58 +297,15 @@ class BareSetIteration(Rule):
 
     def check(self, file: SourceFile) -> Iterator[Violation]:
         for node in ast.walk(file.tree):
-            if isinstance(node, (ast.For, ast.AsyncFor)):
-                if self._is_set_expr(node.iter):
-                    yield self._flag(file, node.iter, "a for loop")
-            elif isinstance(
-                node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
-            ):
-                for generator in node.generators:
-                    if self._is_set_expr(generator.iter):
-                        yield self._flag(file, generator.iter, "a comprehension")
-            elif isinstance(node, ast.Call):
-                yield from self._check_call(file, node)
-
-    def _check_call(
-        self, file: SourceFile, call: ast.Call
-    ) -> Iterator[Violation]:
-        if (
-            isinstance(call.func, ast.Name)
-            and call.func.id in _ORDERING_CONSUMERS
-            and call.args
-            and self._is_set_expr(call.args[0])
-        ):
-            yield self._flag(file, call.args[0], f"{call.func.id}(...)")
-        elif (
-            isinstance(call.func, ast.Attribute)
-            and call.func.attr == "join"
-            and call.args
-            and self._is_set_expr(call.args[0])
-        ):
-            yield self._flag(file, call.args[0], "str.join(...)")
-
-    @staticmethod
-    def _is_set_expr(node: ast.expr) -> bool:
-        if isinstance(node, (ast.Set, ast.SetComp)):
-            return True
-        return (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Name)
-            and node.func.id in ("set", "frozenset")
-        )
-
-    def _flag(
-        self, file: SourceFile, node: ast.expr, where: str
-    ) -> Violation:
-        return file.violation(
-            node,
-            self.code,
-            f"bare set iterated by {where} has arbitrary order; wrap "
-            "it in sorted(...) before consuming",
-        )
+            for iterated, where in set_iterations(node):
+                yield file.violation(
+                    iterated,
+                    self.code,
+                    f"bare set iterated by {where} has arbitrary order; "
+                    "wrap it in sorted(...) before consuming",
+                )
 
 
-@register
 class MutableDefaultArgument(Rule):
     """COR001: mutable default arguments."""
 
@@ -371,7 +359,6 @@ class MutableDefaultArgument(Rule):
         )
 
 
-@register
 class FloatEquality(Rule):
     """COR002: exact float equality comparisons."""
 
@@ -417,3 +404,14 @@ class FloatEquality(Rule):
             and isinstance(node.operand, ast.Constant)
             and isinstance(node.operand.value, float)
         )
+
+
+#: Every per-file rule, in code order.
+RULES: tuple[Rule, ...] = (
+    MutableDefaultArgument(),
+    FloatEquality(),
+    UnseededRandomness(),
+    IdAsToken(),
+    WallClockRead(),
+    BareSetIteration(),
+)

@@ -1,23 +1,21 @@
-"""Per-file lint driver: parse once, run every applicable rule.
+"""Per-file lint driver: parse once, run every rule, report in path order.
 
 The runner owns the parts that are rule-independent: file discovery,
-parsing, suppression bookkeeping (including flagging unjustified and
-unused ``# repro: noqa`` comments), stable ordering of results, and
-the execution strategy.  Files are independent, so ``jobs > 1`` fans
-them out over a process pool; results are merged back in path order,
-making the report byte-identical to a serial run.  Each rule's wall
-time is accumulated per rule code (serial) or per code summed across
-workers (parallel) so ``--timing`` can show where lint time goes.
+suppression bookkeeping (including flagging unjustified and unused
+``# repro: noqa`` comments), stable ordering of results, and the one
+text report.  Files are independent, so :func:`lint_paths` sends
+every file through one process pool sized to the CPU count (never
+more workers than files) and merges the results in path order.
 """
 
 from __future__ import annotations
 
+import ast
 import os
-import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .noqa import (
     NOQA_MISSING_JUSTIFICATION,
@@ -25,7 +23,8 @@ from .noqa import (
     Suppression,
     parse_suppressions,
 )
-from .registry import Rule, SourceFile, Violation, all_rules
+from .registry import SourceError, SourceFile, Violation, read_source
+from .rules import RULES
 
 #: Directories never worth descending into.
 _SKIP_DIRS = frozenset({"__pycache__", ".git", ".venv", "node_modules"})
@@ -36,11 +35,9 @@ class LintReport:
     """Everything one lint invocation produced."""
 
     violations: list[Violation] = field(default_factory=list)
-    #: Files that could not be parsed: (path, error message).
+    #: Files that could not be checked: (path, error message).
     errors: list[tuple[str, str]] = field(default_factory=list)
     checked_files: int = 0
-    #: Rule code -> total seconds spent in that rule's ``check``.
-    rule_timings: dict[str, float] = field(default_factory=dict)
 
     @property
     def exit_code(self) -> int:
@@ -48,6 +45,23 @@ class LintReport:
         if self.errors:
             return 2
         return 1 if self.violations else 0
+
+    def render(self) -> str:
+        """The ``file:line:col: RULE message`` listing and a summary."""
+        lines = [v.format() for v in self.violations]
+        lines.extend(
+            f"{path}: error: {message}" for path, message in self.errors
+        )
+        if self.errors:
+            lines.append(f"{len(self.errors)} file(s) could not be checked")
+        if self.violations or self.errors:
+            lines.append(
+                f"{len(self.violations)} violation(s) in "
+                f"{self.checked_files} checked file(s)"
+            )
+        else:
+            lines.append(f"repro lint: {self.checked_files} file(s) clean")
+        return "\n".join(lines)
 
 
 def iter_python_files(paths: Sequence[str]) -> list[Path]:
@@ -64,37 +78,27 @@ def iter_python_files(paths: Sequence[str]) -> list[Path]:
     return sorted(found)
 
 
-def lint_source(
-    text: str,
-    path: str,
-    rules: Iterable[Rule] | None = None,
-    timings: dict[str, float] | None = None,
-) -> list[Violation]:
+def lint_source(text: str, path: str) -> list[Violation]:
     """Lint one source string as if it lived at *path*.
 
     This is the unit-test surface: rule fixtures feed snippets through
     it with a fake path to exercise scope handling.  Raises
-    :class:`SyntaxError` if *text* does not parse.  With *timings*,
-    each rule's elapsed seconds are accumulated into it by rule code.
+    :class:`SyntaxError` if *text* does not parse.
     """
-    file = SourceFile.parse(path, text)
-    active = list(all_rules() if rules is None else rules)
+    return _check(SourceFile(path, text, ast.parse(text, filename=path)))
 
-    raw: list[Violation] = []
-    for rule in active:
-        if not rule.applies_to(file):
-            continue
-        if timings is None:
-            raw.extend(rule.check(file))
-            continue
-        started = time.perf_counter()  # repro: noqa DET003 -- lint self-profiling; measures the linter, never simulation output
-        raw.extend(rule.check(file))
-        elapsed = time.perf_counter() - started  # repro: noqa DET003 -- lint self-profiling; measures the linter, never simulation output
-        timings[rule.code] = timings.get(rule.code, 0.0) + elapsed
 
-    suppressions = parse_suppressions(text)
+def _check(file: SourceFile) -> list[Violation]:
+    """Every rule's violations in *file*, suppressions applied."""
+    raw = [
+        violation
+        for rule in RULES
+        if rule.applies_to(file)
+        for violation in rule.check(file)
+    ]
+    suppressions = parse_suppressions(file.text)
     kept = [v for v in raw if not _suppress(v, suppressions)]
-    kept.extend(_suppression_violations(path, suppressions))
+    kept.extend(_suppression_violations(file.path, suppressions))
     kept.sort(key=lambda v: (v.line, v.col, v.rule))
     return kept
 
@@ -151,101 +155,31 @@ def _suppression_violations(
     return flagged
 
 
-#: One worker's result for one file: (path, violations, error message
-#: or None, per-rule timings).  Shipped back over the pool pickle
-#: boundary, so everything in it must be picklable.
-_FileResult = tuple[str, list[Violation], str | None, dict[str, float]]
+def _lint_file(name: str) -> tuple[list[Violation], str | None]:
+    """Process-pool task: one file's violations, or its error.
 
-
-def _lint_one_file(name: str) -> _FileResult:
-    """Process-pool task: lint a single file with the full rule set.
-
-    Top-level (picklable) and rule-set-free on purpose: each worker
-    builds the registry's rules itself, so only the path crosses the
-    pool boundary going in.
+    Top-level (picklable) on purpose: only the path crosses the pool
+    boundary going in.
     """
-    timings: dict[str, float] = {}
     try:
-        text = Path(name).read_text(encoding="utf-8")
-    except OSError as exc:
-        return name, [], f"unreadable: {exc}", timings
-    try:
-        violations = lint_source(text, name, None, timings)
-    except SyntaxError as exc:
-        return (
-            name,
-            [],
-            f"syntax error at line {exc.lineno}: {exc.msg}",
-            timings,
-        )
-    return name, violations, None, timings
+        text, tree = read_source(name)
+    except SourceError as exc:
+        return [], str(exc)
+    return _check(SourceFile(name, text, tree)), None
 
 
-def _merge(report: LintReport, result: _FileResult) -> None:
-    name, violations, error, timings = result
-    if error is not None:
-        report.errors.append((name, error))
-    else:
-        report.violations.extend(violations)
-        report.checked_files += 1
-    for code, elapsed in timings.items():
-        report.rule_timings[code] = (
-            report.rule_timings.get(code, 0.0) + elapsed
-        )
-
-
-def resolve_jobs(jobs: int) -> int:
-    """``jobs <= 0`` means one worker per CPU (minimum 1)."""
-    if jobs > 0:
-        return jobs
-    return max(1, os.cpu_count() or 1)
-
-
-def lint_paths(
-    paths: Sequence[str],
-    rules: Iterable[Rule] | None = None,
-    jobs: int = 1,
-) -> LintReport:
-    """Lint every Python file under *paths*.
-
-    With ``jobs != 1`` the files are linted by a process pool (``0``
-    = one worker per CPU); a custom *rules* iterable forces the serial
-    path, since pool workers always run the registered rule set.
-    Output is identical either way: results merge in path order.
-    """
+def lint_paths(paths: Sequence[str]) -> LintReport:
+    """Lint every Python file under *paths* in a process pool."""
     report = LintReport()
-    files = iter_python_files(paths)
-    effective_jobs = resolve_jobs(jobs)
-
-    if rules is None and effective_jobs > 1 and len(files) > 1:
-        names = [f.as_posix() for f in files]
-        workers = min(effective_jobs, len(names))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(_lint_one_file, names, chunksize=8):
-                _merge(report, result)
-    else:
-        active = list(all_rules() if rules is None else rules)
-        for file_path in files:
-            name = file_path.as_posix()
-            timings: dict[str, float] = {}
-            try:
-                text = file_path.read_text(encoding="utf-8")
-            except OSError as exc:
-                _merge(report, (name, [], f"unreadable: {exc}", timings))
-                continue
-            try:
-                violations = lint_source(text, name, active, timings)
-            except SyntaxError as exc:
-                _merge(
-                    report,
-                    (
-                        name,
-                        [],
-                        f"syntax error at line {exc.lineno}: {exc.msg}",
-                        timings,
-                    ),
-                )
-                continue
-            _merge(report, (name, violations, None, timings))
+    names = [f.as_posix() for f in iter_python_files(paths)]
+    workers = max(1, min(os.cpu_count() or 1, len(names)))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        results = pool.map(_lint_file, names, chunksize=8)
+        for name, (violations, error) in zip(names, results):
+            if error is None:
+                report.violations.extend(violations)
+                report.checked_files += 1
+            else:
+                report.errors.append((name, error))
     report.violations.sort(key=lambda v: (v.path, v.line, v.col, v.rule))
     return report

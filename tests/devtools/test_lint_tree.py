@@ -7,7 +7,6 @@ rule misfires (fix the rule); both are PR blockers, matching the
 ``lint-repro`` CI job.
 """
 
-import json
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +14,7 @@ from pathlib import Path
 import pytest
 
 from repro.devtools.lint import main
-from repro.devtools.registry import all_rules
-from repro.devtools.report import render_json, render_text
+from repro.devtools.rules import RULES
 from repro.devtools.runner import iter_python_files, lint_paths, lint_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
@@ -52,29 +50,12 @@ def test_scripts_and_benchmarks_trees_are_clean():
     assert report.checked_files > 30
 
 
-def test_parallel_lint_matches_serial():
-    target = str(REPO_ROOT / "src" / "repro" / "devtools")
-    serial = lint_paths([target])
-    parallel = lint_paths([target], jobs=2)
-    assert parallel.violations == serial.violations
-    assert parallel.errors == serial.errors
-    assert parallel.checked_files == serial.checked_files
-
-
-def test_rule_timings_are_collected():
-    report = lint_paths([str(REPO_ROOT / "src" / "repro" / "util")])
-    assert set(report.rule_timings) == {
-        r.code for r in all_rules()
-    }
-    assert all(t >= 0.0 for t in report.rule_timings.values())
-
-
 def test_every_rule_is_registered():
-    rule_codes = [r.code for r in all_rules()]
+    rule_codes = [r.code for r in RULES]
     assert rule_codes == sorted(rule_codes)
     for expected in ("DET001", "DET002", "DET003", "DET004", "COR001", "COR002"):
         assert expected in rule_codes
-    for rule in all_rules():
+    for rule in RULES:
         assert rule.summary, rule.code
         assert rule.rationale, rule.code
 
@@ -105,19 +86,27 @@ def test_exit_code_contract(tmp_path):
     assert main([str(tmp_path / "no-such-dir")]) == 2
 
 
+def test_non_utf8_file_is_a_lint_error(tmp_path, capsys):
+    target = tmp_path / "src" / "repro" / "latin1.py"
+    target.parent.mkdir(parents=True)
+    target.write_bytes(b'name = "\xff"\n')
+    assert main([str(tmp_path)]) == 2
+    out = capsys.readouterr().out
+    assert f"{target.as_posix()}: error: unreadable: " in out
+    assert "can't decode byte 0xff" in out
+
+
 def test_json_report_shape(tmp_path):
     target = tmp_path / "src" / "repro" / "mod.py"
     target.parent.mkdir(parents=True)
     target.write_text("token = id(x)\n")
     report = lint_paths([str(target)])
-    payload = json.loads(render_json(report))
-    assert payload["exit_code"] == 1
-    assert payload["checked_files"] == 1
-    (violation,) = payload["violations"]
-    assert violation["rule"] == "DET002"
-    assert violation["line"] == 1
+    assert report.exit_code == 1
+    assert report.checked_files == 1
+    (violation,) = report.violations
+    assert (violation.rule, violation.line) == ("DET002", 1)
 
-    text = render_text(report)
+    text = report.render()
     assert "DET002" in text
     assert "1 violation(s)" in text
 

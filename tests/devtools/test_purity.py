@@ -10,12 +10,16 @@ and call linking run exactly as they do on ``src/repro``.
 import textwrap
 from pathlib import Path
 
+import pytest
+
+from repro.devtools.lint import main
 from repro.devtools.purity import (
     PURITY_ROOTS,
     default_allowlist_path,
     parse_allowlist,
     run_purity,
 )
+from repro.devtools.runner import lint_source
 
 REPO_ROOT = Path(__file__).resolve().parent.parent.parent
 
@@ -361,6 +365,77 @@ class TestRootHandling:
         )
         assert report.exit_code == 0
         assert report.violations == []
+
+    def test_non_utf8_file_is_an_error(self, tmp_path, capsys):
+        _three_hop_package(
+            tmp_path, "def tick(config):\n    return config\n"
+        )
+        target = tmp_path / "pkg" / "latin1.py"
+        target.write_bytes(b'name = "\xff"\n')
+        assert main(["--purity", str(tmp_path)]) == 2
+        out = capsys.readouterr().out
+        assert f"{target.as_posix()}: error: unreadable: " in out
+        assert "can't decode byte 0xff" in out
+
+
+#: A module whose ``root`` runs one snippet on line ``SNIPPET_LINE``.
+AGREEMENT_MODULE = (
+    "import datetime\n"
+    "import random\n"
+    "import time\n"
+    "\n"
+    "import numpy as np\n"
+    "\n"
+    "\n"
+    "def root(a):\n"
+    "    {}\n"
+)
+SNIPPET_LINE = 9
+
+#: (snippet, the DET rule its line breaks in ``src``, the PUR rule a
+#: purity root running it breaks); ``None`` where neither flags it.
+AGREEMENT = {
+    "time.time": ("time.time()", "DET003", "PUR001"),
+    "datetime.now": ("datetime.datetime.now()", "DET003", "PUR001"),
+    "random.random": ("random.random()", "DET001", "PUR002"),
+    "np.random.rand": ("np.random.rand(3)", "DET001", "PUR002"),
+    "argless-default_rng": ("np.random.default_rng()", "DET001", "PUR002"),
+    "for-over-set": ("for x in set(a): pass", "DET004", "PUR006"),
+    "comprehension-over-set": ("[x for x in {1, 2}]", "DET004", "PUR006"),
+    "list-of-set": ("list(set(a))", "DET004", "PUR006"),
+    "join-of-frozenset": ('",".join(frozenset(a))', "DET004", "PUR006"),
+    "seeded-default_rng": ("np.random.default_rng(7)", None, None),
+    "generator-type": (
+        "np.random.Generator(np.random.PCG64(1))", None, None,
+    ),
+    "sorted-set": ("sorted(set(a))", None, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(AGREEMENT))
+def test_det_and_pur_agree(tmp_path, case):
+    """The per-file rules and the purity analyzer share one classifier:
+    a line gets DET00x in ``src`` exactly when a purity root running it
+    gets the matching PUR00x, traced to that line."""
+    snippet, det, pur = AGREEMENT[case]
+    source = AGREEMENT_MODULE.format(snippet)
+
+    flagged = {
+        v.rule
+        for v in lint_source(source, "src/repro/example.py")
+        if v.line == SNIPPET_LINE
+    }
+    assert flagged == ({det} if det else set())
+
+    _write_package(tmp_path, {"pkg/__init__.py": "", "pkg/mod.py": source})
+    report = run_purity(
+        [str(tmp_path)], roots={"pkg.mod.root": "fixture root"},
+        allowlist_path=_empty_allowlist(tmp_path),
+    )
+    assert report.errors == []
+    assert [v.rule for v in report.violations] == ([pur] if pur else [])
+    for violation in report.violations:
+        assert f"pkg/mod.py:{SNIPPET_LINE}" in violation.witness[-1]
 
 
 class TestRealTree:

@@ -1,10 +1,7 @@
-"""The reporter contract: JSON schema, exit codes, witness-path
-rendering for PUR rules, and the per-rule timing table."""
-
-import json
+"""The report contract: exit codes and the text rendering, including
+witness paths for PUR rules."""
 
 from repro.devtools.registry import Violation
-from repro.devtools.report import render_json, render_text, render_timings
 from repro.devtools.runner import LintReport
 
 
@@ -20,66 +17,10 @@ def _violation(**overrides):
     return Violation(**fields)
 
 
-class TestJsonSchema:
-    def test_payload_keys_and_types(self):
-        report = LintReport(
-            violations=[_violation()],
-            errors=[("bad.py", "syntax error at line 1: oops")],
-            checked_files=3,
-        )
-        payload = json.loads(render_json(report))
-        assert set(payload) == {
-            "checked_files", "violations", "errors", "exit_code",
-        }
-        assert payload["checked_files"] == 3
-        (violation,) = payload["violations"]
-        assert violation == {
-            "path": "src/repro/mod.py",
-            "line": 7,
-            "col": 3,
-            "rule": "DET001",
-            "message": "unseeded randomness",
-        }
-        (error,) = payload["errors"]
-        assert error == {
-            "path": "bad.py",
-            "message": "syntax error at line 1: oops",
-        }
-
-    def test_witness_serialises_as_list(self):
-        report = LintReport(
-            violations=[
-                _violation(
-                    rule="PUR001",
-                    witness=("a (f.py:1) calls b", "b (g.py:2): reads clock"),
-                )
-            ],
-            checked_files=1,
-        )
-        (violation,) = json.loads(render_json(report))["violations"]
-        assert violation["witness"] == [
-            "a (f.py:1) calls b",
-            "b (g.py:2): reads clock",
-        ]
-
-    def test_witness_key_absent_for_per_file_rules(self):
-        report = LintReport(violations=[_violation()], checked_files=1)
-        (violation,) = json.loads(render_json(report))["violations"]
-        assert "witness" not in violation
-
-    def test_rule_timings_included_when_collected(self):
-        report = LintReport(
-            checked_files=1, rule_timings={"DET001": 0.25, "COR001": 0.5}
-        )
-        payload = json.loads(render_json(report))
-        assert payload["rule_timings"] == {"DET001": 0.25, "COR001": 0.5}
-
-
 class TestExitCodeContract:
     def test_clean_is_zero(self):
         report = LintReport(checked_files=5)
         assert report.exit_code == 0
-        assert json.loads(render_json(report))["exit_code"] == 0
 
     def test_violations_are_one(self):
         report = LintReport(violations=[_violation()], checked_files=5)
@@ -108,7 +49,7 @@ class TestTextRendering:
             witness=("a (f.py:1) calls b", "b (g.py:2): reads clock"),
         )
         report = LintReport(violations=[violation], checked_files=1)
-        text = render_text(report)
+        text = report.render()
         lines = text.splitlines()
         assert lines[0].startswith("src/repro/mod.py:7:3: PUR001 ")
         assert lines[1] == "    a (f.py:1) calls b"
@@ -116,21 +57,5 @@ class TestTextRendering:
         assert "1 violation(s)" in text
 
     def test_clean_report_says_so(self):
-        text = render_text(LintReport(checked_files=4))
+        text = LintReport(checked_files=4).render()
         assert "4 file(s) clean" in text
-
-
-class TestTimingTable:
-    def test_sorted_slowest_first_with_total(self):
-        report = LintReport(
-            rule_timings={"DET001": 0.1, "COR001": 0.3}
-        )
-        lines = render_timings(report).splitlines()
-        assert lines[0].startswith("rule")
-        assert lines[1].startswith("COR001")
-        assert lines[2].startswith("DET001")
-        assert lines[3].startswith("total")
-        assert "0.4000" in lines[3]
-
-    def test_empty_timings(self):
-        assert "no per-rule timing" in render_timings(LintReport())

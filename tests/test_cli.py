@@ -1,5 +1,6 @@
 """Tests for the anycast-ddos command-line interface."""
 
+import io
 import json
 import os
 import pathlib
@@ -7,10 +8,15 @@ import shlex
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import repro
 from repro.cli import ANALYSES, build_parser, main
 from repro.datasets import load_dataset
+
+#: The directory ``repro`` imports from here.
+SRC = str(pathlib.Path(repro.__file__).resolve().parent.parent)
 
 
 class TestParser:
@@ -212,6 +218,71 @@ class TestUsageErrors:
         assert line == f"anycast-ddos {argv[0]}: error: {message}"
 
 
+def _bytes_of(save, *args, **kwargs):
+    buffer = io.BytesIO()
+    save(buffer, *args, **kwargs)
+    return buffer.getvalue()
+
+
+#: A plain ``.npy`` array and an ``.npz`` archive ``save_dataset`` did
+#: not write: NumPy files that are not datasets.
+NPY_ARRAY = _bytes_of(np.save, np.arange(3))
+NPZ_WITHOUT_DATASET = _bytes_of(np.savez, a=np.arange(3))
+
+
+class TestFrontDoorErrors:
+    """A dataset that cannot be read or an attack volume the model
+    cannot take ends in one ``error:`` line and exit 2, not a
+    traceback or a result for a meaningless input."""
+
+    def _one_error(self, argv, capsys):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
+        errors = [
+            line for line in captured.err.splitlines() if "error:" in line
+        ]
+        assert len(errors) == 1
+        return errors[0]
+
+    def test_analyze_missing_dataset(self, tmp_path, capsys):
+        path = tmp_path / "missing.npz"
+        line = self._one_error(["analyze", str(path)], capsys)
+        assert line.startswith(f"error: cannot read dataset {path}: ")
+        assert "No such file" in line
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"not a saved dataset\n",
+            b"PK\x03\x04 a truncated archive",
+            NPY_ARRAY,
+            NPZ_WITHOUT_DATASET,
+        ],
+        ids=["text", "truncated-zip", "npy-array", "other-npz"],
+    )
+    def test_analyze_file_that_is_not_a_dataset(
+        self, tmp_path, capsys, content
+    ):
+        path = tmp_path / "notes.npz"
+        path.write_bytes(content)
+        line = self._one_error(["analyze", str(path)], capsys)
+        assert line.startswith(f"error: cannot read dataset {path}: ")
+
+    @pytest.mark.parametrize("volume", ["-1", "nan"])
+    def test_policies_rejects_volume(self, volume, capsys):
+        line = self._one_error(["policies", "--attack", volume], capsys)
+        assert line == (
+            "anycast-ddos policies: error: argument --attack: must be a "
+            f"finite volume >= 0, got '{volume}'"
+        )
+
+
 #: Files that are not version-2 checkpoints, and the one-line error
 #: each must produce.
 UNUSABLE_CHECKPOINTS = {
@@ -307,6 +378,34 @@ class TestResume:
         assert len(calls) == 2
         restored = json.loads(out.read_text())["telemetry"]["restored_cells"]
         assert restored == [0, 1]
+
+    def test_printed_line_runs_from_another_directory(
+        self, tmp_path, capsys, monkeypatch, interrupt_second_cell
+    ):
+        """A run started with relative paths prints them absolute, so
+        its line finishes the run from any directory."""
+        whole = tmp_path / "whole.json"
+        assert main([*GRID, "--out", str(whole)]) == 0
+        start, elsewhere = tmp_path / "start", tmp_path / "elsewhere"
+        start.mkdir()
+        elsewhere.mkdir()
+        monkeypatch.setenv("PYTHONPATH", SRC)
+        monkeypatch.chdir(start)
+        interrupt_second_cell()
+        assert main([
+            *GRID, "--checkpoint", "r.ckpt", "--out", "r.json",
+        ]) == 130
+        done = subprocess.run(
+            ["sh", "-c", _resume_line(capsys)], cwd=elsewhere,
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        payload = json.loads((start / "r.json").read_text())
+        assert payload["telemetry"]["restored_cells"] == [0]
+        assert (
+            payload["summaries"]
+            == json.loads(whole.read_text())["summaries"]
+        )
 
     def test_printed_line_runs_where_repro_is_not_installed(
         self, tmp_path, capsys, interrupt_second_cell

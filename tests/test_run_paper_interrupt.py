@@ -15,6 +15,7 @@ import pytest
 from repro.sweep import SweepInterrupted
 
 SCRIPTS = str(pathlib.Path(__file__).resolve().parent.parent / "scripts")
+SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +115,39 @@ class TestInterruptExitCode:
         assert len(renders) == 17
         for path in renders:
             resumed = tmp_path / "out" / path.name
+            assert resumed.read_bytes() == path.read_bytes(), path.name
+
+    def test_printed_line_runs_from_another_directory(
+        self, run_paper, tmp_path, capsys, monkeypatch,
+        interrupt_second_cell,
+    ):
+        """A run started with relative paths prints them absolute, so
+        its line finishes the run from any directory."""
+        assert run_paper.main(_args(tmp_path / "whole")) == 0
+        start, elsewhere = tmp_path / "start", tmp_path / "elsewhere"
+        start.mkdir()
+        elsewhere.mkdir()
+        monkeypatch.setenv("PYTHONPATH", SRC)
+        monkeypatch.chdir(start)
+        interrupt_second_cell()
+        assert run_paper.main([
+            "--stubs", "40", "--vps", "20", "--out-dir", "out",
+            "--checkpoint", "r.ckpt",
+        ]) == 130
+        lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if "resume with:" in line
+        ]
+        assert len(lines) == 1
+        done = subprocess.run(
+            ["sh", "-c", lines[0].split("resume with:", 1)[1]],
+            cwd=elsewhere, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        renders = sorted((tmp_path / "whole" / "out").glob("*.txt"))
+        assert len(renders) == 17
+        for path in renders:
+            resumed = start / "out" / path.name
             assert resumed.read_bytes() == path.read_bytes(), path.name
 
     def test_resume_refuses_a_checkpoint_of_another_sweep(
