@@ -2,7 +2,7 @@
 
 Three measurements, all on the same flapping-origin schedule (the
 workload BgpSessionReset faults and withdraw/absorber policies create,
-where every bin needs a fresh propagation):
+where every bin needs a fresh propagation), one row per churned letter:
 
 * ``reference`` -- the scalar BFS in ``repro.netsim.bgp_reference``;
 * ``kernel`` -- the array kernel in ``repro.netsim.bgp`` over the
@@ -57,8 +57,13 @@ sys.path.insert(
 )
 from bench_report import host_metadata  # noqa: E402
 
-#: The churned letter: K has the most global sites, so withdrawals
-#: reshuffle the largest catchments.
+#: The churned letters.  K's 15 global sites make withdrawals
+#: reshuffle large catchments; E's 56 local sites (of 74) load the
+#: local stage, where each local origin makes its host and neighbor
+#: offers.
+CHURN_LETTERS = ("K", "E")
+
+#: The letter the speedup floor applies to, and the faulted scenario's.
 LETTER = "K"
 
 
@@ -97,14 +102,14 @@ def assert_equal_tables(kernel_table, ref_routes) -> None:
 
 
 def bench_propagations(
-    stubs: int, propagations: int, check_every: int
+    letter: str, stubs: int, propagations: int, check_every: int
 ) -> dict:
     topology = build_topology(
         TopologyConfig(n_stubs=stubs), component_rng(1, "topology")
     )
     deployment = build_deployments(
-        topology, letters={LETTER: LETTERS_SPEC[LETTER]}
-    )[LETTER]
+        topology, letters={letter: LETTERS_SPEC[letter]}
+    )[letter]
     graph = topology.graph
     states = churn_states(deployment.prefix)
     schedule = [states[i % len(states)] for i in range(propagations)]
@@ -139,8 +144,13 @@ def bench_propagations(
     cache_wall = time.perf_counter() - started
 
     return {
+        "letter": letter,
         "n_ases": len(graph),
         "n_sites": len(deployment.site_order),
+        "n_local_sites": sum(
+            deployment.prefix.origin(code).scope is bgp.Scope.LOCAL
+            for code in deployment.site_order
+        ),
         "propagations": propagations,
         "reference_wall_s": round(ref_wall, 4),
         "kernel_wall_s": round(kernel_wall, 4),
@@ -220,19 +230,26 @@ def main(argv: list[str] | None = None) -> int:
         stubs, propagations, check_every = args.stubs, args.propagations, 4
         e2e_stubs, e2e_vps = 600, 200
 
-    churn = bench_propagations(stubs, propagations, check_every)
-    print(
-        f"churn: {churn['n_ases']} ASes, "
-        f"reference {churn['reference_wall_s']}s, "
-        f"kernel {churn['kernel_wall_s']}s "
-        f"({churn['kernel_speedup']}x), "
-        f"cache-hit {churn['cache_hit_wall_s']}s",
-        file=sys.stderr,
-    )
+    churn = [
+        bench_propagations(letter, stubs, propagations, check_every)
+        for letter in CHURN_LETTERS
+    ]
+    for row in churn:
+        print(
+            f"churn {row['letter']}: {row['n_ases']} ASes, "
+            f"{row['n_local_sites']}/{row['n_sites']} sites local, "
+            f"reference {row['reference_wall_s']}s, "
+            f"kernel {row['kernel_wall_s']}s "
+            f"({row['kernel_speedup']}x), "
+            f"cache-hit {row['cache_hit_wall_s']}s",
+            file=sys.stderr,
+        )
     if not args.smoke:
-        assert churn["n_ases"] >= 500, "churn bench needs >= 500 ASes"
-        assert churn["kernel_speedup"] >= 5.0, (
-            f"kernel speedup {churn['kernel_speedup']}x below the 5x floor"
+        floored = churn[CHURN_LETTERS.index(LETTER)]
+        assert floored["n_ases"] >= 500, "churn bench needs >= 500 ASes"
+        assert floored["kernel_speedup"] >= 5.0, (
+            f"{LETTER} kernel speedup {floored['kernel_speedup']}x "
+            "below the 5x floor"
         )
 
     faulted = bench_faulted_scenario(e2e_stubs, e2e_vps)
@@ -249,11 +266,11 @@ def main(argv: list[str] | None = None) -> int:
         "machine": platform.machine(),
         "host": host_metadata(),
         "note": (
-            "churn = N distinct announcement states propagated "
-            "back-to-back (reference vs array kernel vs LRU cache "
-            "hits); faulted_e2e = one scenario with per-bin BGP "
-            "session flaps, run with each propagate implementation "
-            "and asserted bit-identical"
+            "churn = one row per letter: N distinct announcement "
+            "states propagated back-to-back (reference vs array "
+            "kernel vs LRU cache hits); faulted_e2e = one scenario "
+            "with per-bin BGP session flaps, run with each propagate "
+            "implementation and asserted bit-identical"
         ),
         "smoke": args.smoke,
         "churn": churn,

@@ -23,7 +23,6 @@ import os
 import pathlib
 import shlex
 import sys
-import zipfile
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import ScenarioConfig, june2016_config, nov2015_config, simulate
@@ -129,9 +128,7 @@ def _analyze(dataset, which: str) -> str:
 def _cmd_analyze(args: argparse.Namespace) -> int:
     try:
         dataset = load_dataset(args.dataset)
-    except (
-        OSError, ValueError, KeyError, TypeError, zipfile.BadZipFile,
-    ) as exc:
+    except (OSError, ValueError) as exc:
         # Missing, unreadable, or not an archive save_dataset wrote.
         print(f"error: cannot read dataset {args.dataset}: {exc}",
               file=sys.stderr)

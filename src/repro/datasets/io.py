@@ -13,6 +13,8 @@ Two formats are supported:
 from __future__ import annotations
 
 import json
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -51,34 +53,89 @@ def save_dataset(dataset: AtlasDataset, path: str | Path) -> None:
     np.savez_compressed(Path(path), **arrays)
 
 
+#: Arrays every saved dataset holds; each letter adds :data:`_LETTER_KEYS`.
+_DATASET_KEYS = (
+    "format_version", "grid", "vp_ids", "vp_asns", "vp_lats", "vp_lons",
+    "vp_regions", "vp_firmware", "vp_hijacked", "letters",
+)
+_LETTER_KEYS = ("sites", "site_idx", "rtt", "server")
+
+
 def load_dataset(path: str | Path) -> AtlasDataset:
-    """Read a dataset written by :func:`save_dataset`."""
-    with np.load(Path(path), allow_pickle=False) as data:
-        version = int(data["format_version"][0])
-        if version != _FORMAT_VERSION:
-            raise ValueError(f"unsupported dataset format {version}")
-        start, bin_seconds, n_bins = (int(x) for x in data["grid"])
-        grid = TimeGrid(start=start, bin_seconds=bin_seconds, n_bins=n_bins)
-        vps = VantagePointTable(
-            ids=data["vp_ids"],
-            asns=data["vp_asns"],
-            lats=data["vp_lats"],
-            lons=data["vp_lons"],
-            regions=data["vp_regions"],
-            firmware=data["vp_firmware"],
-            hijacked=data["vp_hijacked"],
+    """Read a dataset written by :func:`save_dataset`.
+
+    A file that is not one raises a :class:`ValueError` naming *path*
+    and what is wrong with it: not a NumPy archive, a lone ``.npy``
+    array, a truncated or corrupt archive, missing arrays, or an
+    unknown format version.  A missing or unreadable file raises
+    :class:`OSError`.
+    """
+    path = Path(path)
+    try:
+        data = np.load(path, allow_pickle=False)
+    except zipfile.BadZipFile as exc:
+        raise ValueError(f"{path}: truncated or corrupt archive") from exc
+    except EOFError as exc:
+        raise ValueError(f"{path}: empty file") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a NumPy .npz archive") from exc
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise ValueError(
+            f"{path}: a single NumPy array, not a dataset archive"
         )
-        letters = {}
-        for letter in data["letters"]:
-            letter = str(letter)
-            letters[letter] = LetterObservations(
-                letter=letter,
-                site_codes=[str(s) for s in data[f"{letter}_sites"]],
-                site_idx=data[f"{letter}_site_idx"],
-                rtt_ms=data[f"{letter}_rtt"],
-                server=data[f"{letter}_server"],
-            )
-    return AtlasDataset(grid=grid, vps=vps, letters=letters)
+    with data:
+        try:
+            return _read_dataset(path, data)
+        except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+            raise ValueError(
+                f"{path}: corrupt archive member ({exc})"
+            ) from exc
+
+
+def _read_dataset(path: Path, data: np.lib.npyio.NpzFile) -> AtlasDataset:
+    """The dataset in the open archive *data*, read from *path*."""
+    _require(path, data, _DATASET_KEYS)
+    version = int(data["format_version"][0])
+    if version != _FORMAT_VERSION:
+        raise ValueError(f"{path}: unsupported dataset format {version}")
+    letters = [str(letter) for letter in data["letters"]]
+    _require(
+        path, data,
+        [f"{letter}_{key}" for letter in letters for key in _LETTER_KEYS],
+    )
+    start, bin_seconds, n_bins = (int(x) for x in data["grid"])
+    grid = TimeGrid(start=start, bin_seconds=bin_seconds, n_bins=n_bins)
+    vps = VantagePointTable(
+        ids=data["vp_ids"],
+        asns=data["vp_asns"],
+        lats=data["vp_lats"],
+        lons=data["vp_lons"],
+        regions=data["vp_regions"],
+        firmware=data["vp_firmware"],
+        hijacked=data["vp_hijacked"],
+    )
+    observations = {
+        letter: LetterObservations(
+            letter=letter,
+            site_codes=[str(s) for s in data[f"{letter}_sites"]],
+            site_idx=data[f"{letter}_site_idx"],
+            rtt_ms=data[f"{letter}_rtt"],
+            server=data[f"{letter}_server"],
+        )
+        for letter in letters
+    }
+    return AtlasDataset(grid=grid, vps=vps, letters=observations)
+
+
+def _require(
+    path: Path, data: np.lib.npyio.NpzFile, keys: Iterable[str]
+) -> None:
+    """Raise ``ValueError`` naming the *keys* the archive lacks."""
+    missing = [key for key in keys if key not in data.files]
+    if missing:
+        raise ValueError(
+            f"{path}: not a saved dataset: missing {', '.join(missing)}"
+        )
 
 
 @dataclass(frozen=True, slots=True)

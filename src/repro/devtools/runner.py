@@ -35,7 +35,9 @@ class LintReport:
     """Everything one lint invocation produced."""
 
     violations: list[Violation] = field(default_factory=list)
-    #: Files that could not be checked: (path, error message).
+    #: Files that could not be checked, and checks that could not
+    #: run: (path, error message).  A path in angle brackets, such as
+    #: ``<purity>``, names no file.
     errors: list[tuple[str, str]] = field(default_factory=list)
     checked_files: int = 0
 
@@ -52,8 +54,12 @@ class LintReport:
         lines.extend(
             f"{path}: error: {message}" for path, message in self.errors
         )
-        if self.errors:
-            lines.append(f"{len(self.errors)} file(s) could not be checked")
+        files = {path for path, _ in self.errors if not path.startswith("<")}
+        if files:
+            lines.append(f"{len(files)} file(s) could not be checked")
+        others = sum(path.startswith("<") for path, _ in self.errors)
+        if others:
+            lines.append(f"{others} other error(s)")
         if self.violations or self.errors:
             lines.append(
                 f"{len(self.violations)} violation(s) in "

@@ -22,8 +22,12 @@ The propagation is a level-synchronous BFS run in three stages
 view (:meth:`~repro.netsim.asgraph.ASGraph.compiled`): each stage
 expands whole frontiers at once, selects per-AS winners with one
 stable lexicographic sort, and stores best routes as parallel arrays.
-AS paths live in an append-only record forest and are materialized
-into :class:`Route` objects only when a caller asks for them.  The
+The origins' own routes and the local sites' offers, which the
+reference makes one at a time, go through one vectorized offer pass
+(:meth:`_Propagation.offer`) that accepts exactly the offers the
+sequential loop would.  AS paths live in an append-only record forest
+and are materialized into :class:`Route` objects only when a caller
+asks for them.  The
 kernel reproduces the scalar reference implementation
 (:mod:`repro.netsim.bgp_reference`) bit for bit, including its
 insertion-order-dependent tie-breaking; the property tests in
@@ -55,6 +59,9 @@ _UNREACHED = 127
 #: (0), a peer (2) a peer route (1), our customer (0) a provider route
 #: (2).
 _EXPORT_CLASS = np.array([2, 0, 1], dtype=np.int8)
+
+#: :meth:`_Propagation.offer`'s shared roots when its offers have none.
+_NO_ROOTS = np.zeros(0, dtype=np.int64)
 
 
 class Scope(enum.Enum):
@@ -102,7 +109,10 @@ class Origin:
             raise ValueError("preference_discount must be within [0, 1)")
 
     def with_blocked(self, blocked: frozenset[int]) -> "Origin":
-        """A copy of this origin with a different blocked set."""
+        """This origin with blocked set *blocked*: ``self`` if it is
+        unchanged, otherwise a copy."""
+        if blocked == self.blocked_neighbors:
+            return self
         return Origin(
             site=self.site,
             asn=self.asn,
@@ -417,88 +427,162 @@ class _Propagation:
         self.best_rec = np.full(n, -1, dtype=np.int64)
         self.rec_rows: list[np.ndarray] = []
         self.rec_parents: list[np.ndarray] = []
-        self.pending_rows: list[int] = []
-        self.pending_parents: list[int] = []
         self.rec_count = 0
         self.order_chunks: list[np.ndarray] = []
 
-    # -- record forest ------------------------------------------------
+    # -- record forest and installs -----------------------------------
 
-    def new_record(self, row: int, parent: int) -> int:
-        """Append one path record and return its index.
+    def append_records(
+        self, rows: np.ndarray, parents: np.ndarray
+    ) -> np.ndarray:
+        """Append path records ``(row, parent)`` in one batch and
+        return their indices (*parents* are record indices, ``-1``
+        at a path root)."""
+        start = self.rec_count
+        self.rec_count += rows.size
+        self.rec_rows.append(rows.astype(np.int32))
+        self.rec_parents.append(parents.astype(np.int64))
+        return np.arange(start, self.rec_count, dtype=np.int64)
 
-        Scalar records buffer in Python lists; :meth:`_flush_pending`
-        folds them into the chunked forest before any batched append,
-        preserving creation order.
-        """
-        self.pending_rows.append(row)
-        self.pending_parents.append(parent)
-        rec = self.rec_count
-        self.rec_count += 1
-        return rec
-
-    def _flush_pending(self) -> None:
-        if self.pending_rows:
-            self.rec_rows.append(
-                np.array(self.pending_rows, dtype=np.int32)
-            )
-            self.rec_parents.append(
-                np.array(self.pending_parents, dtype=np.int64)
-            )
-            self.pending_rows = []
-            self.pending_parents = []
-
-    # -- scalar offers (bootstrap and local origins) ------------------
-
-    def scalar_beats(
-        self, row: int, cls: int, plen: int, tb: float, site: int,
-        origin_asn: int,
-    ) -> bool:
-        return (cls, plen, tb, site, origin_asn) < (
-            int(self.best_class[row]),
-            int(self.best_pathlen[row]),
-            float(self.best_tiebreak[row]),
-            int(self.best_site[row]),
-            int(self.best_origin[row]),
-        )
-
-    def scalar_install(
-        self, row: int, cls: int, plen: int, tb: float, site: int,
-        origin_asn: int, parent: int,
+    def install_rows(
+        self, rows: np.ndarray, cls: np.ndarray | int, plen: np.ndarray,
+        tb: np.ndarray, site: np.ndarray, origin_asn: np.ndarray,
+        recs: np.ndarray,
     ) -> None:
-        if self.best_class[row] == _UNREACHED:
-            self.order_chunks.append(np.array([row], dtype=np.int64))
-        self.best_class[row] = cls
-        self.best_pathlen[row] = plen
-        self.best_tiebreak[row] = tb
-        self.best_site[row] = site
-        self.best_origin[row] = origin_asn
-        self.best_rec[row] = self.new_record(row, parent)
+        """Install routes at distinct *rows* in one batch; rows reached
+        for the first time join ``order`` in *rows* order."""
+        fresh = self.best_class[rows] == _UNREACHED
+        if bool(fresh.any()):
+            self.order_chunks.append(rows[fresh])
+        self.best_class[rows] = cls
+        self.best_pathlen[rows] = plen
+        self.best_tiebreak[rows] = tb
+        self.best_site[rows] = site
+        self.best_origin[rows] = origin_asn
+        self.best_rec[rows] = recs
+
+    # -- the offer pass (origins and local sites) ---------------------
+
+    def origin_arrays(
+        self, origins: list[Origin]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Host rows, site indices and ASNs of *origins*, in order."""
+        row_of = self.compiled.row_of
+        rows = np.array([row_of[o.asn] for o in origins], dtype=np.int64)
+        sites = np.array(
+            [self.site_idx[o.site] for o in origins], dtype=np.int16
+        )
+        asns = np.array([o.asn for o in origins], dtype=np.int64)
+        return rows, sites, asns
+
+    def offer(
+        self, rows: np.ndarray, cls: np.ndarray, plen: np.ndarray,
+        tb: np.ndarray, site: np.ndarray, origin_asn: np.ndarray,
+        parents: np.ndarray, roots: np.ndarray = _NO_ROOTS,
+    ) -> np.ndarray:
+        """Make offers in sequence order, as the reference's ``offer``
+        makes them one at a time; return the rows installed, ordered
+        by each row's last accepted offer.
+
+        A sequential offer is accepted when its key beats the row's
+        current best, which is the minimum of the incumbent and every
+        earlier offer to that row.  So one lexsort ranks all keys with
+        the incumbents (equal keys share a rank, so a tie never
+        beats), and a running minimum of the ranks per row, incumbent
+        first, decides every offer at once: repeated rows, ties and
+        later smaller offers included.  Each row keeps its last
+        accepted offer, and fresh rows join ``order`` at their first.
+
+        Each accepted offer appends one record ``(row, parent)``, in
+        sequence order.  A parent is a record index, ``-1`` for a path
+        root, or ``-2 - g`` for the shared root at row ``roots[g]``,
+        whose record is appended just before the first accepted offer
+        naming it, and only if there is one.
+        """
+        targets, group = np.unique(rows, return_inverse=True)
+        n_rows = targets.size
+        keys = (
+            np.concatenate((self.best_class[targets], cls)),
+            np.concatenate((self.best_pathlen[targets], plen)),
+            np.concatenate((self.best_tiebreak[targets], tb)),
+            np.concatenate((self.best_site[targets], site)),
+            np.concatenate((self.best_origin[targets], origin_asn)),
+        )
+        ranked = np.lexsort(keys[::-1])
+        new_key = np.zeros(ranked.size, dtype=bool)
+        for key in keys:
+            in_rank = key[ranked]
+            new_key[1:] |= in_rank[1:] != in_rank[:-1]
+        rank = np.empty(ranked.size, dtype=np.int64)
+        rank[ranked] = np.cumsum(new_key)
+        # Incumbents (entries < n_rows) lead their row's offers; later
+        # rows sit below every earlier rank, so the running minimum
+        # restarts at each row.
+        member = np.concatenate((np.arange(n_rows), group))
+        seq = np.argsort(member, kind="stable")
+        run = rank[seq] + (n_rows - 1 - member[seq]) * ranked.size
+        beats = np.zeros(seq.size, dtype=bool)
+        beats[1:] = run[1:] < np.minimum.accumulate(run)[:-1]
+        beats &= seq >= n_rows
+        won = seq[beats] - n_rows  # by row, sequence order within
+        if won.size == 0:
+            return np.zeros(0, dtype=np.int64)
+        new_row = group[won[1:]] != group[won[:-1]]
+        head = np.concatenate(([True], new_row))
+        tail = np.concatenate((new_row, [True]))
+        by_first = np.argsort(won[head])
+        first, last = won[head][by_first], won[tail][by_first]
+
+        taken = np.sort(won)
+        parent = parents[taken]
+        shared = np.flatnonzero(parent < -1)
+        # A shared root's record goes just before its first taker's.
+        _, first_use = np.unique(parent[shared], return_index=True)
+        opens = np.zeros(taken.size, dtype=bool)
+        opens[shared[first_use]] = True
+        width = opens + 1
+        own = np.cumsum(width) - 1  # each taken offer's slot in the batch
+        rec_rows = np.repeat(rows[taken], width)
+        rec_parents = np.repeat(parent, width)
+        if shared.size:
+            root_of = -2 - parent
+            root_slot = np.empty(roots.size, dtype=np.int64)
+            root_slot[root_of[opens]] = own[opens] - 1
+            rec_rows[own[opens] - 1] = roots[root_of[opens]]
+            rec_parents[own[opens] - 1] = -1
+            rec_parents[own[shared]] = (
+                self.rec_count + root_slot[root_of[shared]]
+            )
+        rec_of = np.empty(rows.size, dtype=np.int64)
+        rec_of[taken] = self.append_records(rec_rows, rec_parents)[own]
+        self.install_rows(
+            rows[first], cls[last], plen[last], tb[last], site[last],
+            origin_asn[last], rec_of[last],
+        )
+        return rows[np.sort(last)]
 
     # -- batched frontier machinery -----------------------------------
 
     def expand(
-        self, indptr: np.ndarray, indices: np.ndarray,
-        frontier: np.ndarray,
+        self, indptr: np.ndarray, frontier: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """All (pred, target) edges out of *frontier*, in the exact
-        order the reference visits them: frontier order outer,
-        adjacency (link-insertion) order inner."""
+        """Every edge out of *frontier*, in the exact order the
+        reference visits them: frontier order outer, adjacency
+        (link-insertion) order inner.  Returns each edge's position
+        in *frontier* and its CSR index."""
         counts = indptr[frontier + 1] - indptr[frontier]
         total = int(counts.sum())
         if total == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty
-        preds = np.repeat(frontier, counts)
-        starts = np.repeat(indptr[frontier], counts)
-        within = np.arange(total, dtype=np.int64) - np.repeat(
-            np.cumsum(counts) - counts, counts
+        pos = np.repeat(np.arange(frontier.size), counts)
+        edges = np.arange(total, dtype=np.int64) + np.repeat(
+            indptr[frontier] - (np.cumsum(counts) - counts), counts
         )
-        targets = indices[starts + within].astype(np.int64)
-        return preds, targets
+        return pos, edges
 
     def vector_beats(
-        self, rows: np.ndarray, cls: np.ndarray, plen: np.ndarray,
+        self, rows: np.ndarray, cls: np.ndarray | int, plen: np.ndarray,
         tb: np.ndarray, site: np.ndarray, origin_asn: np.ndarray,
     ) -> np.ndarray:
         """Strict lexicographic preference vs the incumbents at *rows*."""
@@ -533,9 +617,11 @@ class _Propagation:
         order over its per-level candidate map).
         """
         empty = np.zeros(0, dtype=np.int64)
-        preds, targets = self.expand(indptr, indices, frontier)
-        if targets.size == 0:
+        pos, edges = self.expand(indptr, frontier)
+        if edges.size == 0:
             return empty
+        preds = frontier[pos]
+        targets = indices[edges].astype(np.int64)
         blocked = self.blocked
         if blocked is not None:
             # Partial withdrawal filters exports of the origin itself
@@ -553,62 +639,33 @@ class _Propagation:
         c_origin = self.best_origin[preds]
         c_plen = (self.best_pathlen[preds] + 1).astype(np.int16)
         c_tb = self.tie[c_site, targets]
-        # Parents are gathered before this level's installs, so a path
-        # snapshot taken through a pred that improves later in the
-        # stage stays stale -- exactly like the reference's captured
-        # Route objects.
-        c_parent = self.best_rec[preds]
         rank = np.lexsort((c_origin, c_site, c_tb, c_plen, targets))
         sorted_targets = targets[rank]
         lead = np.ones(sorted_targets.size, dtype=bool)
         lead[1:] = sorted_targets[1:] != sorted_targets[:-1]
-        winners = rank[lead]  # stable min per target, targets ascending
-        # Both sorts list the same targets in ascending order, so
-        # ``lead`` also marks each target's first occurrence here.
-        first_seen = np.argsort(targets, kind="stable")[lead]
-        winners = winners[np.argsort(first_seen, kind="stable")]
+        starts = np.flatnonzero(lead)
+        winners = rank[starts]  # stable min per target, targets ascending
+        # A target's smallest candidate index is its first occurrence.
+        first_seen = np.minimum.reduceat(rank, starts)
+        winners = winners[np.argsort(first_seen)]
         w_targets = targets[winners]
-        cls = np.full(w_targets.size, route_class, dtype=np.int8)
         beats = self.vector_beats(
-            w_targets, cls, c_plen[winners], c_tb[winners],
+            w_targets, route_class, c_plen[winners], c_tb[winners],
             c_site[winners], c_origin[winners],
         )
         winners, w_targets = winners[beats], w_targets[beats]
         if w_targets.size == 0:
             return empty
+        # Parents are gathered before this level's installs, so a path
+        # snapshot taken through a pred that improves later in the
+        # stage stays stale -- exactly like the reference's captured
+        # Route objects.
+        recs = self.append_records(w_targets, self.best_rec[preds[winners]])
         self.install_rows(
-            w_targets,
-            np.full(w_targets.size, route_class, dtype=np.int8),
-            c_plen[winners],
-            c_tb[winners],
-            c_site[winners],
-            c_origin[winners],
-            c_parent[winners],
+            w_targets, route_class, c_plen[winners], c_tb[winners],
+            c_site[winners], c_origin[winners], recs,
         )
         return w_targets
-
-    def install_rows(
-        self, rows: np.ndarray, cls: np.ndarray, plen: np.ndarray,
-        tb: np.ndarray, site: np.ndarray, origin_asn: np.ndarray,
-        parents: np.ndarray,
-    ) -> None:
-        """Install winning offers at distinct *rows* in one batch."""
-        fresh = self.best_class[rows] == _UNREACHED
-        if bool(fresh.any()):
-            self.order_chunks.append(rows[fresh])
-        self.best_class[rows] = cls
-        self.best_pathlen[rows] = plen
-        self.best_tiebreak[rows] = tb
-        self.best_site[rows] = site
-        self.best_origin[rows] = origin_asn
-        self._flush_pending()
-        recs = np.arange(
-            self.rec_count, self.rec_count + rows.size, dtype=np.int64
-        )
-        self.rec_count += rows.size
-        self.rec_rows.append(rows.astype(np.int32))
-        self.rec_parents.append(parents.astype(np.int64))
-        self.best_rec[rows] = recs
 
     def reached_in_order(self) -> np.ndarray:
         """All reached rows so far, in first-install order."""
@@ -617,7 +674,6 @@ class _Propagation:
         return np.concatenate(self.order_chunks)
 
     def finish(self) -> _TableArrays:
-        self._flush_pending()
         if self.rec_rows:
             rec_row = np.concatenate(self.rec_rows)
             rec_parent = np.concatenate(self.rec_parents)
@@ -659,28 +715,23 @@ def propagate(graph: ASGraph, origins: list[Origin]) -> RoutingTable:
 
     state = _Propagation(graph, origins)
     compiled = state.compiled
-    site_idx = state.site_idx
     global_origins = [o for o in origins if o.scope is Scope.GLOBAL]
     local_origins = [o for o in origins if o.scope is Scope.LOCAL]
 
     # --- Stage 1: customer-learned routes climb provider edges. -------
-    # Origins offer sequentially; with duplicated origin ASes a later,
+    # Origins offer in sequence; with duplicated origin ASes a later,
     # lexicographically smaller offer supersedes the earlier one, and
     # the reference expands the survivor at the *later* offer's
-    # frontier position.
-    winning: list[int] = []
-    for origin in global_origins:
-        row = compiled.row_of[origin.asn]
-        site = site_idx[origin.site]
-        if state.scalar_beats(row, 0, 1, 0.0, site, origin.asn):
-            state.scalar_install(
-                row, 0, 1, 0.0, site, origin.asn, parent=-1
-            )
-            winning.append(row)
-    last_win = {row: i for i, row in enumerate(winning)}
-    frontier = np.array(
-        [row for i, row in enumerate(winning) if last_win[row] == i],
-        dtype=np.int64,
+    # frontier position, which is the order the offer pass returns.
+    rows, sites, asns = state.origin_arrays(global_origins)
+    frontier = state.offer(
+        rows,
+        np.full(rows.size, RouteClass.CUSTOMER, dtype=np.int8),
+        np.ones(rows.size, dtype=np.int16),
+        np.zeros(rows.size, dtype=np.float64),
+        sites,
+        asns,
+        np.full(rows.size, -1, dtype=np.int64),
     )
     while frontier.size:
         frontier = state.level(
@@ -721,54 +772,56 @@ def _local_stage(
 ) -> None:
     """Install local-scope (NO_EXPORT) sites: host AS plus neighbors.
 
-    One batched offer per origin: the neighbors are distinct targets
-    in adjacency order, so a vectorized compare equals the
-    reference's sequential offers (origins still go one at a time,
-    since a later origin competes against an earlier one's installs).
+    The reference offers, origin by origin, the host's own route and
+    then one route per unblocked neighbor in adjacency order.  Each
+    neighbor's path is rooted at a fresh record of the host, made only
+    if one of the origin's neighbor offers is accepted, whatever route
+    the host AS itself holds.  All of it is one offer pass in that
+    sequence, so a later origin competes with an earlier one's
+    installs, at its neighbors and at its host, as in the reference.
     """
+    if not local_origins:
+        return
     compiled = state.compiled
-    site_idx = state.site_idx
-    for origin in local_origins:
-        row = compiled.row_of[origin.asn]
-        site = site_idx[origin.site]
-        if state.scalar_beats(row, 0, 1, 0.0, site, origin.asn):
-            state.scalar_install(
-                row, 0, 1, 0.0, site, origin.asn, parent=-1
-            )
-        start, end = (
-            int(compiled.all_indptr[row]),
-            int(compiled.all_indptr[row + 1]),
-        )
-        targets = compiled.all_indices[start:end].astype(np.int64)
-        rels = compiled.all_rel[start:end]
-        if origin.blocked_neighbors:
-            keep = ~np.isin(
-                compiled.asn_of[targets],
-                np.array(sorted(origin.blocked_neighbors), dtype=np.int64),
-            )
-            targets, rels = targets[keep], rels[keep]
-        if targets.size == 0:
-            continue
-        # The neighbor learned the route from the inverse side: our
-        # provider sees a customer route, our customer a provider one.
-        cls = _EXPORT_CLASS[rels]
-        plen = np.full(targets.size, 2, dtype=np.int16)
-        tb = state.tie[site, targets]
-        site_arr = np.full(targets.size, site, dtype=np.int16)
-        origin_arr = np.full(targets.size, origin.asn, dtype=np.int64)
-        beats = state.vector_beats(
-            targets, cls, plen, tb, site_arr, origin_arr
-        )
-        if not bool(beats.any()):
-            continue
-        # Path root (origin.asn,) independent of whatever route the
-        # origin AS itself currently holds.
-        base_rec = state.new_record(row, parent=-1)
-        parents = np.full(int(beats.sum()), base_rec, dtype=np.int64)
-        state.install_rows(
-            targets[beats], cls[beats], plen[beats], tb[beats],
-            site_arr[beats], origin_arr[beats], parents,
-        )
+    hosts, sites, asns = state.origin_arrays(local_origins)
+    owner, edges = state.expand(compiled.all_indptr, hosts)
+    targets = compiled.all_indices[edges].astype(np.int64)
+    # Each origin drops its own blocked neighbors: one code per
+    # (origin, neighbor row) pair.
+    n = compiled.n_nodes
+    blocked = [
+        k * n + row
+        for k, origin in enumerate(local_origins)
+        for asn in origin.blocked_neighbors
+        if (row := compiled.row_of.get(asn)) is not None
+    ]
+    if blocked:
+        keep = ~np.isin(owner * n + targets, blocked)
+        owner, edges, targets = owner[keep], edges[keep], targets[keep]
+    # The sequence: per origin, its host offer, then its neighbors'.
+    span = np.bincount(owner, minlength=hosts.size) + 1
+    who = np.repeat(np.arange(hosts.size), span)
+    host = np.zeros(who.size, dtype=bool)
+    host[np.cumsum(span) - span] = True
+    neighbor = ~host
+    rows = hosts[who]
+    rows[neighbor] = targets
+    # The neighbor learned the route from the inverse side: our
+    # provider sees a customer route, our customer a provider one.
+    cls = np.full(who.size, RouteClass.CUSTOMER, dtype=np.int8)
+    cls[neighbor] = _EXPORT_CLASS[compiled.all_rel[edges]]
+    tb = np.zeros(who.size, dtype=np.float64)
+    tb[neighbor] = state.tie[sites[owner], targets]
+    state.offer(
+        rows,
+        cls,
+        np.where(host, 1, 2).astype(np.int16),
+        tb,
+        sites[who],
+        asns[who],
+        np.where(host, -1, -2 - who),
+        roots=hosts,
+    )
 
 
 #: Same function object as :func:`propagate`; kept only because

@@ -204,21 +204,37 @@ def propagate(graph: ASGraph, origins: list[Origin]) -> dict[int, Route]:
 def table(graph: ASGraph, origins: list[Origin]) -> RoutingTable:
     """:func:`propagate`'s routes packed into a kernel-format table.
 
-    Each route's path becomes a record chain and its AS is installed
-    in the dict's order, so the table answers every query, and diffs
-    against kernel tables on the same graph, exactly as the kernel's
-    own table for *origins* would.
+    Each route's path becomes a record chain, all chains go into the
+    record forest in one batch, and the ASes are installed in the
+    dict's order, so the table answers every query, and diffs against
+    kernel tables on the same graph, exactly as the kernel's own
+    table for *origins* would.
     """
     routes = propagate(graph, origins)
     state = _Propagation(graph, origins)
     row_of = state.compiled.row_of
-    for asn, route in routes.items():
+    # The state is fresh, so positions in the batch are record indices.
+    hops: list[int] = []
+    parents: list[int] = []
+    ends: list[int] = []
+    for route in routes.values():
         parent = -1
-        for hop in route.path[:-1]:
-            parent = state.new_record(row_of[hop], parent)
-        state.scalar_install(
-            row_of[asn], int(route.route_class), route.path_len,
-            route.tiebreak, state.site_idx[route.site], route.origin_asn,
-            parent,
-        )
+        for hop in route.path:
+            hops.append(row_of[hop])
+            parents.append(parent)
+            parent = len(hops) - 1
+        ends.append(parent)
+    recs = state.append_records(
+        np.array(hops, dtype=np.int64), np.array(parents, dtype=np.int64)
+    )
+    values = list(routes.values())
+    state.install_rows(
+        np.array([row_of[asn] for asn in routes], dtype=np.int64),
+        np.array([r.route_class for r in values], dtype=np.int8),
+        np.array([r.path_len for r in values], dtype=np.int16),
+        np.array([r.tiebreak for r in values], dtype=np.float64),
+        np.array([state.site_idx[r.site] for r in values], dtype=np.int16),
+        np.array([r.origin_asn for r in values], dtype=np.int64),
+        recs[np.array(ends, dtype=np.int64)],
+    )
     return RoutingTable(state.finish())

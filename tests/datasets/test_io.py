@@ -36,8 +36,75 @@ class TestNpzRoundTrip:
             arrays = {k: data[k] for k in data.files}
         arrays["format_version"] = np.array([99])
         np.savez_compressed(path, **arrays)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unsupported dataset format 99"):
             load_dataset(path)
+
+
+class TestNotADataset:
+    """Each kind of file that is not a saved dataset gets one
+    ``ValueError`` naming the file and what is wrong with it."""
+
+    def _reason(self, path):
+        with pytest.raises(ValueError) as caught:
+            load_dataset(path)
+        message = str(caught.value)
+        assert message.startswith(f"{path}: ")
+        return message[len(f"{path}: "):]
+
+    def test_text_file(self, tmp_path):
+        path = tmp_path / "notes.npz"
+        path.write_text("not a saved dataset\n")
+        assert self._reason(path) == "not a NumPy .npz archive"
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "empty.npz"
+        path.write_bytes(b"")
+        assert self._reason(path) == "empty file"
+
+    def test_npy_array(self, tmp_path):
+        path = tmp_path / "array.npy"
+        np.save(path, np.arange(3))
+        assert self._reason(path) == (
+            "a single NumPy array, not a dataset archive"
+        )
+
+    def test_truncated_archive(self, dataset, tmp_path):
+        path = tmp_path / "atlas.npz"
+        save_dataset(dataset, path)
+        data = path.read_bytes()
+        path.write_bytes(data[: len(data) // 2])
+        assert self._reason(path) == "truncated or corrupt archive"
+
+    def test_corrupt_member(self, dataset, tmp_path):
+        path = tmp_path / "atlas.npz"
+        save_dataset(dataset, path)
+        data = bytearray(path.read_bytes())
+        # Flip bytes inside the first member's compressed stream; the
+        # zip directory at the end stays intact.
+        for i in range(80, 160):
+            data[i] ^= 0xFF
+        path.write_bytes(bytes(data))
+        assert self._reason(path).startswith("corrupt archive member")
+
+    def test_archive_without_dataset_arrays(self, tmp_path):
+        path = tmp_path / "other.npz"
+        np.savez(path, format_version=np.array([1]), a=np.arange(3))
+        reason = self._reason(path)
+        assert reason.startswith("not a saved dataset: missing grid, ")
+        assert "format_version" not in reason
+
+    def test_archive_missing_a_letter(self, dataset, tmp_path):
+        path = tmp_path / "atlas.npz"
+        save_dataset(dataset, path)
+        letter = sorted(dataset.letters)[0]
+        with np.load(path) as data:
+            arrays = {
+                k: data[k] for k in data.files if k != f"{letter}_rtt"
+            }
+        np.savez_compressed(path, **arrays)
+        assert self._reason(path) == (
+            f"not a saved dataset: missing {letter}_rtt"
+        )
 
 
 class TestProbeRecords:

@@ -171,6 +171,159 @@ class TestLocalScope:
         assert table.site_of(4) == "LOC"
 
 
+def _matches_reference(graph, origins):
+    """The kernel's table for *origins*, checked route for route and
+    in install order against the scalar reference."""
+    table = propagate(graph, origins)
+    ref = bgp_reference.propagate(graph, origins)
+    routes = table.routes()
+    assert list(routes) == list(ref)
+    assert routes == ref
+    return table
+
+
+def _forest(table):
+    """The table's record forest: each record's AS and parent index."""
+    arrays = table._arrays
+    asns = arrays.compiled.asn_of[arrays.rec_row].tolist()
+    return asns, arrays.rec_parent.tolist()
+
+
+class TestOfferSequence:
+    """Origin and local-site offers that only their order decides.
+
+    The kernel makes these offers in one pass; the reference makes
+    them one at a time.  Each case also pins the record forest: one
+    record per accepted offer, plus one root record per local origin
+    with an accepted neighbor, just before that neighbor's record.
+    """
+
+    @staticmethod
+    def _shared_neighbor_graph():
+        """1 -cust-> 3 <-peer- 2: AS 3 is 1's provider and 2's peer."""
+        graph = ASGraph()
+        for asn in (1, 2, 3):
+            graph.add_as(_node(asn))
+        graph.add_link(1, 3, Relationship.PROVIDER)
+        graph.add_link(2, 3, Relationship.PEER)
+        return graph
+
+    def test_local_origin_records(self):
+        table = _matches_reference(
+            _chain_graph(), [Origin(site="L", asn=1, scope=Scope.LOCAL)]
+        )
+        # The host's record, its neighbors' root, then neighbor 2.
+        assert _forest(table) == ([1, 1, 2], [-1, -1, 1])
+
+    def test_local_origin_with_every_neighbor_blocked(self):
+        origin = Origin(
+            site="L", asn=1, scope=Scope.LOCAL,
+            blocked_neighbors=frozenset({2}),
+        )
+        table = _matches_reference(_chain_graph(), [origin])
+        assert table.reachable_asns() == {1}
+        assert _forest(table) == ([1], [-1])  # no root without a neighbor
+
+    def test_later_local_origin_wins_shared_neighbor(self):
+        # B's peer route reaches 3 first; A's later customer route wins.
+        table = _matches_reference(
+            self._shared_neighbor_graph(),
+            [
+                Origin(site="B", asn=2, scope=Scope.LOCAL),
+                Origin(site="A", asn=1, scope=Scope.LOCAL),
+            ],
+        )
+        assert table.route(3).path == (1, 3)
+        assert table.route(3).route_class is RouteClass.CUSTOMER
+        assert _forest(table) == (
+            [2, 2, 3, 1, 1, 3], [-1, -1, 1, -1, -1, 4]
+        )
+
+    def test_later_local_origin_loses_shared_neighbor(self):
+        table = _matches_reference(
+            self._shared_neighbor_graph(),
+            [
+                Origin(site="A", asn=1, scope=Scope.LOCAL),
+                Origin(site="B", asn=2, scope=Scope.LOCAL),
+            ],
+        )
+        assert table.site_of(3) == "A"
+        assert table.site_of(2) == "B"
+        # B's only neighbor offer lost, so B makes no root record.
+        assert _forest(table) == ([1, 1, 3, 2], [-1, -1, 1, -1])
+
+    @pytest.mark.parametrize("first", ["A", "B"])
+    def test_local_host_is_another_local_origins_neighbor(self, first):
+        # AS 2 hosts B and is A's provider; each host keeps its own
+        # site whichever origin offers first, and B's peer 3 takes B.
+        graph = _chain_graph()
+        origins = [
+            Origin(site="A", asn=1, scope=Scope.LOCAL),
+            Origin(site="B", asn=2, scope=Scope.LOCAL),
+        ]
+        if first == "B":
+            origins.reverse()
+        table = _matches_reference(graph, origins)
+        assert table.route(1).path == (1,)
+        assert table.route(2).path == (2,)
+        assert table.route(3).path == (2, 3)
+        assert table.site_of(4) is None
+
+    def test_repeated_local_origin_adds_no_records(self):
+        origin = Origin(site="L", asn=1, scope=Scope.LOCAL)
+        table = _matches_reference(_chain_graph(), [origin, origin])
+        # Its offers only tie, and a tie never beats.
+        assert _forest(table) == ([1, 1, 2], [-1, -1, 1])
+
+    @staticmethod
+    def _two_stub_graph():
+        """1 -cust-> 3 and 2 -cust-> 4: two disjoint climbs."""
+        graph = ASGraph()
+        for asn in (1, 2, 3, 4):
+            graph.add_as(_node(asn))
+        graph.add_link(1, 3, Relationship.PROVIDER)
+        graph.add_link(2, 4, Relationship.PROVIDER)
+        return graph
+
+    def test_repeated_global_origin_keeps_its_frontier_place(self):
+        # The second offer at AS 1 ties and is not taken, so AS 1
+        # climbs before AS 2 and AS 3 is installed before AS 4.
+        origin = Origin(site="S", asn=1)
+        table = _matches_reference(
+            self._two_stub_graph(), [origin, Origin(site="T", asn=2), origin]
+        )
+        assert list(table.routes()) == [1, 2, 3, 4]
+
+    def test_later_smaller_global_origin_supersedes(self):
+        # S beats T at AS 1 after U's offer, so AS 1 climbs after AS 2.
+        table = _matches_reference(
+            self._two_stub_graph(),
+            [
+                Origin(site="T", asn=1),
+                Origin(site="U", asn=2),
+                Origin(site="S", asn=1),
+            ],
+        )
+        assert table.site_of(3) == "S"
+        assert list(table.routes()) == [1, 2, 4, 3]
+
+
+class TestOriginWithBlocked:
+    def test_unchanged_set_returns_the_origin_itself(self):
+        origin = Origin(site="A", asn=1, blocked_neighbors=frozenset({2}))
+        assert origin.with_blocked(frozenset({2})) is origin
+
+    def test_changed_set_returns_a_new_origin(self):
+        origin = Origin(
+            site="A", asn=1, scope=Scope.LOCAL,
+            location=Location(1.0, 2.0), preference_discount=0.25,
+        )
+        blocked = origin.with_blocked(frozenset({3}))
+        assert blocked is not origin
+        assert blocked.blocked_neighbors == frozenset({3})
+        assert blocked.with_blocked(frozenset()) == origin
+
+
 class TestRoutingTable:
     def test_catchments_partition_reachable_asns(self):
         graph = _chain_graph()
