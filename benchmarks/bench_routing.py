@@ -15,10 +15,14 @@ run once with the reference routes patched in (``bgp_reference.table``,
 the pre-kernel baseline) and once with the kernel, asserting
 bit-identical result arrays and recording the wall-time improvement.
 
-Every reference-vs-kernel propagation pair is checked for equality
-(same routes, same install order); ``--smoke`` shrinks the sizes for
-CI, where only the equality assertions matter, skips the speedup
-floor, and writes no file unless ``--out`` is given.
+Each leg runs :data:`REPEATS` times (the churn legs after one warm-up
+propagation); a row records the median as ``*_wall_s`` with the
+individual runs beside it as ``*_runs_s``, and the speedups and K's
+5x floor come from the medians.  Every reference-vs-kernel
+propagation pair is checked for equality (same routes, same install
+order); ``--smoke`` shrinks the sizes for CI, where only the equality
+assertions matter, skips the speedup floor, and writes no file unless
+``--out`` is given.
 
 Usage::
 
@@ -34,6 +38,7 @@ import datetime
 import json
 import os
 import platform
+import statistics
 import sys
 import time
 
@@ -65,6 +70,26 @@ CHURN_LETTERS = ("K", "E")
 
 #: The letter the speedup floor applies to, and the faulted scenario's.
 LETTER = "K"
+
+#: Timed runs of every leg.  One run of E's unchanged reference leg
+#: read 0.44-0.82 s from run to run on a 2-vCPU VM, too wide to resolve
+#: a 20% kernel change; the median of five is steadier.
+REPEATS = 5
+
+
+def timed(run) -> tuple[float, object]:
+    """Wall time of ``run()`` and its result."""
+    started = time.perf_counter()
+    result = run()
+    return time.perf_counter() - started, result
+
+
+def leg(name: str, runs: list[float], digits: int) -> dict:
+    """A leg's median wall time and its individual runs."""
+    return {
+        f"{name}_wall_s": round(statistics.median(runs), digits),
+        f"{name}_runs_s": [round(run, digits) for run in runs],
+    }
 
 
 def churn_states(prefix: AnycastPrefix) -> list:
@@ -119,30 +144,37 @@ def bench_propagations(
     bgp_reference.propagate(graph, schedule[0])
     bgp.propagate(graph, schedule[0])
 
-    started = time.perf_counter()
-    ref_tables = [bgp_reference.propagate(graph, s) for s in schedule]
-    ref_wall = time.perf_counter() - started
+    # Cache-hit path: the same announcement states recur (policy loops
+    # flap one site), so routing() serves LRU hits after the first lap.
+    prefix = deployment.prefix
+    flapped = sorted(prefix.announced_sites())[0]
+    prefix.routing()
+    prefix.set_announced(flapped, False)
+    prefix.routing()
 
-    started = time.perf_counter()
-    kernel_tables = [bgp.propagate(graph, s) for s in schedule]
-    kernel_wall = time.perf_counter() - started
+    def cache_hits() -> None:
+        for step in range(propagations):
+            prefix.set_announced(flapped, up=bool(step % 2))
+            prefix.routing()
+
+    ref_runs, kernel_runs, cache_runs = [], [], []
+    for _ in range(REPEATS):
+        wall, ref_tables = timed(
+            lambda: [bgp_reference.propagate(graph, s) for s in schedule]
+        )
+        ref_runs.append(wall)
+        wall, kernel_tables = timed(
+            lambda: [bgp.propagate(graph, s) for s in schedule]
+        )
+        kernel_runs.append(wall)
+        prefix.set_announced(flapped, True)
+        cache_runs.append(timed(cache_hits)[0])
 
     for i in range(0, propagations, check_every):
         assert_equal_tables(kernel_tables[i], ref_tables[i])
 
-    # Cache-hit path: the same announcement states recur (policy loops
-    # flap one site), so routing() serves LRU hits after the first lap.
-    flapped = sorted(deployment.prefix.announced_sites())[0]
-    deployment.prefix.routing()
-    deployment.prefix.set_announced(flapped, False)
-    deployment.prefix.routing()
-    deployment.prefix.set_announced(flapped, True)
-    started = time.perf_counter()
-    for step in range(propagations):
-        deployment.prefix.set_announced(flapped, up=bool(step % 2))
-        deployment.prefix.routing()
-    cache_wall = time.perf_counter() - started
-
+    reference = leg("reference", ref_runs, 4)
+    kernel = leg("kernel", kernel_runs, 4)
     return {
         "letter": letter,
         "n_ases": len(graph),
@@ -152,10 +184,13 @@ def bench_propagations(
             for code in deployment.site_order
         ),
         "propagations": propagations,
-        "reference_wall_s": round(ref_wall, 4),
-        "kernel_wall_s": round(kernel_wall, 4),
-        "cache_hit_wall_s": round(cache_wall, 4),
-        "kernel_speedup": round(ref_wall / kernel_wall, 2),
+        "repeats": REPEATS,
+        **reference,
+        **kernel,
+        **leg("cache_hit", cache_runs, 4),
+        "kernel_speedup": round(
+            statistics.median(ref_runs) / statistics.median(kernel_runs), 2
+        ),
         "tables_identical": True,
     }
 
@@ -180,29 +215,33 @@ def bench_faulted_scenario(stubs: int, vps: int) -> dict:
         faults=plan,
     )
 
-    def timed_run():
-        started = time.perf_counter()
-        result = simulate(config)
-        return time.perf_counter() - started, result_arrays(result)
-
     original = anycast_module.propagate
-    anycast_module.propagate = bgp_reference.table
-    try:
-        ref_wall, ref_arrays = timed_run()
-    finally:
-        anycast_module.propagate = original
-    kernel_wall, kernel_arrays = timed_run()
+    ref_runs, kernel_runs = [], []
+    for _ in range(REPEATS):
+        anycast_module.propagate = bgp_reference.table
+        try:
+            wall, ref_result = timed(lambda: simulate(config))
+        finally:
+            anycast_module.propagate = original
+        ref_runs.append(wall)
+        wall, kernel_result = timed(lambda: simulate(config))
+        kernel_runs.append(wall)
+        differences = diff_arrays(
+            result_arrays(ref_result), result_arrays(kernel_result)
+        )
+        assert not differences, f"faulted outputs diverged: {differences}"
 
-    differences = diff_arrays(ref_arrays, kernel_arrays)
-    assert not differences, f"faulted outputs diverged: {differences}"
     return {
         "n_stubs": stubs,
         "n_vps": vps,
         "letters": ["A", LETTER],
         "faults": "5x BgpSessionReset + PeerChurn",
-        "reference_wall_s": round(ref_wall, 3),
-        "kernel_wall_s": round(kernel_wall, 3),
-        "speedup": round(ref_wall / kernel_wall, 2),
+        "repeats": REPEATS,
+        **leg("reference", ref_runs, 3),
+        **leg("kernel", kernel_runs, 3),
+        "speedup": round(
+            statistics.median(ref_runs) / statistics.median(kernel_runs), 2
+        ),
         "bit_identical": True,
     }
 
@@ -270,7 +309,9 @@ def main(argv: list[str] | None = None) -> int:
             "states propagated back-to-back (reference vs array "
             "kernel vs LRU cache hits); faulted_e2e = one scenario "
             "with per-bin BGP session flaps, run with each propagate "
-            "implementation and asserted bit-identical"
+            "implementation and asserted bit-identical; every leg "
+            f"runs {REPEATS} times, *_wall_s is the median of *_runs_s "
+            "and the speedups are ratios of medians"
         ),
         "smoke": args.smoke,
         "churn": churn,

@@ -29,6 +29,7 @@ import numpy as np
 from ..netsim.bgp import RoutingTable
 from ..netsim.topology import Topology
 from ..util.airports import airport
+from ..util.arrays import frozen
 
 #: Default hotspot volume shares; about two thirds of the traffic,
 #: matching the "top 200 sources sent 68 %" concentration.
@@ -81,7 +82,8 @@ class BotnetConfig:
 
 
 class Botnet:
-    """Placed botnet: cluster ASNs and their volume weights."""
+    """Placed botnet: cluster ASNs and their volume weights, both
+    read-only."""
 
     def __init__(self, asns: np.ndarray, weights: np.ndarray) -> None:
         asns = np.asarray(asns, dtype=np.int64)
@@ -95,8 +97,8 @@ class Botnet:
         total = weights.sum()
         if total <= 0:
             raise ValueError("weights must sum to a positive value")
-        self.asns = asns
-        self.weights = weights / total
+        self.asns = frozen(asns)
+        self.weights = frozen(weights / total)
 
     def __len__(self) -> int:
         return self.asns.size

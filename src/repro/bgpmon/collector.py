@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..netsim.topology import Topology
+from ..util.arrays import frozen
 from ..util.timegrid import Interval, TimeGrid
 
 if TYPE_CHECKING:
@@ -43,13 +44,13 @@ class BgpmonConfig:
 
 
 class BgpCollectors:
-    """A fixed set of collector peers."""
+    """A fixed set of collector peers (``peer_asns`` is read-only)."""
 
     def __init__(self, peer_asns: np.ndarray) -> None:
         peer_asns = np.asarray(peer_asns, dtype=np.int64)
         if peer_asns.size == 0:
             raise ValueError("collector fleet cannot be empty")
-        self.peer_asns = peer_asns
+        self.peer_asns = frozen(peer_asns)
         self._peer_set = frozenset(int(a) for a in peer_asns)
 
     def __len__(self) -> int:

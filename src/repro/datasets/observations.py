@@ -25,6 +25,7 @@ from typing import Any, TypeVar
 
 import numpy as np
 
+from ..util.arrays import frozen
 from ..util.timegrid import TimeGrid
 
 #: Sentinels for ``site_idx``.
@@ -41,7 +42,7 @@ T = TypeVar("T")
 
 @dataclass(frozen=True, slots=True)
 class VantagePointTable:
-    """Column-oriented VP metadata."""
+    """Column-oriented VP metadata; the columns are read-only."""
 
     ids: np.ndarray        # int64, unique
     asns: np.ndarray       # int64, stub AS of each VP
@@ -59,6 +60,9 @@ class VantagePointTable:
                 raise ValueError(f"column {name} misaligned")
         if np.unique(self.ids).size != n:
             raise ValueError("duplicate VP ids")
+        for column in (self.ids, self.asns, self.lats, self.lons,
+                       self.regions, self.firmware, self.hijacked):
+            frozen(column)
 
     def __len__(self) -> int:
         return int(self.ids.size)

@@ -41,8 +41,9 @@ noqa DET001 -- reason``; purity exemptions live in one allowlist file
 (``purity_allowlist.txt``) with the same ``-- justification`` contract
 (unjustified entries are NOQ001, stale ones NOQ002).  What static
 analysis cannot see, the runtime sanitizer (:mod:`.sanitize`,
-``REPRO_SANITIZE=1``) catches at the site: frozen shared arrays and
-per-stream RNG draw accounting.
+``REPRO_SANITIZE=1``) catches with per-stream RNG draw accounting;
+shared substrate arrays are read-only wherever they are built, so a
+write into one raises at the site with or without it.
 
 Both analyses read files through one reader
 (:func:`.registry.read_source`), so a file that cannot be read, is
@@ -51,8 +52,8 @@ The per-file lint sends every file through one process pool; the
 clock/RNG and bare-set classifiers in :mod:`.rules` are the same ones
 the purity analyzer's effect scan calls.
 
-The package imports none of its modules: the engine and the sweep
-worker import :mod:`.sanitize` on every run and need nothing else.
+The package imports none of its modules: the sweep worker imports
+:mod:`.sanitize` on every run and needs nothing else.
 Import the linter API from the module that defines it: ``lint_paths``,
 ``lint_source`` and ``LintReport`` from :mod:`.runner`; ``RULES`` from
 :mod:`.rules`; ``Rule``, ``SourceFile``, ``Violation`` and

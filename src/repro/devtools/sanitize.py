@@ -1,46 +1,35 @@
-"""Runtime sanitizer: make purity violations fail loudly, at the site.
+"""Runtime sanitizer: count every RNG stream's draws per sweep cell.
 
 The static purity analyzer (:mod:`repro.devtools.purity`) proves that
 nothing *in the call graph* of a sweep worker mutates shared state or
 draws nondeterministic randomness -- but a dynamic escape (``getattr``
 tricks, a C extension, a future refactor the resolver cannot follow)
-would still corrupt sibling cells silently.  ``REPRO_SANITIZE=1``
-closes that gap at runtime:
-
-* **Frozen shared arrays.**  :func:`freeze_array` /
-  :func:`freeze_substrate` mark the substrate's constant numpy arrays
-  (VP table, botnet placement, collector peers, capacity vectors) and
-  every :class:`~repro.netsim.asgraph.CompiledGraph` view read-only,
-  so an in-place write raises ``ValueError: assignment destination is
-  read-only`` *at the mutation site* instead of poisoning every later
-  cell that shares the substrate.
-* **RNG draw accounting.**  :func:`counting_generator` wraps each
-  per-component stream handed out by
-  :func:`repro.util.rng.component_rng`; every draw-method call bumps a
-  per-label counter in :data:`STREAM_DRAWS`.  The sweep worker
-  snapshots the counters around each cell and reports them as
-  ``sanitize/stream/<label>`` telemetry, so tests can assert that
-  ``jobs=N`` performs exactly the per-cell draws ``jobs=1`` does --
-  a drifted draw count is the earliest symptom of a stream leaking
-  between cells.
+would still corrupt sibling cells silently.  Shared substrate arrays
+need no help here: their owners make them read-only where they build
+them, so an in-place write raises at the site whether or not the
+sanitizer is on.  ``REPRO_SANITIZE=1`` covers the RNG streams:
+:func:`counting_generator` wraps each per-component stream handed out
+by :func:`repro.util.rng.component_rng`, and every draw-method call
+bumps a per-label counter in :data:`STREAM_DRAWS`.  The sweep worker
+snapshots the counters around each cell and reports them as
+``sanitize/stream/<label>`` telemetry, so tests can assert that
+``jobs=N`` performs exactly the per-cell draws ``jobs=1`` does -- a
+drifted draw count is the earliest symptom of a stream leaking between
+cells.
 
 The sanitizer is observational: wrapped generators delegate every call
-to the real ``numpy.random.Generator`` unchanged, and freezing only
-flips the ``writeable`` flag.  A sanitized run is bit-identical to a
-plain one (the determinism CI job runs once under ``REPRO_SANITIZE=1``
-to prove it).
+to the real ``numpy.random.Generator`` unchanged, so a sanitized run is
+bit-identical to a plain one (the determinism CI job runs once under
+``REPRO_SANITIZE=1`` to prove it).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, cast
+from typing import cast
 
 import numpy as np
 
 from ..util.env import SANITIZE, env_flag
-
-if TYPE_CHECKING:
-    from ..scenario.engine import Substrate
 
 #: Draw-method calls per stream label since the last :func:`reset_streams`.
 #: Mutated only in sanitize mode; observational telemetry, never an
@@ -52,46 +41,6 @@ def enabled() -> bool:
     """Whether ``REPRO_SANITIZE`` is on (re-read per call, so tests
     can flip it with ``monkeypatch.setenv``)."""
     return env_flag(SANITIZE)
-
-
-def freeze_array(array: np.ndarray) -> np.ndarray:
-    """Mark *array* read-only (no-op when the sanitizer is off, or for
-    arrays that are already frozen / not owned base arrays)."""
-    if enabled() and isinstance(array, np.ndarray):
-        try:
-            array.flags.writeable = False
-        except ValueError:
-            # A view over an exposed writable buffer cannot be locked;
-            # leave it -- freezing is best-effort hardening.
-            pass
-    return array
-
-
-def freeze_substrate(substrate: "Substrate") -> None:
-    """Freeze every constant array a :class:`Substrate` shares between
-    runs: the VP table, botnet placement, collector peers, and each
-    deployment's capacity/threshold vectors.
-
-    Called by :func:`repro.scenario.engine.build_substrate` when the
-    sanitizer is on.  Deployment *state* (announcements, records)
-    stays mutable -- each run works on its own copy; only the arrays
-    whose silent mutation would leak between sweep cells are locked.
-    """
-    if not enabled():
-        return
-    vps = substrate.vps
-    for array in (
-        vps.ids, vps.asns, vps.lats, vps.lons,
-        vps.regions, vps.firmware, vps.hijacked,
-    ):
-        freeze_array(array)
-    freeze_array(substrate.botnet.asns)
-    freeze_array(substrate.botnet.weights)
-    freeze_array(substrate.collectors.peer_asns)
-    for letter in substrate.letters:
-        deployment = substrate.deployments[letter]
-        freeze_array(deployment.capacity_vector)
-        freeze_array(deployment._fastpath_thresholds)
 
 
 #: ``numpy.random.Generator`` methods that consume bits from the

@@ -130,9 +130,8 @@ class AnycastPrefix:
         per-bin ``routing()`` calls O(1).  Recomputing an evicted
         state yields equal routes in a new table object, so caches
         keyed on the table object only recompute; anything that
-        reaches outputs keys on :meth:`state_key` instead.  Every
-        table is computed on the graph as it is when first asked for,
-        so callers finish building the graph before routing.
+        reaches outputs keys on :meth:`state_key` instead.  The first
+        table finishes the graph: it refuses edits from then on.
         """
         if self._current is not None:
             return self._current

@@ -5,6 +5,15 @@ governed by the commercial relationships between autonomous systems:
 customers buy transit from providers, and peers exchange their own and
 their customers' routes settlement-free (Gao-Rexford).  This module
 holds the graph; :mod:`repro.netsim.bgp` propagates routes over it.
+
+Over the paper's 48-hour window the AS-level Internet stays fixed and
+only anycast announcements move, so a graph has a build phase and then
+a read phase.  ``add_as`` and ``add_link`` build it.  The first
+:meth:`ASGraph.compiled`, :meth:`ASGraph.coordinate_arrays` or
+:meth:`ASGraph.distance_rows` call finishes it: later edits raise
+``ValueError``.  What is derived from the graph -- the compiled CSR
+view, the coordinate arrays, the tie-break distance rows -- is
+therefore built once, never goes stale, and is read-only.
 """
 
 from __future__ import annotations
@@ -15,6 +24,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from ..util.arrays import frozen
 from ..util.geo import Location, haversine_km_vec
 
 
@@ -57,12 +67,6 @@ class AsNode:
             raise ValueError(f"ASNs are positive integers: {self.asn}")
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    """Mark *array* read-only and return it (compiled views are shared)."""
-    array.flags.writeable = False
-    return array
-
-
 #: Relationship -> int8 code used by :attr:`CompiledGraph.all_rel`.
 _REL_CODES: dict[Relationship, int] = {
     Relationship.CUSTOMER: 0,
@@ -93,7 +97,7 @@ _COMPILED_ARRAY_FIELDS = (
 
 @dataclass(frozen=True, slots=True)
 class CompiledGraph:
-    """An immutable CSR view of one :class:`ASGraph` structure version.
+    """An immutable CSR view of one finished :class:`ASGraph`.
 
     Rows are ASes in graph insertion order (``asn_of[row]`` is the ASN,
     ``row_of[asn]`` the row).  For each business relationship there is
@@ -103,11 +107,10 @@ class CompiledGraph:
     scalar reference implementation visits them, which the array
     kernel's deterministic tie-breaking relies on.
 
-    Obtained from :meth:`ASGraph.compiled`, which caches one instance
-    per :attr:`ASGraph.version`; all arrays are read-only.
+    Obtained from :meth:`ASGraph.compiled`, which builds it once; all
+    arrays are read-only.
     """
 
-    version: int
     asn_of: np.ndarray            # int64: row -> ASN
     row_of: dict[int, int]        # ASN -> row
     provider_indptr: np.ndarray   # int64, len n+1
@@ -135,18 +138,15 @@ class CompiledGraph:
         return _COMPILED_ARRAY_FIELDS
 
     @classmethod
-    def from_arrays(
-        cls, version: int, arrays: Mapping[str, np.ndarray]
-    ) -> "CompiledGraph":
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "CompiledGraph":
         """Rebuild a compiled view from its named arrays.
 
         The from-buffer constructor of the zero-copy sweep path: the
         arrays typically live in a ``multiprocessing.shared_memory``
         segment created by another process.  ``row_of`` is derived
-        from ``asn_of`` (rows are insertion order by construction), so
-        the only non-array state a caller must supply is *version*.
-        Arrays that are not already read-only are frozen, preserving
-        the invariant that compiled views are immutable.
+        from ``asn_of`` (rows are insertion order by construction).
+        Every array is frozen, preserving the invariant that compiled
+        views are immutable.
         """
         missing = [
             name for name in _COMPILED_ARRAY_FIELDS if name not in arrays
@@ -155,15 +155,11 @@ class CompiledGraph:
             raise ValueError(
                 f"CompiledGraph.from_arrays missing arrays: {missing}"
             )
-        asn_of = arrays["asn_of"]
-        row_of = {int(asn): row for row, asn in enumerate(asn_of)}
-        fields: dict[str, np.ndarray] = {}
-        for name in _COMPILED_ARRAY_FIELDS:
-            array = arrays[name]
-            if array.flags.writeable:
-                array = _frozen(array)
-            fields[name] = array
-        return cls(version=version, row_of=row_of, **fields)
+        fields = {
+            name: frozen(arrays[name]) for name in _COMPILED_ARRAY_FIELDS
+        }
+        row_of = {int(asn): row for row, asn in enumerate(fields["asn_of"])}
+        return cls(row_of=row_of, **fields)
 
     def rows_of(self, asns: Iterable[int] | np.ndarray) -> np.ndarray:
         """Vectorized ASN -> row lookup; ``-1`` for unknown ASNs."""
@@ -178,36 +174,36 @@ class CompiledGraph:
 
 @dataclass(slots=True)
 class ASGraph:
-    """A mutable AS-level topology.
+    """An AS-level topology: built with ``add_as``/``add_link``, then
+    read.
 
     Adjacency is stored per node as ``{neighbor_asn: relationship}``
     where the relationship is expressed from the node's own viewpoint.
+    The first :meth:`compiled` call, which :meth:`coordinate_arrays`
+    and :meth:`distance_rows` also make, finishes the graph: later
+    edits raise ``ValueError`` and leave it unchanged.
     """
 
     _nodes: dict[int, AsNode] = field(default_factory=dict)
     _adjacency: dict[int, dict[int, Relationship]] = field(default_factory=dict)
-    #: Monotonic structure token: bumped on every node or link change,
-    #: so derived data (coordinate arrays, tie-break distance memos)
-    #: can key caches on it instead of object identity.
-    _version: int = 0
-    _coord_cache: (
-        tuple[int, dict[int, int], np.ndarray, np.ndarray] | None
-    ) = None
-    _distance_cache: dict[int, np.ndarray] = field(default_factory=dict)
-    _csr_cache: CompiledGraph | None = None
+    #: The compiled view; set by the first read, which ends the build.
+    _compiled: CompiledGraph | None = None
+    _coords: tuple[np.ndarray, np.ndarray] | None = None
+    _distances: dict[int, np.ndarray] = field(default_factory=dict)
 
-    @property
-    def version(self) -> int:
-        """Monotonic token identifying the current graph structure."""
-        return self._version
+    def _refuse_if_finished(self, edit: str) -> None:
+        if self._compiled is not None:
+            raise ValueError(
+                f"cannot {edit}: the graph has been read, so it is finished"
+            )
 
     def add_as(self, node: AsNode) -> None:
         """Add an AS; re-adding an existing ASN is an error."""
+        self._refuse_if_finished(f"add AS {node.asn}")
         if node.asn in self._nodes:
             raise ValueError(f"AS {node.asn} already in graph")
         self._nodes[node.asn] = node
         self._adjacency[node.asn] = {}
-        self._version += 1
 
     def add_link(self, asn: int, neighbor: int, rel: Relationship) -> None:
         """Add a link; *rel* is *neighbor*'s role as seen from *asn*.
@@ -216,6 +212,7 @@ class ASGraph:
         provides transit to 64500.  The reverse direction is recorded
         automatically.
         """
+        self._refuse_if_finished(f"link AS {asn} to AS {neighbor}")
         if asn == neighbor:
             raise ValueError("an AS cannot neighbor itself")
         for a in (asn, neighbor):
@@ -228,57 +225,42 @@ class ASGraph:
             )
         self._adjacency[asn][neighbor] = rel
         self._adjacency[neighbor][asn] = rel.inverse
-        self._version += 1
 
     def coordinate_arrays(
         self,
     ) -> tuple[dict[int, int], np.ndarray, np.ndarray]:
-        """``(row_of_asn, lats, lons)`` over all ASes, cached.
+        """``(row_of_asn, lats, lons)`` over all ASes, built once.
 
-        Row order is insertion order.  Nodes are append-only and their
-        locations immutable, so the arrays depend only on the node
-        *count* -- link-only structure changes keep the cache warm.
+        ``row_of_asn`` is the compiled view's, so rows are insertion
+        order; the arrays are read-only.
         """
-        cache = self._coord_cache
-        if cache is not None and cache[0] == len(self._nodes):
-            return cache[1], cache[2], cache[3]
-        row_of = {asn: i for i, asn in enumerate(self._nodes)}
-        lats = np.array(
-            [n.location.lat for n in self._nodes.values()],
-            dtype=np.float64,
-        )
-        lons = np.array(
-            [n.location.lon for n in self._nodes.values()],
-            dtype=np.float64,
-        )
-        self._coord_cache = (len(self._nodes), row_of, lats, lons)
+        row_of = self.compiled().row_of
+        if self._coords is None:
+            locations = [n.location for n in self._nodes.values()]
+            self._coords = (
+                frozen(np.array([loc.lat for loc in locations])),
+                frozen(np.array([loc.lon for loc in locations])),
+            )
+        lats, lons = self._coords
         return row_of, lats, lons
 
     def distance_rows(
         self, specs: list[tuple[int, Location, float]]
     ) -> list[np.ndarray]:
         """Distances (km × *scale*) from each spec's location to every
-        AS: one row per ``(cache_key, location, scale)`` spec.
+        AS: one read-only row per ``(cache_key, location, scale)`` spec.
 
         Rows align with :meth:`coordinate_arrays` and are memoized per
         *cache_key* (callers pass the origin ASN, which uniquely
-        identifies ``(location, scale)``).  Nodes are append-only with
-        immutable locations, so a row stays valid until the node count
-        grows: stale-length rows are recomputed, and link-only
-        structure changes keep the memo warm.  All misses are computed
+        identifies ``(location, scale)``).  All misses are computed
         in a single broadcast haversine call instead of one small
         vectorised call per origin -- with hundreds of origins per
         letter the per-call numpy overhead dominates the arithmetic.
         """
-        n_nodes = len(self._nodes)
-        cache = self._distance_cache
-        missing = [
-            (key, location, scale)
-            for key, location, scale in specs
-            if (row := cache.get(key)) is None or row.shape[0] != n_nodes
-        ]
+        _, lats, lons = self.coordinate_arrays()
+        memo = self._distances
+        missing = [spec for spec in specs if spec[0] not in memo]
         if missing:
-            _, lats, lons = self.coordinate_arrays()
             origin_lats = np.array(
                 [location.lat for _, location, _ in missing]
             )
@@ -289,33 +271,23 @@ class ASGraph:
                 lats, lons, origin_lats[:, None], origin_lons[:, None]
             )
             for i, (key, _location, scale) in enumerate(missing):
-                cache[key] = matrix[i] * scale
-        return [cache[key] for key, _location, _scale in specs]
+                memo[key] = frozen(matrix[i] * scale)
+        return [memo[key] for key, _location, _scale in specs]
 
     def distance_memo(self) -> dict[int, np.ndarray]:
-        """The per-origin distance rows valid for the *current* node
-        set, keyed by origin cache key (ASN).
-
-        Stale-length rows are excluded (they would be recomputed by
-        the next :meth:`distance_rows` call anyway).  Used by the
-        zero-copy sweep layer to ship warm tie-break memos to workers.
-        """
-        n_nodes = len(self._nodes)
-        return {
-            key: row
-            for key, row in self._distance_cache.items()
-            if row.shape[0] == n_nodes
-        }
+        """A copy of the per-origin distance rows, keyed by origin
+        cache key (ASN).  Used by the zero-copy sweep layer to ship
+        warm tie-break memos to workers."""
+        return dict(self._distances)
 
     def compiled(self) -> CompiledGraph:
-        """The immutable CSR view of the current structure (cached).
+        """The immutable CSR view of the graph, built on the first call.
 
-        One :class:`CompiledGraph` is built per :attr:`version` and
-        reused across propagations; mutating the graph invalidates it.
+        That call finishes the graph; the view is reused by every
+        propagation.
         """
-        cache = self._csr_cache
-        if cache is not None and cache.version == self._version:
-            return cache
+        if self._compiled is not None:
+            return self._compiled
         row_of = {asn: i for i, asn in enumerate(self._nodes)}
         n = len(row_of)
         counts = {
@@ -337,14 +309,13 @@ class ASGraph:
         csr: dict[Relationship, tuple[np.ndarray, np.ndarray]] = {}
         for rel in Relationship:
             csr[rel] = (
-                _frozen(np.cumsum(counts[rel])),
-                _frozen(np.array(columns[rel], dtype=np.int32)),
+                frozen(np.cumsum(counts[rel])),
+                frozen(np.array(columns[rel], dtype=np.int32)),
             )
         asn_of = np.fromiter(self._nodes, dtype=np.int64, count=n)
         order = np.argsort(asn_of, kind="stable")
-        self._csr_cache = CompiledGraph(
-            version=self._version,
-            asn_of=_frozen(asn_of),
+        self._compiled = CompiledGraph(
+            asn_of=frozen(asn_of),
             row_of=row_of,
             provider_indptr=csr[Relationship.PROVIDER][0],
             provider_indices=csr[Relationship.PROVIDER][1],
@@ -352,13 +323,13 @@ class ASGraph:
             peer_indices=csr[Relationship.PEER][1],
             customer_indptr=csr[Relationship.CUSTOMER][0],
             customer_indices=csr[Relationship.CUSTOMER][1],
-            all_indptr=_frozen(np.cumsum(all_counts)),
-            all_indices=_frozen(np.array(all_columns, dtype=np.int32)),
-            all_rel=_frozen(np.array(all_rel, dtype=np.int8)),
-            _sorted_asns=_frozen(asn_of[order]),
-            _sorted_rows=_frozen(order.astype(np.int64)),
+            all_indptr=frozen(np.cumsum(all_counts)),
+            all_indices=frozen(np.array(all_columns, dtype=np.int32)),
+            all_rel=frozen(np.array(all_rel, dtype=np.int8)),
+            _sorted_asns=frozen(asn_of[order]),
+            _sorted_rows=frozen(order.astype(np.int64)),
         )
-        return self._csr_cache
+        return self._compiled
 
     def node(self, asn: int) -> AsNode:
         """Look up one AS by number."""

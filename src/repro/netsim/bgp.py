@@ -198,8 +198,9 @@ class RoutingTable:
     vectors) key on the table object itself, which they then hold so
     the key cannot be recycled, or on the announcement state that
     produced it (:meth:`~repro.netsim.anycast.AnycastPrefix.state_key`).
-    Route a graph only once it is finished: :meth:`changes_from`
-    refuses to diff tables of two compiled graphs.
+    Routing finishes the graph (it refuses edits after its first
+    read), and :meth:`changes_from` refuses to diff tables of two
+    compiled graphs.
     """
 
     def __init__(self, arrays: _TableArrays) -> None:
@@ -394,8 +395,8 @@ class _Propagation:
         site_idx = {s: i for i, s in enumerate(self.site_names)}
         self.site_idx = site_idx
         # Tie-break distances per site over all ASes.  Rows come from
-        # the graph's per-version memo, so repeated propagations (and
-        # the scalar reference) see bit-identical float64 values; sites
+        # the graph's memo, so repeated propagations (and the scalar
+        # reference) see bit-identical float64 values; sites
         # without a located origin tie-break at 0.0.  Duplicated site
         # ids resolve last-origin-wins, like the reference's dict.
         self.tie = np.zeros((len(self.site_names), n), dtype=np.float64)

@@ -17,6 +17,11 @@ two-tier topology that captures what matters for anycast catchments:
 Geographic attachment plus the geographic tie-break in
 :mod:`repro.netsim.bgp` yields catchments that look like the real
 ones: mostly-nearest-site, with policy exceptions.
+
+A topology is built in that order -- transits, stubs, then the site
+hosts the letter deployments add -- and only then routed: the graph's
+first read finishes it (:mod:`repro.netsim.asgraph`), so a site host
+added after routing started raises.
 """
 
 from __future__ import annotations
@@ -104,54 +109,39 @@ class Topology:
         self._next_site_asn = max(
             _SITE_ASN_BASE, _STUB_ASN_BASE + config.n_stubs
         )
-        self._transit_coords: tuple | None = None
-        self._stub_coords: tuple | None = None
-        self._distance_memo: dict[
-            tuple[str, int, float, float], np.ndarray
-        ] = {}
+        #: Memos of the substrate build, where many sites share a metro
+        #: and ask for the same rows again and again:
+        #: :func:`build_topology` places every transit before the first
+        #: transit query and every stub before the first stub query
+        #: (site hosts and the botnet come later), so neither goes stale.
+        self._coordinates: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self._distance_memo: dict[tuple[str, float, float], np.ndarray] = {}
 
-    def _coords(self, asns: list[int], cache: tuple | None) -> tuple:
-        """(n, lats, lons) for *asns*, rebuilt when the list grew."""
-        if cache is not None and cache[0] == len(asns):
-            return cache
-        lats = np.array(
-            [self.graph.node(a).location.lat for a in asns],
-            dtype=np.float64,
-        )
-        lons = np.array(
-            [self.graph.node(a).location.lon for a in asns],
-            dtype=np.float64,
-        )
-        return (len(asns), lats, lons)
-
-    def _distances(
-        self, kind: str, coords: tuple, location: Location
-    ) -> np.ndarray:
-        """Distance row, memoised per (AS list length, location).
-
-        Many sites share a metro, so the same great-circle row is
-        requested over and over during substrate build; the memo key
-        includes the list length so a grown AS list invalidates it.
-        """
-        key = (kind, coords[0], location.lat, location.lon)
+    def _distances(self, kind: str, location: Location) -> np.ndarray:
+        """Distance from *location* to every AS of the ``"transit"`` or
+        ``"stub"`` list, in list order (memoised)."""
+        key = (kind, location.lat, location.lon)
         row = self._distance_memo.get(key)
         if row is None:
-            _, lats, lons = coords
+            if kind not in self._coordinates:
+                asns = self.stub_asns if kind == "stub" else self.transit_asns
+                places = [self.graph.node(a).location for a in asns]
+                self._coordinates[kind] = (
+                    np.array([p.lat for p in places], dtype=np.float64),
+                    np.array([p.lon for p in places], dtype=np.float64),
+                )
+            lats, lons = self._coordinates[kind]
             row = haversine_km_vec(lats, lons, location.lat, location.lon)
             self._distance_memo[key] = row
         return row
 
     def transit_distances(self, location: Location) -> np.ndarray:
         """Distance from *location* to every transit AS (list order)."""
-        self._transit_coords = self._coords(
-            self.transit_asns, self._transit_coords
-        )
-        return self._distances("transit", self._transit_coords, location)
+        return self._distances("transit", location)
 
     def stub_distances(self, location: Location) -> np.ndarray:
         """Distance from *location* to every stub AS (list order)."""
-        self._stub_coords = self._coords(self.stub_asns, self._stub_coords)
-        return self._distances("stub", self._stub_coords, location)
+        return self._distances("stub", location)
 
     def nearest_transits(self, location: Location, k: int = 2) -> list[int]:
         """The *k* transit ASes closest to *location*."""

@@ -27,6 +27,7 @@ import numpy as np
 from ..netsim.anycast import AnycastPrefix
 from ..netsim.bgp import Origin, RoutingTable, Scope
 from ..netsim.topology import Topology
+from ..util.arrays import frozen
 from .facility import FacilityRegistry
 from .letters import LETTERS_SPEC, LetterSpec
 from .servers import rotate_shed_server
@@ -78,22 +79,24 @@ class LetterDeployment:
         self.host_asns: dict[str, int] = {}
         #: Every change :meth:`act` made, in order.
         self.actions: list[RoutingAction] = []
-        self._capacity_vector = np.array(
-            [s.capacity_qps for s in spec.sites], dtype=np.float64
+        self._capacity_vector = frozen(
+            np.array([s.capacity_qps for s in spec.sites], dtype=np.float64)
         )
         # Per-site thresholds for the quiet-bin fast path: only sites
         # whose policy can actually react to overload participate.
-        self._fastpath_thresholds = np.array(
-            [
-                s.withdraw_threshold
-                if s.initially_announced
-                and s.policy in (
-                    SitePolicy.WITHDRAW, SitePolicy.PARTIAL_WITHDRAW
-                )
-                else np.inf
-                for s in spec.sites
-            ],
-            dtype=np.float64,
+        self._fastpath_thresholds = frozen(
+            np.array(
+                [
+                    s.withdraw_threshold
+                    if s.initially_announced
+                    and s.policy in (
+                        SitePolicy.WITHDRAW, SitePolicy.PARTIAL_WITHDRAW
+                    )
+                    else np.inf
+                    for s in spec.sites
+                ],
+                dtype=np.float64,
+            )
         )
         self._quiet_cache: tuple[tuple, bool] | None = None
         self._announced_cache: tuple[tuple, np.ndarray] | None = None
@@ -185,7 +188,7 @@ class LetterDeployment:
 
     @property
     def capacity_vector(self) -> np.ndarray:
-        """Cached site capacities in site order; treat as read-only."""
+        """Site capacities in site order (read-only, shared)."""
         return self._capacity_vector
 
     def buffer_caps(self, default_ms: float) -> np.ndarray:
@@ -201,15 +204,14 @@ class LetterDeployment:
     def announced_mask(self) -> np.ndarray:
         """Boolean mask over site order: currently announced?
 
-        Memoized per :meth:`AnycastPrefix.state_key`; treat as
-        read-only.
+        Memoized per :meth:`AnycastPrefix.state_key`; read-only.
         """
         key = self.prefix.state_key()
         cached = self._announced_cache
         if cached is not None and cached[0] == key:
             return cached[1]
-        mask = np.array(
-            [self.prefix.is_announced(c) for c in self.site_order]
+        mask = frozen(
+            np.array([self.prefix.is_announced(c) for c in self.site_order])
         )
         self._announced_cache = (key, mask)
         return mask

@@ -137,21 +137,14 @@ class _SpanCache:
     timestamp vector.  Segments therefore slice instead of
     recomputing.  ``mat`` keeps only each letter's current epoch: a
     controller run can visit over a hundred routing states, and a
-    full-span matrix for each would dominate peak memory.  The
-    entry also pins the capacity base array: cap-scale faults only act
-    inside per-bin fault bins (never within a segment), so the base
-    object is stable, but a changed object invalidates the entry
-    defensively.
+    full-span matrix for each would dominate peak memory.
     """
 
     tc_full: np.ndarray
     active_full: np.ndarray
     nl_full: np.ndarray | None
     vec: dict[str, tuple[np.ndarray, np.ndarray]]
-    mat: dict[
-        str,
-        tuple[int, np.ndarray, np.ndarray, np.ndarray, float, np.ndarray],
-    ]
+    mat: dict[str, tuple[int, np.ndarray, np.ndarray, np.ndarray, float]]
 
 
 def _prepare_letter(
@@ -176,11 +169,7 @@ def _prepare_letter(
     attack_vec = vecs[0][start:limit]
     legit_vec = vecs[1][start:limit]
     mats = cache.mat.get(letter)
-    if (
-        mats is None
-        or mats[0] != ed.epoch
-        or mats[5] is not capacity
-    ):
+    if mats is None or mats[0] != ed.epoch:
         asm_full = vecs[0][:, None] * ed.bot_share[None, :]
         base_full = (
             asm_full + vecs[1][:, None] * ed.legit_share[None, :]
@@ -191,7 +180,6 @@ def _prepare_letter(
             base_full,
             (base_full / capacity).max(axis=1),
             float((ed.legit_share / capacity).max()),
-            capacity,
         )
         cache.mat[letter] = mats
     attack_site_mat = mats[1][start:limit]

@@ -71,6 +71,15 @@ class ScenarioConfig:
             raise ValueError("seed must be non-negative")
         if self.n_stubs <= 0 or self.n_vps <= 0:
             raise ValueError("population sizes must be positive")
+        if self.topology is not None and self.topology.n_stubs != self.n_stubs:
+            raise ValueError(
+                f"n_stubs={self.n_stubs} disagrees with "
+                f"topology.n_stubs={self.topology.n_stubs}"
+            )
+        if self.vps is not None and self.vps.n_vps != self.n_vps:
+            raise ValueError(
+                f"n_vps={self.n_vps} disagrees with vps.n_vps={self.vps.n_vps}"
+            )
         if self.baseline_days < 1:
             raise ValueError("need at least one baseline day")
         if self.window_seconds <= 0:
@@ -120,21 +129,17 @@ class ScenarioConfig:
         )
 
     def topology_config(self) -> TopologyConfig:
-        """The effective topology config.
-
-        An explicit ``topology`` wins, ``n_stubs`` included; otherwise
-        the defaults with ``n_stubs`` stub ASes.
-        """
+        """The effective topology config: an explicit ``topology``
+        (whose ``n_stubs`` must equal ``n_stubs``), or the defaults with
+        ``n_stubs`` stub ASes."""
         if self.topology is not None:
             return self.topology
         return TopologyConfig(n_stubs=self.n_stubs)
 
     def vp_config(self) -> VpPopulationConfig:
-        """The effective VP population config.
-
-        An explicit ``vps`` wins, ``n_vps`` included; otherwise the
-        defaults with ``n_vps`` vantage points.
-        """
+        """The effective VP population config: an explicit ``vps``
+        (whose ``n_vps`` must equal ``n_vps``), or the defaults with
+        ``n_vps`` vantage points."""
         if self.vps is not None:
             return self.vps
         return VpPopulationConfig(n_vps=self.n_vps)

@@ -39,7 +39,6 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..atlas.probing import LetterProber, SiteBinConditions
-from ..devtools import sanitize
 from ..atlas.vps import build_vps
 from ..attack.botnet import Botnet, build_botnet
 from ..attack.events import active_event, attack_rate
@@ -569,18 +568,18 @@ def substrate_constant_arrays(
 
     This is the shared-constant half of the substrate's serialization
     split: the arrays listed here are immutable for the lifetime of
-    the substrate (they are exactly the arrays
-    :func:`repro.devtools.sanitize.freeze_substrate` locks, plus the
-    compiled CSR graph view and the AS-graph geometry/distance memos),
-    so the zero-copy sweep layer (:mod:`repro.sweep.shm`) exports them
-    once into shared memory and every worker maps them read-only.
+    the substrate (each owner makes them read-only where it builds
+    them), so the zero-copy sweep layer (:mod:`repro.sweep.shm`)
+    exports them once into shared memory and every worker maps them
+    read-only.
     Everything *not* listed -- deployment announcement state, routing
     records, routing caches -- is per-cell-mutable state that each
     worker owns privately.
 
     The compiled graph view is forced into existence here so that a
     substrate exported right after :func:`build_substrate` ships its
-    CSR arrays; forcing a pure cache cannot change any output.
+    CSR arrays; that finishes a graph that is already complete, and
+    forcing a pure cache cannot change any output.
     """
     pairs: list[tuple[str, np.ndarray]] = []
     vps = substrate.vps
@@ -660,11 +659,6 @@ def build_substrate(config: ScenarioConfig) -> Substrate:
         botnet=botnet,
         collectors=collectors,
     )
-    # Under REPRO_SANITIZE=1 the constant arrays every run shares are
-    # locked read-only, so an in-place mutation raises at the write
-    # site instead of corrupting a sibling sweep cell.
-    if sanitize.enabled():
-        sanitize.freeze_substrate(substrate)
     return substrate
 
 

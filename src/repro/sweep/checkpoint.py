@@ -45,9 +45,12 @@ if TYPE_CHECKING:
 
 #: First-line marker; a file not starting with this is not a checkpoint.
 FORMAT = "repro-sweep-checkpoint"
-#: Version 2: pickled results' deployments hold routing-action records
-#: (``LetterDeployment.actions``) instead of policy and change logs.
-VERSION = 2
+#: Version 3: pickled results' AS graphs carry no version token, and
+#: their compiled views one field less (version 2 files would load
+#: with shifted fields).  Version 2: deployments hold routing-action
+#: records (``LetterDeployment.actions``) instead of policy and change
+#: logs.
+VERSION = 3
 
 #: Pickle protocol pinned so digests and payloads do not drift with
 #: the interpreter's default.

@@ -27,9 +27,9 @@ routing table from scratch.  This module removes that tax:
 
 * **Attach** (worker, :func:`attach_substrate`): the worker maps the
   segment, wraps each spec in a ``numpy`` view over the shared buffer
-  with ``writeable=False`` -- the same freeze contract the runtime
-  sanitizer enforces, so any in-place write raises ``ValueError`` at
-  the mutation site instead of corrupting sibling cells -- and
+  with ``writeable=False`` -- the arrays are read-only where they are
+  built too, so any in-place write raises ``ValueError`` at the
+  mutation site instead of corrupting sibling cells -- and
   unpickles the skeleton with a ``persistent_load`` that resolves
   each token to its zero-copy view.  The compiled graph is rebuilt
   through :meth:`repro.netsim.asgraph.CompiledGraph.from_arrays`, so
@@ -136,9 +136,9 @@ class _SkeletonPickler(pickle.Pickler):
     Identity (``is``), not equality, decides whether an encountered
     array is one of the exported constants -- two distinct arrays with
     equal contents must not alias each other through the segment.  The
-    compiled graph view is reduced to its version plus its array
-    fields (all of which are exported constants), so its ASN->row dict
-    never enters the stream.
+    compiled graph view is reduced to its array fields (all of which
+    are exported constants), so its ASN->row dict never enters the
+    stream.
     """
 
     def __init__(
@@ -159,15 +159,13 @@ class _SkeletonPickler(pickle.Pickler):
             arrays = tuple(
                 getattr(obj, name) for name in obj.array_fields()
             )
-            return (_rebuild_compiled_graph, (obj.version, arrays))
+            return (_rebuild_compiled_graph, (arrays,))
         return NotImplemented
 
 
-def _rebuild_compiled_graph(
-    version: int, arrays: tuple[np.ndarray, ...]
-) -> CompiledGraph:
+def _rebuild_compiled_graph(arrays: tuple[np.ndarray, ...]) -> CompiledGraph:
     names = CompiledGraph.array_fields()
-    return CompiledGraph.from_arrays(version, dict(zip(names, arrays)))
+    return CompiledGraph.from_arrays(dict(zip(names, arrays)))
 
 
 class _SkeletonUnpickler(pickle.Unpickler):

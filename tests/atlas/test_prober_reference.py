@@ -37,7 +37,8 @@ GRID = TimeGrid(start=0, bin_seconds=600, n_bins=96)
 def substrate():
     return build_substrate(
         ScenarioConfig(
-            seed=11, n_stubs=60, letters=("A", "K"), include_nl=False,
+            seed=11, n_stubs=60, n_vps=45, letters=("A", "K"),
+            include_nl=False,
             vps=VpPopulationConfig(n_vps=45, hijacked_fraction=0.1),
         )
     )

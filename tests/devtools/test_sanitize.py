@@ -1,11 +1,14 @@
-"""The runtime sanitizer (``REPRO_SANITIZE=1``).
+"""The runtime sanitizer (``REPRO_SANITIZE=1``) and the read-only
+substrate it relies on.
 
 Three properties are load-bearing:
 
 * the sanitizer is *observational* -- a sanitized run is bit-identical
   to a plain one;
-* frozen arrays make an injected in-place write raise ``ValueError``
-  at the mutation site (instead of silently corrupting sibling cells);
+* shared substrate arrays are read-only from the moment they are
+  built, sanitizer or not, so an injected in-place write raises
+  ``ValueError`` at the mutation site (instead of silently corrupting
+  sibling cells);
 * per-stream draw counters are identical between ``jobs=1`` and
   ``jobs=N``, proving no RNG stream leaks across cells or processes.
 """
@@ -18,7 +21,6 @@ from repro.devtools import sanitize
 from repro.devtools.sanitize import (
     STREAM_DRAWS,
     counting_generator,
-    freeze_array,
     reset_streams,
     stream_report,
 )
@@ -91,32 +93,52 @@ class TestCountingGenerator:
 
 
 class TestFreezing:
-    def test_freeze_array_is_noop_when_disabled(self, monkeypatch):
+    def test_substrate_constants_are_frozen(self, monkeypatch, tiny_config):
+        # Every array a substrate shares between runs is read-only
+        # where its owner builds it; the sanitizer plays no part.
         monkeypatch.delenv("REPRO_SANITIZE", raising=False)
-        array = np.zeros(4)
-        freeze_array(array)
-        array[0] = 1.0  # still writable
-
-    def test_freeze_array_locks_when_enabled(self, sanitized):
-        array = np.zeros(4)
-        freeze_array(array)
-        with pytest.raises(ValueError):
-            array[0] = 1.0
-
-    def test_substrate_constants_are_frozen(self, sanitized, tiny_config):
         substrate = build_substrate(tiny_config)
+        vps = substrate.vps
+        shared = [
+            vps.ids, vps.asns, vps.lats, vps.lons,
+            vps.regions, vps.firmware, vps.hijacked,
+            substrate.botnet.asns, substrate.botnet.weights,
+            substrate.collectors.peer_asns,
+        ]
+        for letter in substrate.letters:
+            deployment = substrate.deployments[letter]
+            deployment.routing()
+            shared += [
+                deployment.capacity_vector,
+                deployment._fastpath_thresholds,
+                deployment.announced_mask(),
+            ]
+        graph = substrate.topology.graph
+        _, lats, lons = graph.coordinate_arrays()
+        rows = graph.distance_memo()
+        assert rows  # routing filled the tie-break memo
+        shared += [lats, lons, *rows.values()]
+        for array in shared:
+            assert not array.flags.writeable
         with pytest.raises(ValueError):
-            substrate.vps.lats[0] = 0.0
+            vps.lats[0] = 0.0
         with pytest.raises(ValueError):
             substrate.botnet.weights[0] = 0.5
-        deployment = substrate.deployments[tiny_config.letters[0]]
+        with pytest.raises(ValueError):
+            substrate.collectors.peer_asns[0] = 1
         with pytest.raises(ValueError):
             deployment.capacity_vector[0] = 1e9
+        with pytest.raises(ValueError):
+            deployment._fastpath_thresholds[0] = 0.0
+        with pytest.raises(ValueError):
+            deployment.announced_mask()[0] = False
+        with pytest.raises(ValueError):
+            next(iter(rows.values()))[0] = 0.0
 
-    def test_injected_write_to_compiled_graph_array_raises(self, sanitized):
-        # CompiledGraph CSR views are read-only by construction; the
-        # sanitizer's contract is that an injected in-place write dies
-        # at the site with ValueError rather than corrupting routing.
+    def test_injected_write_to_compiled_graph_array_raises(self):
+        # CompiledGraph CSR views are read-only by construction: an
+        # injected in-place write dies at the site with ValueError
+        # rather than corrupting routing.
         graph = ASGraph()
         for asn in (1, 2, 3):
             graph.add_as(

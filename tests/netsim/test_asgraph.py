@@ -107,16 +107,13 @@ class TestCompiledGraph:
                 compiled.customer_indptr, compiled.customer_indices, row
             ) == triangle.customers(asn)
 
-    def test_cached_per_version_and_invalidated(self, triangle):
+    def test_compiled_once(self, triangle):
         first = triangle.compiled()
         assert triangle.compiled() is first
-        triangle.add_as(_node(4))
-        second = triangle.compiled()
-        assert second is not first
-        assert second.version == triangle.version
-        triangle.add_link(4, 2, Relationship.PROVIDER)
-        third = triangle.compiled()
-        assert third is not second
+        row_of, _, _ = triangle.coordinate_arrays()
+        assert row_of is first.row_of
+        assert not hasattr(first, "version")
+        assert not hasattr(triangle, "version")
 
     def test_arrays_are_read_only(self, triangle):
         compiled = triangle.compiled()
@@ -129,19 +126,69 @@ class TestCompiledGraph:
         compiled = triangle.compiled()
         assert compiled.rows_of([3, 1, 99, 2]).tolist() == [2, 0, -1, 1]
 
-    def test_distance_cache_keyed_on_node_count(self, triangle):
-        spec = [(1, Location(0, 0), 1.0)]
+    def test_coordinates_and_distance_rows_are_read_only(self, triangle):
+        triangle.add_as(_node(4, lat=10.0))
+        triangle.add_link(4, 2, Relationship.PROVIDER)
+        spec = [(1, Location(0, 0), 0.5)]
         [row] = triangle.distance_rows(spec)
         assert triangle.distance_rows(spec)[0] is row
-        # Distances depend only on node locations, which are immutable
-        # and append-only -- a link-only edit keeps the memo warm.
-        triangle.add_link(1, 3, Relationship.PROVIDER)
+        assert row.shape == (4,)
+        assert row[:3].tolist() == [0.0, 0.0, 0.0]
+        assert row[3] > 0.0
+        _, lats, lons = triangle.coordinate_arrays()
+        assert triangle.coordinate_arrays()[1] is lats
+        assert lats.tolist() == [0.0, 0.0, 0.0, 10.0]
+        for array in (row, lats, lons):
+            with pytest.raises(ValueError):
+                array[0] = 1.0
+        # The sweep layer's copy of the memo shares the rows.
+        memo = triangle.distance_memo()
+        assert memo == {1: row} and memo[1] is row
+        memo.clear()
         assert triangle.distance_rows(spec)[0] is row
-        # Growing the node set invalidates the stale-length row.
-        triangle.add_as(_node(4, lat=10.0))
-        [fresh] = triangle.distance_rows(spec)
-        assert fresh is not row
-        assert fresh.shape == (4,)
+
+
+#: The reads that finish a graph, as calls on it.
+_FIRST_READS = {
+    "compiled": lambda graph: graph.compiled(),
+    "coordinate_arrays": lambda graph: graph.coordinate_arrays(),
+    "distance_rows": lambda graph: graph.distance_rows(
+        [(1, Location(0, 0), 1.0)]
+    ),
+}
+
+
+class TestBuildThenRead:
+    @pytest.mark.parametrize("read", sorted(_FIRST_READS))
+    def test_edits_refused_after_first_read(self, triangle, read):
+        _FIRST_READS[read](triangle)
+        before = (
+            triangle.nodes(),
+            {asn: triangle.neighbors(asn) for asn in triangle.asns},
+        )
+        with pytest.raises(ValueError, match="cannot add AS 4: .*finished"):
+            triangle.add_as(_node(4))
+        with pytest.raises(
+            ValueError, match="cannot link AS 1 to AS 3: .*finished"
+        ):
+            triangle.add_link(1, 3, Relationship.PEER)
+        # A link that already exists is refused too: nothing is edited.
+        with pytest.raises(ValueError, match="AS 1 to AS 2"):
+            triangle.add_link(1, 2, Relationship.PROVIDER)
+        after = (
+            triangle.nodes(),
+            {asn: triangle.neighbors(asn) for asn in triangle.asns},
+        )
+        assert after == before
+        assert triangle.compiled().n_nodes == 3
+
+    def test_edits_allowed_until_the_first_read(self, triangle):
+        triangle.neighbors(1)
+        triangle.edge_count()
+        triangle.validate()
+        triangle.add_as(_node(4))
+        triangle.add_link(4, 3, Relationship.PROVIDER)
+        assert triangle.compiled().n_nodes == 4
 
 
 class TestValidate:

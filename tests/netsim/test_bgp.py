@@ -446,19 +446,26 @@ class TestChangesFromEdgeCases:
         assert empty_a.changes_from(empty_b) == set()
 
     def test_across_graph_growth(self, impl):
-        # Tables compiled before and after the graph grew sit on two
-        # compiled graphs; diffing them is a caller error.
+        # A routed graph is finished: it cannot grow under its tables.
         graph = _chain_graph()
         origins = [Origin(site="A", asn=1)]
         before = impl(graph, origins)
-        graph.add_as(_node(5))
-        graph.add_link(5, 3, Relationship.PROVIDER)
-        after = impl(graph, origins)
+        with pytest.raises(ValueError, match="cannot add AS 5"):
+            graph.add_as(_node(5))
+        with pytest.raises(ValueError, match="cannot link AS 4 to AS 1"):
+            graph.add_link(4, 1, Relationship.PEER)
+        assert before.changes_from(impl(graph, origins)) == set()
+        # The grown graph has to be built anew, and tables of two
+        # graphs sit on two compiled views: diffing them is an error.
+        grown = _chain_graph()
+        grown.add_as(_node(5))
+        grown.add_link(5, 3, Relationship.PROVIDER)
+        after = impl(grown, origins)
         with pytest.raises(ValueError, match="same compiled graph"):
             after.changes_from(before)
         with pytest.raises(ValueError, match="same compiled graph"):
             before.changes_from(after)
-        assert after.changes_from(impl(graph, origins)) == set()
+        assert after.changes_from(impl(grown, origins)) == set()
 
 
 def _valley_free(graph, path):

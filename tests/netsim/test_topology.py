@@ -96,6 +96,21 @@ class TestSiteHosts:
         with pytest.raises(ValueError):
             topo.add_site_host("X-LHR", airport("LHR").location, Scope.GLOBAL)
 
+    def test_no_site_host_once_routed(self):
+        # Routing finishes the graph, so every site must be wired in
+        # before the first table is computed.
+        topo = build_topology(
+            TopologyConfig(n_stubs=30), np.random.default_rng(3)
+        )
+        ams = airport("AMS").location
+        asn = topo.add_site_host("X-AMS", ams, Scope.GLOBAL)
+        propagate(topo.graph, [Origin(site="AMS", asn=asn, location=ams)])
+        n_ases = len(topo.graph)
+        with pytest.raises(ValueError, match=f"cannot add AS {asn + 1}"):
+            topo.add_site_host("X-LHR", airport("LHR").location, Scope.GLOBAL)
+        assert len(topo.graph) == n_ases
+        assert "X-LHR" not in topo.site_host_asns
+
 
 class TestEndToEndCatchments:
     def test_catchments_are_geographic(self):

@@ -27,6 +27,30 @@ class TestConfig:
             ScenarioConfig(window_seconds=10_860)
         ScenarioConfig(window_seconds=10_800)
 
+    def test_sub_config_sizes_must_match_population_sizes(self):
+        from repro.atlas.vps import VpPopulationConfig
+        from repro.netsim.topology import TopologyConfig
+
+        # An explicit sub-config is what the substrate is built from,
+        # so a disagreeing top-level size would misreport the run.
+        with pytest.raises(
+            ValueError, match=r"n_stubs=3000 .*topology\.n_stubs=600"
+        ):
+            ScenarioConfig(
+                n_stubs=3000,
+                topology=TopologyConfig(multihome_fraction=0.5),
+            )
+        with pytest.raises(ValueError, match=r"n_vps=1500 .*vps\.n_vps=45"):
+            ScenarioConfig(vps=VpPopulationConfig(n_vps=45))
+        config = ScenarioConfig(
+            n_stubs=80,
+            n_vps=45,
+            topology=TopologyConfig(n_stubs=80, multihome_fraction=0.5),
+            vps=VpPopulationConfig(n_vps=45),
+        )
+        assert config.topology_config().n_stubs == config.n_stubs
+        assert config.vp_config().n_vps == config.n_vps
+
     def test_controllers_only_for_simulated_letters(self):
         from repro.defense import GreedyShedController
         from repro.rootdns.letters import LETTERS_SPEC

@@ -110,6 +110,24 @@ class TestTornAndCorrupt:
         with pytest.raises(CheckpointError, match="not a version"):
             load_checkpoint(junk)
 
+    def test_version_2_checkpoint_rejected(self, tmp_path, spec, reference):
+        # Version-2 records pickle AS graphs with a version token and
+        # compiled views with one field more; loading them would shift
+        # fields or drop every record as torn, so the header refuses.
+        path = _write_full(tmp_path / "ckpt.jsonl", spec, reference)
+        header, rest = path.read_bytes().split(b"\n", 1)
+        fields = json.loads(header)
+        assert fields["version"] == 3
+        fields["version"] = 2
+        path.write_bytes(
+            json.dumps(fields, sort_keys=True).encode() + b"\n" + rest
+        )
+        for read in (load_checkpoint, read_header):
+            with pytest.raises(
+                CheckpointError, match="not a version-3 sweep checkpoint"
+            ):
+                read(path)
+
 
 class TestWriter:
     def test_record_is_idempotent(self, tmp_path, spec, reference):

@@ -283,14 +283,14 @@ class TestFrontDoorErrors:
         )
 
 
-#: Files that are not version-2 checkpoints, and the one-line error
+#: Files that are not version-3 checkpoints, and the one-line error
 #: each must produce.
 UNUSABLE_CHECKPOINTS = {
     "garbage": ("garbage\n", "checkpoint {} has an unparsable header"),
     "version-1": (
         json.dumps({"format": "repro-sweep-checkpoint", "version": 1})
         + "\n",
-        "{} is not a version-2 sweep checkpoint",
+        "{} is not a version-3 sweep checkpoint",
     ),
 }
 

@@ -190,7 +190,7 @@ class TestCheckpointErrors:
                 json.dumps(
                     {"format": "repro-sweep-checkpoint", "version": 1}
                 ) + "\n",
-                "{} is not a version-2 sweep checkpoint",
+                "{} is not a version-3 sweep checkpoint",
             ),
         ],
         ids=["garbage", "version-1"],
