@@ -100,10 +100,12 @@ def compare_runs(first: ScenarioResult, second: ScenarioResult) -> list[str]:
 
     Empty means the runs are bit-identical across all simulated
     arrays (truth, Atlas, RSSAC, BGPmon, .nl), every letter's
-    routing-action records (``LetterDeployment.actions``), the quality
-    report, and the published RSSAC report dates.  This is the diff
-    logic the CI determinism gate and
-    ``tests/test_check_determinism.py`` share.
+    routing-action records (``LetterDeployment.actions``), final
+    announcement state (``prefix.state_key()``) and site states, the
+    quality report, and the published RSSAC report dates.  The
+    deployment parts are what a sweep parent rebuilds from a pool
+    cell's record.  This is the diff logic the CI determinism and
+    sweep-smoke jobs and ``tests/test_check_determinism.py`` share.
     """
     a, b = result_arrays(first), result_arrays(second)
     mismatches = []
@@ -114,11 +116,13 @@ def compare_runs(first: ScenarioResult, second: ScenarioResult) -> list[str]:
             mismatches.append(name)
     mismatches.extend(sorted(set(b) - set(a)))
     for letter in first.letters:
-        if (
-            first.deployments[letter].actions
-            != second.deployments[letter].actions
-        ):
+        a_dep, b_dep = first.deployments[letter], second.deployments[letter]
+        if a_dep.actions != b_dep.actions:
             mismatches.append(f"deployments/{letter}/actions")
+        if a_dep.prefix.state_key() != b_dep.prefix.state_key():
+            mismatches.append(f"deployments/{letter}/state_key")
+        if a_dep.states != b_dep.states:
+            mismatches.append(f"deployments/{letter}/site_states")
     if first.quality != second.quality:
         mismatches.append("quality")
     if [r.date for L in first.letters for r in first.rssac[L]] != [

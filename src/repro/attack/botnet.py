@@ -100,6 +100,12 @@ class Botnet:
         self.asns = frozen(asns)
         self.weights = frozen(weights / total)
 
+    def __setstate__(self, state: dict[str, np.ndarray]) -> None:
+        # NumPy unpickles arrays writable: freeze them again.
+        self.__dict__.update(state)
+        frozen(self.asns)
+        frozen(self.weights)
+
     def __len__(self) -> int:
         return self.asns.size
 

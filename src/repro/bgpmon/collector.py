@@ -53,6 +53,11 @@ class BgpCollectors:
         self.peer_asns = frozen(peer_asns)
         self._peer_set = frozenset(int(a) for a in peer_asns)
 
+    def __setstate__(self, state: dict[str, object]) -> None:
+        # NumPy unpickles arrays writable: freeze it again.
+        self.__dict__.update(state)
+        frozen(self.peer_asns)
+
     def __len__(self) -> int:
         return int(self.peer_asns.size)
 

@@ -20,7 +20,7 @@ Cleaning keeps VPs without copying a matrix
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, TypeVar
 
 import numpy as np
@@ -63,6 +63,11 @@ class VantagePointTable:
         for column in (self.ids, self.asns, self.lats, self.lons,
                        self.regions, self.firmware, self.hijacked):
             frozen(column)
+
+    def __reduce__(self) -> tuple[object, ...]:
+        # Unpickle through the constructor, whose ``__post_init__``
+        # freezes the columns again (NumPy unpickles arrays writable).
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
 
     def __len__(self) -> int:
         return int(self.ids.size)

@@ -35,6 +35,11 @@ PREFIX_CACHE_STATS: dict[str, int] = {
     "delta_derived": 0,
 }
 
+#: A prefix's announcement state, as :meth:`AnycastPrefix.run_state`
+#: returns it: whether each site announces, and the neighbors each
+#: site refuses to export to.
+PrefixState = tuple[dict[str, bool], dict[str, frozenset[int]]]
+
 
 class AnycastPrefix:
     """The announcement state of one anycast service (one letter).
@@ -194,15 +199,28 @@ class AnycastPrefix:
         self._current = None
         return frozenset(self.routing().changes_from(before))
 
-    def snapshot(self) -> "AnycastPrefix":
-        """A copy with its own announcement state.
+    def run_state(self) -> PrefixState:
+        """The announcement state: ``(announced, blocked)``, each keyed
+        by site in origin order."""
+        return dict(self._announced), dict(self._blocked)
+
+    def snapshot(self, state: PrefixState | None = None) -> "AnycastPrefix":
+        """A copy with its own announcement state: this prefix's, or
+        *state* (a :meth:`run_state` of a prefix with the same sites).
 
         The origins, the graph and the routing caches stay shared:
         tables are pure functions of graph + announcement state.
         """
+        announced, blocked = (
+            (self._announced, self._blocked) if state is None else state
+        )
         clone = copy.copy(self)
-        clone._announced = dict(self._announced)
-        clone._blocked = dict(self._blocked)
+        clone._announced = dict(announced)
+        clone._blocked = dict(blocked)
+        if state is not None:
+            # The held key and table describe this prefix's own state.
+            clone._current_key = None
+            clone._current = None
         return clone
 
     def catchment_of(self, asn: int) -> str | None:

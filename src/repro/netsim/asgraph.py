@@ -128,6 +128,15 @@ class CompiledGraph:
     _sorted_asns: np.ndarray      # int64, ascending (for rows_of)
     _sorted_rows: np.ndarray      # int64, rows aligned to _sorted_asns
 
+    def __reduce__(self) -> tuple[object, ...]:
+        # Unpickle through from_arrays, which freezes every array again
+        # (NumPy unpickles arrays writable) and derives row_of, so the
+        # ASN -> row dict never enters the stream.
+        return (
+            type(self).from_arrays,
+            ({name: getattr(self, name) for name in _COMPILED_ARRAY_FIELDS},),
+        )
+
     @property
     def n_nodes(self) -> int:
         return int(self.asn_of.size)
@@ -190,6 +199,14 @@ class ASGraph:
     _compiled: CompiledGraph | None = None
     _coords: tuple[np.ndarray, np.ndarray] | None = None
     _distances: dict[int, np.ndarray] = field(default_factory=dict)
+
+    def __setstate__(self, state: tuple[None, dict[str, object]]) -> None:
+        # NumPy unpickles arrays writable: freeze the coordinates and
+        # distance rows again (the compiled view freezes its own).
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+        for array in (*(self._coords or ()), *self._distances.values()):
+            frozen(array)
 
     def _refuse_if_finished(self, edit: str) -> None:
         if self._compiled is not None:

@@ -24,7 +24,7 @@ from typing import Literal
 
 import numpy as np
 
-from ..netsim.anycast import AnycastPrefix
+from ..netsim.anycast import AnycastPrefix, PrefixState
 from ..netsim.bgp import Origin, RoutingTable, Scope
 from ..netsim.topology import Topology
 from ..util.arrays import frozen
@@ -57,6 +57,19 @@ class RoutingAction:
     cause: Cause
     #: ASes whose best route moved; empty when routes stayed put.
     changed_asns: frozenset[int]
+
+
+@dataclass(frozen=True, slots=True)
+class DeploymentRunState:
+    """Everything a run changes in a deployment; the rest of it is
+    built with the substrate and never changes."""
+
+    #: ``(withdrawals, calm_bins, partial, shed_server)`` per site, in
+    #: site order.
+    sites: tuple[tuple[int, int, bool, int], ...]
+    actions: tuple[RoutingAction, ...]
+    #: The prefix's announcement state (:meth:`AnycastPrefix.run_state`).
+    prefix: PrefixState
 
 
 class LetterDeployment:
@@ -146,21 +159,57 @@ class LetterDeployment:
             ),
         )
 
-    def snapshot(self) -> "LetterDeployment":
-        """A copy with its own run state.
+    def __setstate__(self, state: dict[str, object]) -> None:
+        # NumPy unpickles arrays writable: freeze them again.
+        self.__dict__.update(state)
+        frozen(self._capacity_vector)
+        frozen(self._fastpath_thresholds)
+        if self._announced_cache is not None:
+            frozen(self._announced_cache[1])
+
+    def run_state(self) -> DeploymentRunState:
+        """What a run has changed here: the site states, the records
+        and the prefix's announcement state."""
+        return DeploymentRunState(
+            sites=tuple(
+                (s.withdrawals, s.calm_bins, s.partial, s.shed_server)
+                for s in self.states.values()
+            ),
+            actions=tuple(self.actions),
+            prefix=self.prefix.run_state(),
+        )
+
+    def snapshot(
+        self, state: DeploymentRunState | None = None
+    ) -> "LetterDeployment":
+        """A copy with its own run state: this deployment's, or *state*
+        (a :meth:`run_state` of a deployment built the same way).
 
         The site states, the records and the prefix's announcement
         state are copied; the spec, topology, capacity tables and
         routing caches are shared.  :func:`simulate` runs on one, so a
-        run never mutates the substrate it was given.
+        run never mutates the substrate it was given, and a sweep
+        parent puts a pool cell's run state back on its own substrate
+        with one.
         """
         clone = copy.copy(self)
+        if state is None:
+            clone.prefix = self.prefix.snapshot()
+            state = self.run_state()
+        else:
+            clone.prefix = self.prefix.snapshot(state.prefix)
         clone.states = {
-            code: dataclasses.replace(state)
-            for code, state in self.states.items()
+            code: dataclasses.replace(
+                site,
+                withdrawals=withdrawals,
+                calm_bins=calm_bins,
+                partial=partial,
+                shed_server=shed_server,
+            )
+            for (code, site), (withdrawals, calm_bins, partial, shed_server)
+            in zip(self.states.items(), state.sites, strict=True)
         }
-        clone.actions = list(self.actions)
-        clone.prefix = self.prefix.snapshot()
+        clone.actions = list(state.actions)
         return clone
 
     @property

@@ -69,8 +69,10 @@ from .config import ScenarioConfig
 from .nl import NlService, register_nl_nodes
 
 if TYPE_CHECKING:
+    from ..datasets.observations import LetterObservations
     from ..defense.controllers import Controller
     from ..netsim.bgp import RoutingTable
+    from ..rootdns.deployment import DeploymentRunState
 
 #: Utilisation above which a site counts as overloaded for server-
 #: behaviour purposes (shedding, skew).
@@ -614,6 +616,90 @@ def substrate_constant_arrays(
     return pairs
 
 
+def _check_signature(substrate: Substrate, config: ScenarioConfig) -> None:
+    if substrate.signature != substrate_signature(config):
+        raise ValueError(
+            "substrate was built for a different scenario "
+            "configuration (substrate signatures differ)"
+        )
+
+
+#: The :class:`ScenarioResult` fields a result takes from its
+#: substrate; a :class:`ResultRecord` carries every other field.
+RESULT_SUBSTRATE_FIELDS = (
+    "topology", "facilities", "botnet", "collectors", "letters",
+)
+
+
+@dataclass(frozen=True, slots=True)
+class ResultRecord:
+    """What one run produced, without the substrate it ran on.
+
+    Every run-owned :class:`ScenarioResult` field, with two of them
+    cut down to what the run made: ``atlas`` holds each letter's
+    observations (the VP table belongs to the substrate), and
+    ``deployments`` each letter's
+    :class:`~repro.rootdns.deployment.DeploymentRunState`.  A sweep
+    pool worker sends one home when the parent holds the cell's
+    substrate, and :meth:`to_result` puts it back on that substrate.
+    """
+
+    config: ScenarioConfig
+    grid: TimeGrid
+    deployments: dict[str, DeploymentRunState]
+    atlas: dict[str, LetterObservations]
+    rssac: dict[str, tuple[DailyReport, ...]]
+    route_changes: dict[str, np.ndarray]
+    truth: dict[str, LetterTruth]
+    nl: NlService | None
+    duplicate_ratio: float
+    quality: DataQuality
+
+    @classmethod
+    def of(cls, result: ScenarioResult) -> "ResultRecord":
+        """The record of *result*, sharing its run-owned parts."""
+        return cls(
+            config=result.config,
+            grid=result.grid,
+            deployments={
+                letter: dep.run_state()
+                for letter, dep in result.deployments.items()
+            },
+            atlas=result.atlas.letters,
+            rssac=result.rssac,
+            route_changes=result.route_changes,
+            truth=result.truth,
+            nl=result.nl,
+            duplicate_ratio=result.duplicate_ratio,
+            quality=result.quality,
+        )
+
+    def to_result(self, substrate: Substrate) -> ScenarioResult:
+        """The full result, sharing *substrate* as :func:`simulate`'s
+        result shares the substrate it ran on.  *substrate* must have
+        the signature of the one the run used."""
+        _check_signature(substrate, self.config)
+        shared = {
+            name: getattr(substrate, name) for name in RESULT_SUBSTRATE_FIELDS
+        }
+        return ScenarioResult(
+            **shared,
+            config=self.config,
+            grid=self.grid,
+            deployments={
+                letter: substrate.deployments[letter].snapshot(state)
+                for letter, state in self.deployments.items()
+            },
+            atlas=AtlasDataset(self.grid, substrate.vps, self.atlas),
+            rssac=self.rssac,
+            route_changes=self.route_changes,
+            truth=self.truth,
+            nl=self.nl,
+            duplicate_ratio=self.duplicate_ratio,
+            quality=self.quality,
+        )
+
+
 def build_substrate(config: ScenarioConfig) -> Substrate:
     """Build the shared pre-loop artifacts for *config*.
 
@@ -677,11 +763,8 @@ def simulate(
     """
     if substrate is None:
         substrate = build_substrate(config)
-    elif substrate.signature != substrate_signature(config):
-        raise ValueError(
-            "substrate was built for a different scenario "
-            "configuration (substrate signatures differ)"
-        )
+    else:
+        _check_signature(substrate, config)
     rngs = RngFactory(config.seed)
     grid = config.grid()
 

@@ -7,7 +7,9 @@ Determinism contract
   lands in an index-keyed slot, never appended in completion order.
 * Workers receive pickled cell copies; the serial path pickles too
   (:func:`~repro.sweep.worker.run_cells_serial`), so both paths see
-  identical inputs.
+  identical inputs.  A pool cell whose substrate the parent holds
+  comes home as a record of what the run produced, rebuilt on that
+  substrate into a result equal to the worker's.
 * Each cell's simulation draws only from RNG streams derived from its
   own config seed; substrate reuse inside a worker is proven
   bit-identical to a fresh build.
@@ -56,7 +58,7 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from ..util.env import SWEEP_SHM, env_flag
 from .aggregate import CellSummary, summarize
@@ -82,7 +84,7 @@ from .worker import CellOutcome, init_worker, run_cells, run_cells_serial
 if TYPE_CHECKING:
     from concurrent.futures import Future, ProcessPoolExecutor
 
-    from ..scenario.engine import ScenarioResult
+    from ..scenario.engine import ScenarioResult, Substrate
 
 #: Longest single backoff sleep, whatever the retry round.
 BACKOFF_CAP_S = 30.0
@@ -225,6 +227,9 @@ class _Supervisor:
     shm_segments: int = 0
     #: Peak RSS per worker pid (KiB); a high-water mark, so max-merged.
     worker_rss: dict[int, int] = field(default_factory=dict)
+    #: The parent's substrate per cell index, for the cells whose
+    #: results come home as records (pool path only).
+    held: dict[int, "Substrate"] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if not self.slots:
@@ -266,15 +271,18 @@ class _Supervisor:
         index = outcome.index
         if self.slots[index] is not None:
             raise RuntimeError(f"cell {index} produced twice")
-        assert outcome.result is not None
-        self.slots[index] = outcome.result
+        result = outcome.result
+        if outcome.record is not None:
+            result = outcome.record.to_result(self.held[index])
+        assert result is not None
+        self.slots[index] = result
         self.completed += 1
         for name, value in outcome.routing_stats.items():
             self.routing_stats[name] = (
                 self.routing_stats.get(name, 0) + value
             )
         if self.writer is not None:
-            self.writer.record(self.cells[index], outcome.result)
+            self.writer.record(self.cells[index], result)
         self.emit(
             ProgressEvent(
                 kind=CELL_DONE,
@@ -368,6 +376,39 @@ def _run_serial(
         round_index += 1
 
 
+def _held_substrates(
+    cells: Sequence[SweepCell], should_stop: Callable[[], bool]
+) -> dict[int, "Substrate"]:
+    """The parent's substrate per cell index, for each signature that
+    two or more of *cells* share: one build per signature, kept for
+    the whole run.
+
+    Pool workers send these cells home as records, rebuilt here on
+    the kept substrate; a single-use signature is left to the worker
+    that runs it, whose full result costs less to unpickle than a
+    serial build here.  A signature whose build raises is left out,
+    so its cells ship whole.  *should_stop* is polled between builds
+    so a graceful drain is not held up.
+    """
+    from ..scenario.engine import build_substrate, substrate_signature
+
+    groups: dict[tuple[object, ...], list[SweepCell]] = {}
+    for cell in cells:
+        groups.setdefault(substrate_signature(cell.config), []).append(cell)
+    held: dict[int, Substrate] = {}
+    for group in groups.values():
+        if should_stop():
+            break
+        if len(group) < 2:
+            continue
+        try:
+            substrate = build_substrate(group[0].config)
+        except Exception:
+            continue
+        held.update((cell.index, substrate) for cell in group)
+    return held
+
+
 @dataclass(slots=True)
 class _Task:
     """One in-flight pool submission."""
@@ -436,20 +477,26 @@ def _run_pool(
             initializer=init_worker,
         )
 
-    # Shared-substrate export happens once, before any dispatch: the
-    # parent owns every segment for the whole pool lifetime (respawns
-    # included) and unlinks them in the ``finally`` below -- the one
-    # cleanup covering normal completion, graceful drain, worker
-    # death, and quarantine exits alike.
+    # The parent builds the substrates it keeps, and exports them,
+    # once, before any dispatch: it owns every segment for the whole
+    # pool lifetime (respawns included) and unlinks them in the
+    # ``finally`` below -- the one cleanup covering normal completion,
+    # graceful drain, worker death, and quarantine exits alike.
     shared: list[SharedSubstrate] = []
     manifests: dict[tuple[object, ...], SubstrateManifest] = {}
+
+    def stopping() -> bool:
+        return sup.stop_signal is not None
+
     try:
+        sup.held = _held_substrates(sup.incomplete(), stopping)
+        substrates = {s.signature: s for s in sup.held.values()}
         if shm_enabled:
             shared, manifests = export_shared_substrates(
-                sup.incomplete(),
-                should_stop=lambda: sup.stop_signal is not None,
+                substrates.values(), should_stop=stopping
             )
             sup.shm_segments = len(shared)
+        held = tuple(substrates)
         round_index = 0
         while True:
             todo = sup.incomplete()
@@ -477,7 +524,7 @@ def _run_pool(
                     else None
                 )
                 futures[
-                    pool.submit(run_cells, chunk, manifests or None)
+                    pool.submit(run_cells, chunk, manifests or None, held)
                 ] = _Task(cells=chunk, deadline=deadline)
             pool_broken = False
             while futures and not pool_broken:
@@ -567,13 +614,19 @@ def run_sweep(
     backoff.  Outputs are bit-identical across ``jobs`` values, across
     retries, and across checkpoint resumes.
 
-    On the pool path, substrates whose signature is shared by two or
-    more cells are built once in the parent and exported to
-    shared-memory segments that workers attach zero-copy
-    (:mod:`repro.sweep.shm`); *shm* forces the layer on/off, and the
-    default defers to ``REPRO_SWEEP_SHM`` (on unless set to ``0``).
-    The layer is transport-only -- outputs are bit-identical with it
-    on, off, or falling back mid-run.
+    On the pool path, the parent builds once, and keeps, the substrate
+    of each signature shared by two or more cells: those cells'
+    workers send home records of what the run produced
+    (:class:`~repro.scenario.engine.ResultRecord`), which the parent
+    rebuilds into full results on its copy, so they share it as
+    serial results share theirs; a cell of a single-use signature
+    sends its full result.  With the shared-memory layer on, the kept
+    substrates are also exported to segments that workers attach
+    zero-copy (:mod:`repro.sweep.shm`); *shm* forces the layer on/off,
+    and the default defers to ``REPRO_SWEEP_SHM`` (on unless set to
+    ``0``).  Records and the layer are transport-only -- outputs are
+    bit-identical with either on, off, or falling back mid-run, and
+    ``results`` always holds full results.
 
     With *checkpoint*, completed cells are persisted to an append-only
     log as they finish; if the file already exists (and matches the

@@ -7,8 +7,10 @@ overload model, controllers, faults) that repeats the same expensive
 topology/deployment/VP build once *per worker* and re-derives every
 routing table from scratch.  This module removes that tax:
 
-* **Export** (parent, :func:`export_substrate`): every constant array
-  of a substrate -- the :class:`~repro.netsim.asgraph.CompiledGraph`
+* **Export** (parent, :func:`export_substrate`): the sweep runner
+  exports each substrate it builds and keeps to rebuild pool results
+  (:func:`export_shared_substrates`).  Every constant array of a
+  substrate -- the :class:`~repro.netsim.asgraph.CompiledGraph`
   CSR view, the engine's capacity/threshold vectors, the VP/botnet/
   collector tables, and the AS-graph coordinate/distance memos, as
   enumerated by
@@ -65,11 +67,9 @@ import io
 import os
 import pickle
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
-
-from ..netsim.asgraph import CompiledGraph
 
 if TYPE_CHECKING:
     from multiprocessing.shared_memory import SharedMemory
@@ -136,9 +136,8 @@ class _SkeletonPickler(pickle.Pickler):
     Identity (``is``), not equality, decides whether an encountered
     array is one of the exported constants -- two distinct arrays with
     equal contents must not alias each other through the segment.  The
-    compiled graph view is reduced to its array fields (all of which
-    are exported constants), so its ASN->row dict never enters the
-    stream.
+    compiled graph view pickles as its array fields (all of which are
+    exported constants), so its ASN->row dict never enters the stream.
     """
 
     def __init__(
@@ -153,19 +152,6 @@ class _SkeletonPickler(pickle.Pickler):
                 if array is obj:
                     return (_PERSISTENT_TAG, index)
         return None
-
-    def reducer_override(self, obj: object):  # type: ignore[no-untyped-def]
-        if isinstance(obj, CompiledGraph):
-            arrays = tuple(
-                getattr(obj, name) for name in obj.array_fields()
-            )
-            return (_rebuild_compiled_graph, (arrays,))
-        return NotImplemented
-
-
-def _rebuild_compiled_graph(arrays: tuple[np.ndarray, ...]) -> CompiledGraph:
-    names = CompiledGraph.array_fields()
-    return CompiledGraph.from_arrays(dict(zip(names, arrays)))
 
 
 class _SkeletonUnpickler(pickle.Unpickler):
@@ -231,8 +217,7 @@ def export_substrate(substrate: "Substrate") -> SharedSubstrate:
     Copies every constant array into the segment, pickles the
     remaining skeleton (with arrays tokenized) after them, and returns
     the parent-side handle carrying the :class:`SubstrateManifest`.
-    The substrate object itself is untouched and no longer needed
-    afterwards -- the caller may drop it to keep parent memory flat.
+    The substrate object itself is untouched.
     """
     from multiprocessing.shared_memory import SharedMemory
 
@@ -292,62 +277,41 @@ def export_substrate(substrate: "Substrate") -> SharedSubstrate:
 
 
 def export_shared_substrates(
-    cells: Sequence["object"],
+    substrates: Iterable["Substrate"],
     *,
-    min_cells: int = 2,
     should_stop: "Callable[[], bool] | None" = None,
 ) -> tuple[list[SharedSubstrate], dict[tuple[object, ...], SubstrateManifest]]:
-    """Build + export one shared substrate per redundant signature.
+    """Export each of the sweep runner's kept *substrates*.
 
-    Groups *cells* (``SweepCell``-shaped: ``.config`` attribute) by
-    :func:`~repro.scenario.engine.substrate_signature` and exports
-    only signatures shared by at least *min_cells* cells -- exactly
-    the ones every worker would otherwise rebuild; single-use
-    signatures stay on the pickled path, where the (parallel)
-    worker-side build is cheaper than a serial parent-side one.
-    Before export the parent warms each letter's base routing table
-    (``deployment.routing()``), so the warmed distance memos ride the
-    segment and workers skip the recompute; warming is output-
-    invariant (routing is a pure function of the announcement state).
+    The runner builds one substrate per signature that two or more
+    cells share and keeps it to rebuild those cells' results; this
+    exports exactly those, so every worker attaches them instead of
+    rebuilding.  Before export each letter's base routing table is
+    warmed (``deployment.routing()``), so the warmed distance memos
+    ride the segment and workers skip the recompute; warming is
+    output-invariant (routing is a pure function of the announcement
+    state).
 
-    A signature whose build or export fails is skipped -- its cells
-    fall back to worker-side builds.  *should_stop* is polled between
-    signatures so a graceful drain is not held up by exports.
-
-    Returns ``(handles, manifests)``; the caller owns the handles and
-    must :meth:`~SharedSubstrate.close` each one after the pool is
-    gone.
+    A substrate whose export fails is skipped -- its cells fall back
+    to worker-side builds.  *should_stop* is polled between substrates
+    so a graceful drain is not held up by exports.  Returns
+    ``(handles, manifests)``, the manifests keyed by substrate
+    signature; the caller owns the handles and must
+    :meth:`~SharedSubstrate.close` each one after the pool is gone.
     """
-    from ..scenario.engine import build_substrate, substrate_signature
-
-    order: list[tuple[object, ...]] = []
-    configs: dict[tuple[object, ...], object] = {}
-    counts: dict[tuple[object, ...], int] = {}
-    for cell in cells:
-        config = cell.config  # type: ignore[attr-defined]
-        signature = substrate_signature(config)
-        if signature not in counts:
-            order.append(signature)
-            configs[signature] = config
-            counts[signature] = 0
-        counts[signature] += 1
-
     handles: list[SharedSubstrate] = []
     manifests: dict[tuple[object, ...], SubstrateManifest] = {}
-    for signature in order:
+    for substrate in substrates:
         if should_stop is not None and should_stop():
             break
-        if counts[signature] < min_cells:
-            continue
         try:
-            substrate = build_substrate(configs[signature])  # type: ignore[arg-type]
             for letter in substrate.letters:
                 substrate.deployments[letter].routing()
             handle = export_substrate(substrate)
         except Exception:
             continue
         handles.append(handle)
-        manifests[signature] = handle.manifest
+        manifests[substrate.signature] = handle.manifest
     return handles, manifests
 
 

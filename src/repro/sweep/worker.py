@@ -15,10 +15,21 @@ Fault-stream isolation: each cell's ``FaultPlan`` is resolved inside
 -- the worker holds no shared fault RNG, so a cell's fault draws are
 a pure function of its config, wherever it runs.
 
+What crosses back: when the parent holds the cell's substrate (it
+builds and keeps one for each signature that two or more cells share,
+see :func:`run_cells`), the worker sends a
+:class:`~repro.scenario.engine.ResultRecord` -- the run-owned result
+fields and each letter's deployment run state -- and the parent
+rebuilds the full result on its own copy, so no topology, facility
+registry, botnet, collector or VP table, letter spec or routing cache
+is pickled per cell, and results of one signature share the parent's
+substrate as serial results share theirs.  A cell of a single-use
+signature sends its full result.
+
 Supervision contract: a worker never lets one cell's exception escape
 the task -- every cell produces a :class:`CellOutcome`, carrying
-either the result or the error string, plus the worker's pid and the
-cell's routing-layer counter deltas (``PREFIX_CACHE_STATS`` /
+the result, its record or the error string, plus the worker's pid
+and the cell's routing-layer counter deltas (``PREFIX_CACHE_STATS`` /
 ``SHM_STATS``), so the parent can retry failed cells, spot which
 process did what, and surface fallback storms.  Only process
 death (crash, OOM kill) loses a task, and the runner detects that as
@@ -40,12 +51,12 @@ import pickle
 import resource
 import signal
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Collection, Mapping, Sequence
 
 from ..devtools import sanitize
 from ..netsim.anycast import PREFIX_CACHE_STATS
-from ..scenario.engine import Substrate, build_substrate, simulate
-from ..scenario.engine import substrate_signature
+from ..scenario.engine import ResultRecord, Substrate, build_substrate
+from ..scenario.engine import simulate, substrate_signature
 from .shm import SHM_STATS, SubstrateManifest, attach_substrate
 
 if TYPE_CHECKING:
@@ -77,10 +88,14 @@ _MANIFESTS: dict[tuple[object, ...], SubstrateManifest] = {}
 class CellOutcome:
     """What one attempt at one cell produced.
 
-    Exactly one of ``result``/``error`` is set.  ``routing_stats``
-    holds this cell's *deltas* of the process-global routing counters
-    (keys prefixed ``prefix_cache/`` and ``shm/``), so the parent
-    can sum them across workers without double counting.
+    Exactly one of ``result``/``record``/``error`` is set: the
+    :class:`~repro.scenario.engine.ResultRecord` when the parent holds
+    the cell's substrate (it rebuilds the result on its own copy with
+    :meth:`~repro.scenario.engine.ResultRecord.to_result`), the full
+    result otherwise.  ``routing_stats`` holds this cell's *deltas* of
+    the process-global routing counters (keys prefixed
+    ``prefix_cache/`` and ``shm/``), so the parent can sum them across
+    workers without double counting.
     """
 
     index: int
@@ -92,6 +107,7 @@ class CellOutcome:
     #: right after the cell ran -- a high-water mark, not a per-cell
     #: delta, so the parent takes a max per pid, not a sum.
     peak_rss_kb: int = field(default=0)
+    record: ResultRecord | None = None
 
 
 def init_worker() -> None:
@@ -161,8 +177,11 @@ def _stats_snapshot() -> dict[str, int]:
     return snapshot
 
 
-def _run_cell(cell: SweepCell) -> CellOutcome:
-    """One attempt at one cell; exceptions become error outcomes."""
+def _run_cell(
+    cell: SweepCell, held: Collection[tuple[object, ...]]
+) -> CellOutcome:
+    """One attempt at one cell; exceptions become error outcomes.  The
+    result goes home as a record when *held* names its signature."""
     pid = os.getpid()
     sanitizing = sanitize.enabled()
     before = _stats_snapshot()
@@ -201,13 +220,15 @@ def _run_cell(cell: SweepCell) -> CellOutcome:
                 for label, count in sanitize.stream_report().items()
             }
         )
+    as_record = substrate.signature in held
     return CellOutcome(
         index=cell.index,
-        result=result,
+        result=None if as_record else result,
         error=None,
         worker_pid=pid,
         routing_stats=stats,
         peak_rss_kb=_peak_rss_kb(),
+        record=ResultRecord.of(result) if as_record else None,
     )
 
 
@@ -233,18 +254,21 @@ def _peak_rss_kb() -> int:
 def run_cells(
     cells: tuple[SweepCell, ...],
     manifests: Mapping[tuple[object, ...], SubstrateManifest] | None = None,
+    held: Collection[tuple[object, ...]] = (),
 ) -> list[CellOutcome]:
     """Simulate one task's cells; one outcome per cell, index order.
 
     *manifests* (when the shared-memory layer is on) maps substrate
     signatures to shared-segment manifests; cells whose signature
     appears there are served from a zero-copy attached substrate
-    instead of a local build.  A failing cell does not stop the rest
-    of the task -- its outcome carries the error.
+    instead of a local build.  Cells whose signature is in *held*, the
+    substrates the parent built and kept, come home as records instead
+    of full results.  A failing cell does not stop the rest of the
+    task -- its outcome carries the error.
     """
     _install_manifests(manifests)
     try:
-        return [_run_cell(cell) for cell in cells]
+        return [_run_cell(cell, held) for cell in cells]
     finally:
         _install_manifests(None)
 

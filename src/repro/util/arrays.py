@@ -12,7 +12,8 @@ def frozen(array: np.ndarray) -> np.ndarray:
     distance rows, the VP table, the botnet, a deployment's capacity
     vector, ...) calls this where it builds the array, so an in-place
     write anywhere later raises ``ValueError`` at the write instead of
-    corrupting every run that shares it.
+    corrupting every run that shares it.  NumPy unpickles arrays
+    writable, so each owner calls it again in its ``__setstate__``.
     """
     array.flags.writeable = False
     return array

@@ -13,6 +13,9 @@ Three properties are load-bearing:
   ``jobs=N``, proving no RNG stream leaks across cells or processes.
 """
 
+import pickle
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -24,10 +27,22 @@ from repro.devtools.sanitize import (
     reset_streams,
     stream_report,
 )
+from repro.datasets.observations import VantagePointTable
 from repro.netsim import ASGraph, AsNode, AsRole, Relationship
+from repro.netsim.asgraph import CompiledGraph
 from repro.scenario import diff_arrays, result_arrays
-from repro.scenario.engine import build_substrate, simulate
-from repro.sweep import SweepSpec, run_sweep
+from repro.scenario.engine import (
+    Substrate,
+    build_substrate,
+    simulate,
+    substrate_constant_arrays,
+)
+from repro.sweep import (
+    CheckpointWriter,
+    SweepSpec,
+    load_checkpoint,
+    run_sweep,
+)
 from repro.util import Location
 
 
@@ -44,6 +59,11 @@ def sanitized(monkeypatch):
     reset_streams()
     yield
     reset_streams()
+
+
+def _set_fields_only(self, state):
+    for f, value in zip(fields(self), state):
+        object.__setattr__(self, f.name, value)
 
 
 class TestCountingGenerator:
@@ -134,6 +154,54 @@ class TestFreezing:
             deployment.announced_mask()[0] = False
         with pytest.raises(ValueError):
             next(iter(rows.values()))[0] = 0.0
+
+    def test_constants_stay_frozen_after_pickle_and_checkpoint(
+        self, monkeypatch, tiny_config, tmp_path
+    ):
+        # NumPy unpickles arrays writable, and unpickling runs no
+        # constructor, so each owner freezes its arrays again; a
+        # pickled substrate and a result restored from a checkpoint
+        # (the two ways a substrate crosses a pickle) stay read-only.
+        monkeypatch.delenv("REPRO_SANITIZE", raising=False)
+        # Before Python 3.11.4, dataclasses gives every frozen slots
+        # class a ``__setstate__`` that only sets the fields, even over
+        # the class's own, so the re-freeze must not rest on one.
+        for cls in (CompiledGraph, VantagePointTable):
+            monkeypatch.setattr(cls, "__setstate__", _set_fields_only)
+        substrate = build_substrate(tiny_config)
+        for deployment in substrate.deployments.values():
+            deployment.routing()
+            deployment.announced_mask()
+        copied = pickle.loads(pickle.dumps(substrate))
+
+        spec = SweepSpec.from_points(tiny_config, [{}])
+        sweep = run_sweep(spec, jobs=1)
+        path = tmp_path / "ckpt.jsonl"
+        with CheckpointWriter(path, spec) as writer:
+            writer.record(sweep.cells[0], sweep.results[0])
+        restored = load_checkpoint(path, spec).results[0]
+        held = Substrate(
+            signature=(), topology=restored.topology,
+            facilities=restored.facilities,
+            deployments=restored.deployments, specs={},
+            letters=restored.letters, vps=restored.atlas.vps,
+            botnet=restored.botnet, collectors=restored.collectors,
+        )
+
+        for owner in (copied, held):
+            arrays = substrate_constant_arrays(owner) + [
+                (f"deployments/{letter}/announced", dep.announced_mask())
+                for letter, dep in owner.deployments.items()
+            ]
+            kinds = {name.rsplit("/", 1)[0] for name, _ in arrays}
+            assert {
+                "vps", "botnet", "collectors", "deployments/A",
+                "deployments/K", "graph/csr", "graph/coords",
+                "graph/distance",
+            } <= kinds
+            assert [
+                name for name, array in arrays if array.flags.writeable
+            ] == []
 
     def test_injected_write_to_compiled_graph_array_raises(self):
         # CompiledGraph CSR views are read-only by construction: an

@@ -1,4 +1,5 @@
-"""Checkpoint WAL: round-trip, torn tails, corruption, idempotence."""
+"""Checkpoint WAL: round-trip, torn tails, corruption, idempotence,
+and resumes across the serial and pool paths."""
 
 import json
 
@@ -14,6 +15,9 @@ from repro.sweep import (
     run_sweep,
     spec_digest,
 )
+
+from .cell_faults import inject
+from .runs import assert_same_run
 
 
 @pytest.fixture(scope="module")
@@ -170,3 +174,49 @@ class TestHeader:
             "repro.sweep.checkpoint._decode_result", no_decode
         )
         assert read_header(path) == spec
+
+
+class TestPoolWrittenCheckpoint:
+    """A checkpoint a pool wrote, its cells rebuilt in the parent from
+    records, resumes serially, and a serial one resumes in a pool."""
+
+    @pytest.fixture(scope="class")
+    def grid(self, tiny_base):
+        # Four cells on one substrate, so a pool run over all four and
+        # a pool resume of the last two both send records home.
+        return SweepSpec.grid(tiny_base, {"baseline_days": [1, 3, 5, 7]})
+
+    @pytest.fixture(scope="class")
+    def uninterrupted(self, grid):
+        return run_sweep(grid, jobs=1)
+
+    @pytest.mark.parametrize("first_jobs, resume_jobs", [(2, 1), (1, 2)])
+    def test_resume_equals_uninterrupted(
+        self, tmp_path, monkeypatch, grid, uninterrupted,
+        first_jobs, resume_jobs,
+    ):
+        path = tmp_path / "ckpt.jsonl"
+        with monkeypatch.context() as patch:
+            # Cells 2 and 3 fail, so the checkpoint holds cells 0 and 1.
+            inject(patch, 2, "raise")
+            inject(patch, 3, "raise")
+            first = run_sweep(
+                grid, jobs=first_jobs, chunk_size=1, max_retries=0,
+                backoff_base_s=0.0, checkpoint=path,
+            )
+        assert sorted(first.failures) == [2, 3]
+        assert sorted(load_checkpoint(path, grid).results) == [0, 1]
+        resumed = run_sweep(
+            grid, jobs=resume_jobs, chunk_size=1, checkpoint=path
+        )
+        assert resumed.restored == (0, 1)
+        assert not resumed.failures
+        for got, want in zip(resumed.results, uninterrupted.results):
+            assert_same_run(got, want)
+        # The pool run's cells were rebuilt on the parent's substrate.
+        pooled = first if first_jobs > 1 else resumed
+        ran = (0, 1) if first_jobs > 1 else (2, 3)
+        assert (
+            pooled.results[ran[0]].topology
+            is pooled.results[ran[1]].topology
+        )

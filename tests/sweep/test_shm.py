@@ -189,6 +189,38 @@ class TestFallback:
 
 
 class TestLeakOnEveryExitPath:
+    def test_sigint_before_export_skips_it(self, spec, monkeypatch):
+        # A signal that lands once the parent has built its substrates
+        # drains before any export: nothing is exported or leaked.
+        import repro.sweep.runner as runner_module
+
+        build, export = (
+            runner_module._held_substrates,
+            runner_module.export_shared_substrates,
+        )
+        exported = []
+
+        def build_then_interrupt(cells, should_stop):
+            held = build(cells, should_stop)
+            os.kill(os.getpid(), signal.SIGINT)
+            return held
+
+        def counted(substrates, **kwargs):
+            handles, manifests = export(substrates, **kwargs)
+            exported.append(len(handles))
+            return handles, manifests
+
+        monkeypatch.setattr(
+            runner_module, "_held_substrates", build_then_interrupt
+        )
+        monkeypatch.setattr(
+            runner_module, "export_shared_substrates", counted
+        )
+        with pytest.raises(SweepInterrupted):
+            run_sweep(spec, jobs=2, shm=True)
+        assert exported == [0]
+        _assert_no_leak()
+
     def test_sigint_drain_unlinks_segments(self, spec):
         def interrupt_after_first(event):
             if event.kind == CELL_DONE:

@@ -78,6 +78,19 @@ def test_record_only_difference_is_caught(baseline_run):
     assert compare_runs(baseline_run, repeat) == ["deployments/K/actions"]
 
 
+def test_deployment_state_difference_is_caught(baseline_run):
+    """Runs that agree in arrays and records but end in another
+    announcement state or site state must fail the gate."""
+    repeat = simulate(small_config())
+    prefix = repeat.deployments["A"].prefix
+    site = prefix.sites[0]
+    prefix.set_announced(site, not prefix.is_announced(site))
+    repeat.deployments["K"].states["AMS"].calm_bins += 1
+    assert compare_runs(baseline_run, repeat) == [
+        "deployments/A/state_key", "deployments/K/site_states",
+    ]
+
+
 def test_diff_is_symmetric(baseline_run):
     perturbed = simulate(small_config(seed=8))
     assert bool(compare_runs(baseline_run, perturbed)) == bool(
